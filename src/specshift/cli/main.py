@@ -122,15 +122,10 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
             score_metric=cfg.score_metric,
             score_eps=cfg.score_eps,
             window=cfg.window,
-            ema_decay=cfg.ema_decay if cfg.ema_decay > 0 else None,
         ),
         san=SanConfig(patch=cfg.san_patch, hidden=cfg.san_hidden, epochs=cfg.san_epochs, lr=cfg.lr),
         fan=FanConfig(topk=cfg.fan_topk),
     )
-
-
-def _is_weighted(method: str) -> bool:
-    return method in ("tifo", "tifo+san")
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +179,7 @@ def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
     pcfg = _pipeline_config(cfg, ds.channels)
     rng = np.random.default_rng(cfg.seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
-    if log and _is_weighted(cfg.method):
+    if log and pipeline.tifo is not None:
         print(f"fitted {cfg.score_metric} stability scores on the train split")
     tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
     result = train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
@@ -242,7 +237,7 @@ def _rebuild(cfg: RunConfig):
 
 def cmd_eval(cfg: RunConfig) -> None:
     pipeline, ck_cfg, ds = _rebuild(cfg)
-    weighted = _is_weighted(ck_cfg.method)
+    weighted = pipeline.tifo is not None
     ema = cfg.ema_decay if (weighted and cfg.ema_decay > 0) else None
     out = _out_dir(cfg)
     results = []
@@ -359,8 +354,9 @@ def cmd_ablate(cfg: RunConfig) -> None:
             sub.__dict__.update(cell)
             sub.seed = cfg.seed + rep
             pipeline, _ = _train_once(sub, ds)
-            ema = sub.ema_decay if (sub.ema_decay > 0 and _is_weighted(sub.method)) else None
-            alpha = sub.alpha if _is_weighted(sub.method) else None
+            weighted = pipeline.tifo is not None
+            ema = sub.ema_decay if (sub.ema_decay > 0 and weighted) else None
+            alpha = sub.alpha if weighted else None
             m = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=alpha, ema_decay=ema)
             mses.append(m["mse"])
             maes.append(m["mae"])

@@ -35,7 +35,6 @@ class TifoConfig:
     score_metric: str = "mu_sigma"
     score_eps: float = 1e-5
     window: str = "rectangular"
-    ema_decay: float | None = None  # eval-time score refresh, None disables
 
 
 def init_params(bins: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:

@@ -1,12 +1,14 @@
-"""Training pipelines: method wrappers around a backbone, an Adam optimizer,
-the early-stopping loop, evaluation, and a finite-difference gradient check.
+"""Training pipelines: a normalization block, an optional spectral
+re-weighting layer and a backbone, composed per method by ``COMPOSITION``;
+an Adam optimizer, the early-stopping loop, evaluation, and a
+finite-difference gradient check.
 
-Every pipeline computes gradients by composing explicit per-block VJPs; there
-is no general-purpose tape.  A pipeline owns two tensor groups:
+Gradients come from composing explicit per-block VJPs; there is no
+general-purpose tape.  A pipeline owns two tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
-* ``frozen``  - fixed state (stability scores, pretrained patch predictor),
-  checkpointed but never updated by the main loop
+* ``frozen``  - fixed state (stability scores, pretrained patch predictor,
+  FAN's combination weights), checkpointed but never updated by the main loop
 """
 
 from __future__ import annotations
@@ -20,9 +22,6 @@ from .errors import CheckpointError, ConfigError, NumericError
 from .models import Backbone, BackboneConfig
 from .spectral import dft_forward, n_bins, window_taps
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
-
-METHODS = ("none", "revin", "san", "fan", "tifo", "tifo+san")
-
 
 def _paired(pred, target) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
@@ -84,7 +83,7 @@ class PipelineConfig:
     fan: baselines.FanConfig = field(default_factory=baselines.FanConfig)
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if self.method not in COMPOSITION:
             raise ConfigError(f"unknown method: {self.method!r}")
 
 
@@ -92,17 +91,193 @@ def _namespace(prefix: str, tensors: dict[str, np.ndarray]) -> dict[str, np.ndar
     return {f"{prefix}.{k}": v for k, v in tensors.items()}
 
 
-class _Pipeline:
-    """Shared plumbing: parameter registry, checkpoint tensors, loss helpers."""
+def _mse_upstream(pred, target):
+    err = pred - target
+    loss = float(np.mean(err * err))
+    return loss, (2.0 / err.size) * err
 
-    method = "none"
-    transforms_input = False  # True when the backbone sees a reshaped series
+
+# ---------------------------------------------------------------------------
+# normalization blocks
+#
+# A block wraps the backbone: ``enter(x) -> (x_n, ctx)`` normalizes the
+# lookback window, ``leave(y_n, ctx) -> y`` maps the backbone output back, and
+# ``loss(y_n, ctx, y) -> (loss, g_n, grads)`` gives the training loss, its
+# cotangent at the backbone output and the block's own parameter gradients.
+# ``ctx`` belongs to the caller; no forward or loss call changes a block.
+# ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays are
+# the pipeline's own, registered there under ``<name>.``.
+# ---------------------------------------------------------------------------
+
+
+class IdentityNorm:
+    name = "identity"
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
+        self.params: dict[str, np.ndarray] = {}
+        self.frozen: dict[str, np.ndarray] = {}
+
+    def enter(self, x):
+        return np.asarray(x, dtype=float), None
+
+    def leave(self, y_n, ctx):
+        return y_n
+
+    def loss(self, y_n, ctx, y):
+        loss, upstream = _mse_upstream(y_n, y)
+        return loss, upstream, {}
+
+
+class RevinNorm:
+    """Per-window z-scoring with a learnable per-channel affine on the way out."""
+
+    name = "revin"
+
+    def __init__(self, cfg, rng):
+        self.params = baselines.revin_init(cfg.backbone.channels)
+        self.frozen = {}
+
+    def enter(self, x):
+        mu, sigma = baselines.revin_stats(x)
+        return baselines.revin_normalize(x, mu, sigma), (mu, sigma)
+
+    def leave(self, y_n, ctx):
+        mu, sigma = ctx
+        return baselines.revin_denormalize(y_n, mu, sigma, self.params["gamma"], self.params["beta"])
+
+    def loss(self, y_n, ctx, y):
+        mu, sigma = ctx
+        loss, upstream = _mse_upstream(self.leave(y_n, ctx), y)
+        g_gamma, g_beta = baselines.revin_denorm_vjp(upstream, y_n, mu, sigma)
+        return loss, upstream * self.params["gamma"] * sigma, {"gamma": g_gamma, "beta": g_beta}
+
+
+class SanNorm:
+    """Patch-statistic normalization; the statistics predictor trains in a
+    first stage (``train_san_predictor``) and stays frozen afterwards."""
+
+    name = "san"
+
+    def __init__(self, cfg, rng):
+        bc = cfg.backbone
+        self.patch = cfg.san.patch
+        if bc.lookback % self.patch or bc.horizon % self.patch:
+            raise ConfigError("lookback and horizon must be divisible by san patch length")
+        self.params = {}
+        self.frozen = baselines.san_init(bc.lookback, bc.horizon, self.patch, cfg.san.hidden, rng)
+
+    def enter(self, x):
+        x = np.asarray(x, dtype=float)
+        mu_x, var_x = baselines.san_patch_stats(x, self.patch)
+        mu_y, var_y, _ = baselines.san_predict(self.frozen, mu_x, var_x)
+        return baselines.san_normalize(x, mu_x, var_x, self.patch), (mu_y, var_y)
+
+    def leave(self, y_n, ctx):
+        mu_y, var_y = ctx
+        return baselines.san_denormalize(y_n, mu_y, var_y, self.patch)
+
+    def loss(self, y_n, ctx, y):
+        loss, upstream = _mse_upstream(self.leave(y_n, ctx), y)
+        return loss, upstream * baselines.san_denorm_scale(ctx[1], self.patch), {}
+
+
+class FanNorm:
+    """Top-k frequency decomposition: the backbone forecasts the residual, a
+    frequency MLP the main part.  Training supervises the two separately."""
+
+    name = "fan"
+
+    def __init__(self, cfg, rng):
+        bc = cfg.backbone
+        k_in, k_out = n_bins(bc.lookback), n_bins(bc.horizon)
+        self.topk = cfg.fan.topk
+        if not 1 <= self.topk <= min(k_in, k_out):
+            raise ConfigError(
+                f"fan top-k must be in [1, {min(k_in, k_out)}] for this lookback/horizon"
+            )
+        self.params = baselines.fan_init(bc.lookback, bc.horizon, bc.channels, cfg.fan, rng)
+        self.frozen = {"combine": self.params.pop("combine")}
+
+    def enter(self, x):
+        x = np.asarray(x, dtype=float)
+        x_main, x_res = baselines.main_frequency_split(x, self.topk)
+        return x_res, (x_main, x)
+
+    def leave(self, y_n, ctx):
+        y_main, _ = baselines.fan_freq_forward(self.params, *ctx)
+        return baselines.fan_combine(self.frozen, y_n, y_main)
+
+    def loss(self, y_n, ctx, y):
+        t_main, t_res = baselines.main_frequency_split(y, self.topk)
+        pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
+        loss_main, up_main = _mse_upstream(pred_main, t_main)
+        loss_res, up_res = _mse_upstream(y_n, t_res)
+        grads, _, _ = baselines.fan_freq_vjp(self.params, cache, up_main)
+        return loss_main + loss_res, up_res, grads
+
+
+class TifoLayer:
+    """Stability-score-driven spectral re-weighting between a normalization
+    block and the backbone.  ``scores`` is the fitted (K, C) table."""
+
+    name = "tifo"
+
+    def __init__(self, cfg, rng):
+        bc = cfg.backbone
+        bins = n_bins(bc.lookback)
+        if cfg.tifo.keep is not None:
+            tifo.expected_bins(bc.lookback, cfg.tifo.keep)
+        self.alpha = cfg.tifo.alpha
+        self.params = tifo.init_params(bins, cfg.tifo.hidden, rng)
+        self.scores = np.zeros((bins, bc.channels))
+        self.frozen = {"scores": self.scores}
+
+    def weights(self, alpha: float | None = None, scores: np.ndarray | None = None):
+        """(lambda_r, lambda_i, cache, alpha) for the stored or the given score table."""
+        table = self.scores if scores is None else scores
+        lam_r, lam_i, cache = tifo.weights_forward(self.params, table)
+        a = self.alpha if alpha is None else alpha
+        return tifo.alpha_scale(lam_r, a), tifo.alpha_scale(lam_i, a), cache, a
+
+
+# method -> (normalization block, whether the re-weighting layer sits inside it)
+COMPOSITION = {
+    "none": (IdentityNorm, False),
+    "revin": (RevinNorm, False),
+    "san": (SanNorm, False),
+    "fan": (FanNorm, False),
+    "tifo": (IdentityNorm, True),
+    "tifo+san": (SanNorm, True),
+}
+
+
+class Pipeline:
+    """normalization ∘ [re-weighting] ∘ backbone, as ``COMPOSITION`` assigns.
+
+    ``params`` and ``frozen`` hold every block's tensors under
+    ``backbone.``/``<block>.`` names; they are what checkpoints store.  The
+    backbone draws from the rng first, then the re-weighting layer, then the
+    normalization block.
+    """
+
+    def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
+        norm_cls, reweight = COMPOSITION[cfg.method]
         self.cfg = cfg
+        self.method = cfg.method
         self.backbone = Backbone(cfg.backbone, rng)
+        self.tifo = TifoLayer(cfg, rng) if reweight else None
+        self.norm = norm_cls(cfg, rng)
         self.params: dict[str, np.ndarray] = _namespace("backbone", self.backbone.params)
         self.frozen: dict[str, np.ndarray] = {}
+        for block in (self.norm, self.tifo):
+            if block is not None:
+                self.params.update(_namespace(block.name, block.params))
+                self.frozen.update(_namespace(block.name, block.frozen))
+
+    @property
+    def transforms_input(self) -> bool:
+        """True when the backbone sees a reshaped series."""
+        return self.tifo is not None or not isinstance(self.norm, IdentityNorm)
 
     # -- checkpoint support -------------------------------------------------
 
@@ -124,299 +299,66 @@ class _Pipeline:
                 )
             arr[...] = incoming
 
-    # -- interface ----------------------------------------------------------
+    # -- forward passes -----------------------------------------------------
+
+    def enter(self, x: np.ndarray):
+        """(normalized x, context for ``head``)."""
+        return self.norm.enter(x)
+
+    def head(self, x_n: np.ndarray, ctx, alpha: float | None = None,
+             scores: np.ndarray | None = None) -> np.ndarray:
+        """Forecast from a normalized window.  alpha rescales the spectral
+        weights toward identity; scores replaces the stored stability table."""
+        if self.tifo is not None:
+            lam_r, lam_i, _, _ = self.tifo.weights(alpha, scores)
+            x_n = tifo.transform(x_n, lam_r, lam_i, self.cfg.tifo.keep)
+        elif alpha is not None or scores is not None:
+            raise ConfigError(f"method {self.method!r} has no spectral weights to scale")
+        return self.norm.leave(self.backbone.forward(x_n), ctx)
 
     def predict(self, x: np.ndarray, alpha: float | None = None,
-                weights: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
-        if alpha is not None or weights is not None:
-            raise ConfigError(f"method {self.method!r} has no spectral weights to scale")
-        return self._forward(x)
+                scores: np.ndarray | None = None) -> np.ndarray:
+        return self.head(*self.enter(x), alpha=alpha, scores=scores)
+
+    def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
+        """The series the backbone consumes."""
+        x_n, _ = self.enter(x)
+        if self.tifo is None:
+            return x_n
+        lam_r, lam_i, _, _ = self.tifo.weights(alpha)
+        return tifo.transform(x_n, lam_r, lam_i, self.cfg.tifo.keep)
 
     def loss_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
-        raise NotImplementedError
+        x_t, ctx = self.enter(x)
+        if self.tifo is not None:
+            keep = self.cfg.tifo.keep
+            length = self.cfg.backbone.lookback
+            lam_r, lam_i, cache, a = self.tifo.weights()
+            real, imag = dft_forward(x_t, axis=-2)
+            x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length, keep)
+        loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, y)
+        bb_grads, g_xt = self.backbone.vjp(x_t, upstream)
+        grads = _namespace("backbone", bb_grads)
+        grads.update(_namespace(self.norm.name, norm_grads))
+        if self.tifo is not None:
+            _, g_lam_r, g_lam_i = tifo.transform_vjp(g_xt, real, imag, lam_r, lam_i, length, keep)
+            # alpha scaling is affine in the raw weights
+            tif_grads = tifo.weights_vjp(self.tifo.params, cache, a * g_lam_r, a * g_lam_i)
+            grads.update(_namespace("tifo", tif_grads))
+        return loss, grads
 
     def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
         return self.loss_grads(x, y)[0]
 
-    def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
-        """The series the backbone consumes; identity unless a method reshapes it."""
-        return np.asarray(x, dtype=float)
-
-    def _forward(self, x):
-        return self.backbone.forward(x)
-
-    @staticmethod
-    def _mse_upstream(pred, target):
-        err = pred - target
-        loss = float(np.mean(err * err))
-        return loss, (2.0 / err.size) * err
-
-
-class PlainPipeline(_Pipeline):
-    method = "none"
-
-    def loss_grads(self, x, y):
-        pred = self.backbone.forward(x)
-        loss, upstream = self._mse_upstream(pred, y)
-        bb_grads, _ = self.backbone.vjp(x, upstream)
-        return loss, _namespace("backbone", bb_grads)
-
-
-class RevinPipeline(_Pipeline):
-    method = "revin"
-    transforms_input = True
-
-    def __init__(self, cfg, rng):
-        super().__init__(cfg, rng)
-        self.params.update(_namespace("revin", baselines.revin_init(cfg.backbone.channels)))
-
-    def _forward(self, x):
-        mu, sigma = baselines.revin_stats(x)
-        x_norm = baselines.revin_normalize(x, mu, sigma)
-        y_norm = self.backbone.forward(x_norm)
-        return baselines.revin_denormalize(
-            y_norm, mu, sigma, self.params["revin.gamma"], self.params["revin.beta"]
-        )
-
-    def transformed_input(self, x, alpha=None):
-        x = np.asarray(x, dtype=float)
-        mu, sigma = baselines.revin_stats(x)
-        return baselines.revin_normalize(x, mu, sigma)
-
-    def loss_grads(self, x, y):
-        mu, sigma = baselines.revin_stats(x)
-        x_norm = baselines.revin_normalize(x, mu, sigma)
-        y_norm = self.backbone.forward(x_norm)
-        gamma = self.params["revin.gamma"]
-        pred = baselines.revin_denormalize(y_norm, mu, sigma, gamma, self.params["revin.beta"])
-        loss, upstream = self._mse_upstream(pred, y)
-        g_gamma, g_beta = baselines.revin_denorm_vjp(upstream, y_norm, mu, sigma)
-        bb_grads, _ = self.backbone.vjp(x_norm, upstream * gamma * sigma)
-        grads = _namespace("backbone", bb_grads)
-        grads["revin.gamma"] = g_gamma
-        grads["revin.beta"] = g_beta
-        return loss, grads
-
-
-class SanPipeline(_Pipeline):
-    """Patch-statistic normalization; the predictor trains in a first stage and
-    stays frozen while the backbone trains."""
-
-    method = "san"
-    transforms_input = True
-
-    def __init__(self, cfg, rng):
-        super().__init__(cfg, rng)
-        bc = cfg.backbone
-        san = cfg.san
-        if bc.lookback % san.patch or bc.horizon % san.patch:
-            raise ConfigError("lookback and horizon must be divisible by san patch length")
-        nets = baselines.san_init(bc.lookback, bc.horizon, san.patch, san.hidden, rng)
-        self.frozen.update(_namespace("san", nets))
-
-    def _san_params(self):
-        return {k.split(".", 1)[1]: v for k, v in self.frozen.items() if k.startswith("san.")}
-
-    def _normalize(self, x):
-        patch = self.cfg.san.patch
-        mu_x, var_x = baselines.san_patch_stats(x, patch)
-        x_norm = baselines.san_normalize(x, mu_x, var_x, patch)
-        mu_y, var_y, _ = baselines.san_predict(self._san_params(), mu_x, var_x)
-        return x_norm, mu_y, var_y
-
-    def transformed_input(self, x, alpha=None):
-        return self._normalize(np.asarray(x, dtype=float))[0]
-
-    def _forward(self, x):
-        patch = self.cfg.san.patch
-        x_norm, mu_y, var_y = self._normalize(x)
-        y_norm = self.backbone.forward(x_norm)
-        return baselines.san_denormalize(y_norm, mu_y, var_y, patch)
-
-    def loss_grads(self, x, y):
-        patch = self.cfg.san.patch
-        x_norm, mu_y, var_y = self._normalize(x)
-        y_norm = self.backbone.forward(x_norm)
-        pred = baselines.san_denormalize(y_norm, mu_y, var_y, patch)
-        loss, upstream = self._mse_upstream(pred, y)
-        scale = baselines.san_denorm_scale(var_y, patch)
-        bb_grads, _ = self.backbone.vjp(x_norm, upstream * scale)
-        return loss, _namespace("backbone", bb_grads)
-
-
-class FanPipeline(_Pipeline):
-    """Top-k frequency decomposition with a frequency MLP branch; the training
-    loss supervises the main and residual forecasts separately."""
-
-    method = "fan"
-    transforms_input = True
-
-    def __init__(self, cfg, rng):
-        super().__init__(cfg, rng)
-        bc = cfg.backbone
-        k_in, k_out = n_bins(bc.lookback), n_bins(bc.horizon)
-        if not 1 <= cfg.fan.topk <= min(k_in, k_out):
-            raise ConfigError(
-                f"fan top-k must be in [1, {min(k_in, k_out)}] for this lookback/horizon"
-            )
-        nets = baselines.fan_init(bc.lookback, bc.horizon, bc.channels, cfg.fan, rng)
-        self.params.update(_namespace("fan", nets))
-
-    def _fan_params(self):
-        return {k.split(".", 1)[1]: v for k, v in self.params.items() if k.startswith("fan.")}
-
-    def transformed_input(self, x, alpha=None):
-        _, residual = baselines.main_frequency_split(np.asarray(x, dtype=float), self.cfg.fan.topk)
-        return residual
-
-    def _forward(self, x):
-        k = self.cfg.fan.topk
-        x_main, x_res = baselines.main_frequency_split(x, k)
-        y_main, _ = baselines.fan_freq_forward(self._fan_params(), x_main, x)
-        y_res = self.backbone.forward(x_res)
-        return baselines.fan_combine(self._fan_params(), y_res, y_main)
-
-    def loss_grads(self, x, y):
-        k = self.cfg.fan.topk
-        fan_params = self._fan_params()
-        x_main, x_res = baselines.main_frequency_split(x, k)
-        t_main, t_res = baselines.main_frequency_split(y, k)
-        pred_main, cache = baselines.fan_freq_forward(fan_params, x_main, x)
-        pred_res = self.backbone.forward(x_res)
-        loss_main, up_main = self._mse_upstream(pred_main, t_main)
-        loss_res, up_res = self._mse_upstream(pred_res, t_res)
-        fan_grads, _, _ = baselines.fan_freq_vjp(fan_params, cache, up_main)
-        fan_grads["combine"] = np.zeros_like(fan_params["combine"])
-        bb_grads, _ = self.backbone.vjp(x_res, up_res)
-        grads = _namespace("backbone", bb_grads)
-        grads.update(_namespace("fan", fan_grads))
-        return loss_main + loss_res, grads
-
-
-class TifoPipeline(_Pipeline):
-    """Stability-score-driven spectral re-weighting ahead of the backbone."""
-
-    method = "tifo"
-    transforms_input = True
-
-    def __init__(self, cfg, rng, score_table: np.ndarray | None = None):
-        super().__init__(cfg, rng)
-        bc = cfg.backbone
-        bins = n_bins(bc.lookback)
-        if cfg.tifo.keep is not None:
-            tifo.expected_bins(bc.lookback, cfg.tifo.keep)
-        self.params.update(_namespace("tifo", tifo.init_params(bins, cfg.tifo.hidden, rng)))
-        if score_table is None:
-            score_table = np.zeros((bins, bc.channels))
-        if score_table.shape != (bins, bc.channels):
-            raise ConfigError(f"score table must be ({bins}, {bc.channels})")
-        self.frozen["tifo.scores"] = np.asarray(score_table, dtype=float)
-
-    @property
-    def scores(self) -> np.ndarray:
-        return self.frozen["tifo.scores"]
-
-    def _tifo_params(self):
-        return {k.split(".", 1)[1]: v for k, v in self.params.items() if k.startswith("tifo.")}
-
-    def tifo_input(self, x: np.ndarray) -> np.ndarray:
-        """What the re-weighting layer consumes (identity here)."""
-        return np.asarray(x, dtype=float)
-
-    def _effective_weights(self, alpha: float | None, score_table: np.ndarray | None = None):
-        table = self.scores if score_table is None else score_table
-        lam_r, lam_i, cache = tifo.weights_forward(self._tifo_params(), table)
-        a = self.cfg.tifo.alpha if alpha is None else alpha
-        return tifo.alpha_scale(lam_r, a), tifo.alpha_scale(lam_i, a), cache, a
-
-    def _head(self, x_t):
-        """Backbone application after the spectral re-weighting."""
-        return self.backbone.forward(x_t)
-
-    def _head_vjp(self, x_t, upstream):
-        bb_grads, g_xt = self.backbone.vjp(x_t, upstream)
-        return _namespace("backbone", bb_grads), g_xt
-
-    def predict(self, x, alpha=None, weights=None):
-        x = self.tifo_input(x)
-        if weights is None:
-            lam_r, lam_i, _, _ = self._effective_weights(alpha)
-        else:
-            lam_r, lam_i = weights
-        x_t = tifo.transform(x, lam_r, lam_i, self.cfg.tifo.keep)
-        return self._post(self._head(x_t))
-
-    def transformed_input(self, x, alpha=None):
-        x = self.tifo_input(x)
-        lam_r, lam_i, _, _ = self._effective_weights(alpha)
-        return tifo.transform(x, lam_r, lam_i, self.cfg.tifo.keep)
-
-    def _post(self, y_head):
-        return y_head
-
-    def loss_grads(self, x, y):
-        keep = self.cfg.tifo.keep
-        length = self.cfg.backbone.lookback
-        x_in = self.tifo_input(np.asarray(x, dtype=float))
-        lam_r, lam_i, cache, a = self._effective_weights(None)
-        real, imag = dft_forward(x_in, axis=-2)
-        x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length, keep)
-        pred = self._post(self._head(x_t))
-        loss, upstream = self._mse_upstream(pred, y)
-        upstream = self._post_vjp(upstream)
-        grads, g_xt = self._head_vjp(x_t, upstream)
-        _, g_lam_r, g_lam_i = tifo.transform_vjp(g_xt, real, imag, lam_r, lam_i, length, keep)
-        # alpha scaling is affine in the raw weights
-        tif_grads = tifo.weights_vjp(self._tifo_params(), cache, a * g_lam_r, a * g_lam_i)
-        grads.update(_namespace("tifo", tif_grads))
-        return loss, grads
-
-    def _post_vjp(self, upstream):
-        return upstream
-
-
-class TifoSanPipeline(TifoPipeline):
-    """Composition: patch normalization outside, spectral re-weighting inside."""
-
-    method = "tifo+san"
-
-    def __init__(self, cfg, rng, score_table=None):
-        bc = cfg.backbone
-        if bc.lookback % cfg.san.patch or bc.horizon % cfg.san.patch:
-            raise ConfigError("lookback and horizon must be divisible by san patch length")
-        super().__init__(cfg, rng, score_table)
-        nets = baselines.san_init(bc.lookback, bc.horizon, cfg.san.patch, cfg.san.hidden, rng)
-        self.frozen.update(_namespace("san", nets))
-        self._denorm_state = None
-
-    def _san_params(self):
-        return {k.split(".", 1)[1]: v for k, v in self.frozen.items() if k.startswith("san.")}
-
-    def tifo_input(self, x):
-        patch = self.cfg.san.patch
-        x = np.asarray(x, dtype=float)
-        mu_x, var_x = baselines.san_patch_stats(x, patch)
-        mu_y, var_y, _ = baselines.san_predict(self._san_params(), mu_x, var_x)
-        self._denorm_state = (mu_y, var_y)
-        return baselines.san_normalize(x, mu_x, var_x, patch)
-
-    def _post(self, y_head):
-        mu_y, var_y = self._denorm_state
-        return baselines.san_denormalize(y_head, mu_y, var_y, self.cfg.san.patch)
-
-    def _post_vjp(self, upstream):
-        _, var_y = self._denorm_state
-        return upstream * baselines.san_denorm_scale(var_y, self.cfg.san.patch)
-
 
 def fit_score_table(
-    pipeline: _Pipeline,
+    pipeline: Pipeline,
     x_train: np.ndarray,
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer sees them."""
     tcfg = pipeline.cfg.tifo
-    base = pipeline.tifo_input(x_train)
+    base, _ = pipeline.enter(x_train)
     taps = None
     if tcfg.window != "rectangular":
         taps = window_taps(tcfg.window, base.shape[-2])
@@ -429,26 +371,16 @@ def build_pipeline(
     rng: np.random.Generator,
     x_train: np.ndarray | None = None,
     y_train: np.ndarray | None = None,
-) -> _Pipeline:
+) -> Pipeline:
     """Construct a pipeline; the backbone always consumes the rng stream first.
 
     For the score-driven methods the stability table is fitted from the given
     training windows; pass None when tensors will be loaded from a checkpoint.
     """
-    cls = {
-        "none": PlainPipeline,
-        "revin": RevinPipeline,
-        "san": SanPipeline,
-        "fan": FanPipeline,
-        "tifo": TifoPipeline,
-        "tifo+san": TifoSanPipeline,
-    }[cfg.method]
-    if cfg.method in ("tifo", "tifo+san"):
-        pipeline = cls(cfg, rng)
-        if x_train is not None:
-            pipeline.frozen["tifo.scores"][...] = fit_score_table(pipeline, x_train, y_train)
-        return pipeline
-    return cls(cfg, rng)
+    pipeline = Pipeline(cfg, rng)
+    if pipeline.tifo is not None and x_train is not None:
+        pipeline.tifo.scores[...] = fit_score_table(pipeline, x_train, y_train)
+    return pipeline
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +415,7 @@ class TrainResult:
 
 
 def train_san_predictor(
-    pipeline: _Pipeline,
+    pipeline: Pipeline,
     x_train: np.ndarray,
     y_train: np.ndarray,
     batch: int,
@@ -496,7 +428,7 @@ def train_san_predictor(
     """
     san_cfg = pipeline.cfg.san
     patch = san_cfg.patch
-    params = {k.split(".", 1)[1]: v for k, v in pipeline.frozen.items() if k.startswith("san.")}
+    params = pipeline.norm.frozen
     mu_x, var_x = baselines.san_patch_stats(x_train, patch)
     mu_y, var_y = baselines.san_patch_stats(y_train, patch)
     adam = Adam(params, lr=san_cfg.lr)
@@ -513,7 +445,7 @@ def train_san_predictor(
 
 
 def evaluate(
-    pipeline: _Pipeline,
+    pipeline: Pipeline,
     x: np.ndarray,
     y: np.ndarray,
     batch: int = 256,
@@ -526,14 +458,13 @@ def evaluate(
     only).  ema_decay, if set, refreshes the stability scores from each batch
     before weighting; the pipeline's stored scores are not modified.
     """
-    is_tifo = isinstance(pipeline, TifoPipeline)
-    if (alpha is not None or ema_decay is not None) and not is_tifo:
+    if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
         raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
     running_scores = None
     taps = None
     if ema_decay is not None:
         tcfg = pipeline.cfg.tifo
-        running_scores = pipeline.scores.copy()
+        running_scores = pipeline.tifo.scores.copy()
         if tcfg.window != "rectangular":
             taps = window_taps(tcfg.window, pipeline.cfg.backbone.lookback)
     sq_sum = 0.0
@@ -544,12 +475,11 @@ def evaluate(
         yb = y[start : start + batch]
         if running_scores is not None:
             tcfg = pipeline.cfg.tifo
-            base = pipeline.tifo_input(xb)
-            panel = amplitude_panel(base, taps)
+            x_n, ctx = pipeline.enter(xb)
+            panel = amplitude_panel(x_n, taps)
             batch_scores = stability_scores(panel, tcfg.score_metric, targets=yb, eps=tcfg.score_eps)
             running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
-            lam_r, lam_i, _, _ = pipeline._effective_weights(alpha, running_scores)
-            pred = pipeline.predict(xb, weights=(lam_r, lam_i))
+            pred = pipeline.head(x_n, ctx, alpha, running_scores)
         else:
             pred = pipeline.predict(xb, alpha=alpha)
         err = pred - yb
@@ -560,7 +490,7 @@ def evaluate(
 
 
 def train(
-    pipeline: _Pipeline,
+    pipeline: Pipeline,
     x_train: np.ndarray,
     y_train: np.ndarray,
     x_val: np.ndarray,
@@ -576,7 +506,7 @@ def train(
     NumericError; non-finite gradients reject the single step and are counted
     in the epoch's ``rejected`` column.
     """
-    if pipeline.method in ("san", "tifo+san"):
+    if isinstance(pipeline.norm, SanNorm):
         train_san_predictor(pipeline, x_train, y_train, cfg.batch, rng)
     adam = Adam(pipeline.params, lr=cfg.lr)
     n = x_train.shape[0]
@@ -641,7 +571,7 @@ def train(
     )
 
 
-def finite_diff_check(pipeline: _Pipeline, x: np.ndarray, y: np.ndarray, eps: float = 1e-5) -> float:
+def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: float = 1e-5) -> float:
     """Worst relative disagreement between analytic and central-difference grads.
 
     The denominator is floored at 1e-3 so exactly-zero analytic gradients are

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specshift import baselines
 from specshift.baselines import FanConfig, SanConfig
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
@@ -298,9 +299,40 @@ def test_ema_decay_near_one_is_no_refresh():
     plain = evaluate(pipe, x, y)
     near_one = evaluate(pipe, x, y, ema_decay=1 - 1e-12)
     assert near_one["mse"] == pytest.approx(plain["mse"], abs=1e-8)
-    stored = pipe.scores.copy()
+    stored = pipe.tifo.scores.copy()
     evaluate(pipe, x, y, ema_decay=0.5)
-    np.testing.assert_array_equal(pipe.scores, stored)  # refresh is transient
+    np.testing.assert_array_equal(pipe.tifo.scores, stored)  # refresh is transient
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_calls_leave_pipeline_attributes_bound(method):
+    # per-call state (normalization statistics) goes back to the caller, so
+    # calls can nest or interleave: no attribute of the pipeline is rebound
+    pipe, x, y = make_pipeline(method, channels=2)
+    before = dict(vars(pipe))
+    pipe.predict(x)
+    pipe.transformed_input(x)
+    pipe.loss_grads(x, y)
+    evaluate(pipe, x, y, batch=7)
+    if pipe.tifo is not None:
+        evaluate(pipe, x, y, batch=7, alpha=0.5, ema_decay=0.9)
+    assert vars(pipe).keys() == before.keys()
+    for name, value in before.items():
+        assert vars(pipe)[name] is value, name
+
+
+def test_ema_evaluate_normalizes_each_batch_once(monkeypatch):
+    pipe, x, y = make_pipeline("tifo+san", n=24)
+    calls = {"n": 0}
+    real = baselines.san_patch_stats
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselines, "san_patch_stats", counted)
+    evaluate(pipe, x, y, batch=7, ema_decay=0.9)
+    assert calls["n"] == 4  # one per batch of 7 over 24 windows
 
 
 def test_evaluate_batch_size_invariant():
@@ -322,16 +354,30 @@ def test_linear_backbone_gradients_tight():
     assert finite_diff_check(pipe, x, y) <= 1e-7
 
 
-@pytest.mark.parametrize("method", ["none", "revin", "fan", "tifo"])
-@pytest.mark.parametrize("backbone", ["linear", "dlinear"])
-def test_gradients_match_finite_differences(method, backbone):
-    pipe, x, y = make_pipeline(method, backbone=backbone, seed=17, n=8)
+def _fd_cases(methods, short_linear=False):
+    """(method, backbone, channels) over both backbones and C in {1, 2}.
+
+    C=1 cases keep the ids they had before channels were parametrized.
+    """
+    cases = []
+    for channels in (1, 2):
+        for backbone in ("linear", "dlinear"):
+            for method in methods:
+                base = method if short_linear and backbone == "linear" else f"{backbone}-{method}"
+                case_id = base if channels == 1 else f"{base}-C{channels}"
+                cases.append(pytest.param(method, backbone, channels, id=case_id))
+    return cases
+
+
+@pytest.mark.parametrize("method,backbone,channels", _fd_cases(["none", "revin", "fan", "tifo"]))
+def test_gradients_match_finite_differences(method, backbone, channels):
+    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=17, n=8)
     assert finite_diff_check(pipe, x, y) <= 1e-5
 
 
-@pytest.mark.parametrize("method", ["san", "tifo+san"])
-def test_gradients_for_patch_normalized_methods(method):
-    pipe, x, y = make_pipeline(method, seed=18, n=8)
+@pytest.mark.parametrize("method,backbone,channels", _fd_cases(["san", "tifo+san"], short_linear=True))
+def test_gradients_for_patch_normalized_methods(method, backbone, channels):
+    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=18, n=8)
     assert finite_diff_check(pipe, x, y) <= 1e-5
 
 
@@ -351,7 +397,7 @@ def test_step_size_shrinks_finite_difference_error():
     w1 = pipe.params["tifo.r.w1"]
     b1 = pipe.params["tifo.r.b1"]
     w2 = pipe.params["tifo.r.w2"]
-    scores = pipe.scores[:, 0]
+    scores = pipe.tifo.scores[:, 0]
     s_max = max(1.0, float(scores.max()))
     for j, (dist, mag) in enumerate(
         zip((5e-3, 5e-4, 5e-5, 5e-6), (1.0, 0.1, 0.01, 0.001))
