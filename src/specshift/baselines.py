@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import dense, dense_vjp, mlp_forward, mlp_vjp, xavier_uniform
 from .spectral import amplitude, dft_forward, dft_inverse, n_bins
 
 REVIN_EPS = 1e-5
@@ -82,24 +83,15 @@ def san_init(lookback: int, horizon: int, patch: int, hidden: int, rng: np.rando
     d_out = horizon // patch
     params: dict[str, np.ndarray] = {}
     for stat in ("mu", "var"):
-        a1 = np.sqrt(6.0 / (d_in + hidden))
-        a2 = np.sqrt(6.0 / (hidden + d_out))
-        params[f"{stat}.w1"] = rng.uniform(-a1, a1, size=(hidden, d_in))
+        params[f"{stat}.w1"] = xavier_uniform(rng, (hidden, d_in))
         params[f"{stat}.b1"] = np.zeros(hidden)
-        params[f"{stat}.w2"] = rng.uniform(-a2, a2, size=(d_out, hidden))
+        params[f"{stat}.w2"] = xavier_uniform(rng, (d_out, hidden))
         params[f"{stat}.b2"] = np.zeros(d_out)
     return params
 
 
 def softplus(x: np.ndarray) -> np.ndarray:
     return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
-
-
-def _san_net(params, stat, feats):
-    pre = np.einsum("hd,ndc->nhc", params[f"{stat}.w1"], feats) + params[f"{stat}.b1"][None, :, None]
-    hid = np.maximum(pre, 0.0)
-    out = np.einsum("oh,nhc->noc", params[f"{stat}.w2"], hid) + params[f"{stat}.b2"][None, :, None]
-    return out, pre, hid
 
 
 def san_predict(params: dict[str, np.ndarray], mu_x: np.ndarray, var_x: np.ndarray):
@@ -109,25 +101,17 @@ def san_predict(params: dict[str, np.ndarray], mu_x: np.ndarray, var_x: np.ndarr
     stays positive.
     """
     feats = np.concatenate([mu_x, var_x], axis=1)  # (N, 2*Lp, C)
-    mu_out, mu_pre, mu_hid = _san_net(params, "mu", feats)
-    var_raw, var_pre, var_hid = _san_net(params, "var", feats)
-    var_out = softplus(var_raw)
-    cache = (feats, mu_pre, mu_hid, var_pre, var_hid, var_raw)
-    return mu_out, var_out, cache
+    mu_out, mu_cache = mlp_forward(params, "mu", feats)
+    var_raw, var_cache = mlp_forward(params, "var", feats)
+    return mu_out, softplus(var_raw), (mu_cache, var_cache, var_raw)
 
 
 def san_predict_vjp(params, cache, g_mu, g_var) -> dict[str, np.ndarray]:
     """Backprop stage-one cotangents to predictor parameter gradients."""
-    feats, mu_pre, mu_hid, var_pre, var_hid, var_raw = cache
+    mu_cache, var_cache, var_raw = cache
     g_var_raw = g_var / (1.0 + np.exp(-var_raw))  # d softplus = sigmoid
-    grads: dict[str, np.ndarray] = {}
-    for stat, pre, hid, g_out in (("mu", mu_pre, mu_hid, g_mu), ("var", var_pre, var_hid, g_var_raw)):
-        grads[f"{stat}.w2"] = np.einsum("noc,nhc->oh", g_out, hid)
-        grads[f"{stat}.b2"] = g_out.sum(axis=(0, 2))
-        g_hid = np.einsum("oh,noc->nhc", params[f"{stat}.w2"], g_out)
-        g_pre = g_hid * (pre > 0.0)
-        grads[f"{stat}.w1"] = np.einsum("nhc,ndc->hd", g_pre, feats)
-        grads[f"{stat}.b1"] = g_pre.sum(axis=(0, 2))
+    grads = mlp_vjp(params, "mu", mu_cache, g_mu)
+    grads.update(mlp_vjp(params, "var", var_cache, g_var_raw))
     return grads
 
 
@@ -186,44 +170,32 @@ def fan_init(lookback: int, horizon: int, channels: int, cfg: FanConfig, rng: np
     h1, h2 = cfg.hidden1, cfg.hidden2
     sizes = [(h1, lookback), (h2, h1 + lookback), (horizon, h2)]
     params: dict[str, np.ndarray] = {}
-    for idx, (fan_out, fan_in) in enumerate(sizes, start=1):
-        a = np.sqrt(6.0 / (fan_in + fan_out))
-        params[f"w{idx}"] = rng.uniform(-a, a, size=(fan_out, fan_in))
-        params[f"b{idx}"] = np.zeros(fan_out)
+    for idx, shape in enumerate(sizes, start=1):
+        params[f"w{idx}"] = xavier_uniform(rng, shape)
+        params[f"b{idx}"] = np.zeros(shape[0])
     params["combine"] = np.ones((2, channels))
     return params
 
 
 def fan_freq_forward(params: dict[str, np.ndarray], x_main: np.ndarray, x_raw: np.ndarray):
     """Forecast the main-frequency part from (filtered series, raw window)."""
-    pre1 = np.einsum("hl,nlc->nhc", params["w1"], x_main) + params["b1"][None, :, None]
-    hid1 = np.maximum(pre1, 0.0)
-    cat = np.concatenate([hid1, x_raw], axis=1)
-    pre2 = np.einsum("hd,ndc->nhc", params["w2"], cat) + params["b2"][None, :, None]
+    pre1 = dense(params["w1"], params["b1"], x_main)
+    cat = np.concatenate([np.maximum(pre1, 0.0), x_raw], axis=1)
+    pre2 = dense(params["w2"], params["b2"], cat)
     hid2 = np.maximum(pre2, 0.0)
-    out = np.einsum("oh,nhc->noc", params["w3"], hid2) + params["b3"][None, :, None]
-    cache = (x_main, x_raw, pre1, cat, pre2, hid2)
-    return out, cache
+    out = dense(params["w3"], params["b3"], hid2)
+    return out, (x_main, pre1, cat, pre2, hid2)
 
 
-def fan_freq_vjp(params, cache, upstream):
-    """Returns (param_grads, grad_x_main, grad_x_raw)."""
-    x_main, x_raw, pre1, cat, pre2, hid2 = cache
-    h1 = params["w1"].shape[0]
+def fan_freq_vjp(params, cache, upstream) -> dict[str, np.ndarray]:
+    """Parameter gradients of ``fan_freq_forward`` for the output cotangent."""
+    x_main, pre1, cat, pre2, hid2 = cache
     grads: dict[str, np.ndarray] = {}
-    grads["w3"] = np.einsum("noc,nhc->oh", upstream, hid2)
-    grads["b3"] = upstream.sum(axis=(0, 2))
-    g_hid2 = np.einsum("oh,noc->nhc", params["w3"], upstream)
-    g_pre2 = g_hid2 * (pre2 > 0.0)
-    grads["w2"] = np.einsum("nhc,ndc->hd", g_pre2, cat)
-    grads["b2"] = g_pre2.sum(axis=(0, 2))
-    g_cat = np.einsum("hd,nhc->ndc", params["w2"], g_pre2)
-    g_hid1, g_raw = g_cat[:, :h1, :], g_cat[:, h1:, :]
-    g_pre1 = g_hid1 * (pre1 > 0.0)
-    grads["w1"] = np.einsum("nhc,nlc->hl", g_pre1, x_main)
-    grads["b1"] = g_pre1.sum(axis=(0, 2))
-    g_main = np.einsum("hl,nhc->nlc", params["w1"], g_pre1)
-    return grads, g_main, g_raw
+    grads["w3"], grads["b3"], g_hid2 = dense_vjp(params["w3"], hid2, upstream)
+    grads["w2"], grads["b2"], g_cat = dense_vjp(params["w2"], cat, g_hid2 * (pre2 > 0.0))
+    g_pre1 = g_cat[:, : pre1.shape[1], :] * (pre1 > 0.0)
+    grads["w1"], grads["b1"], _ = dense_vjp(params["w1"], x_main, g_pre1)
+    return grads
 
 
 def fan_combine(params: dict[str, np.ndarray], y_residual: np.ndarray, y_main: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Forecasting backbones with explicit forward and VJP passes.
+"""Forecasting backbones with explicit forward and VJP passes, and the dense
+layer and two-layer MLP they share with the re-weighting and baseline nets.
 
 Both backbones are affine maps from a lookback window (L, C) to a forecast
 (H, C).  The decomposition backbone first splits the input into a trend part
@@ -50,38 +51,62 @@ def decompose_matrix(length: int, kernel: int) -> np.ndarray:
 def moving_average_decompose(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., L, C) into (trend, seasonal) with trend + seasonal == x exactly."""
     x = np.asarray(x, dtype=float)
-    m = decompose_matrix(x.shape[-2], kernel)
-    trend = np.einsum("nl,...lc->...nc", m, x)
+    trend = decompose_matrix(x.shape[-2], kernel) @ x
     return trend, x - trend
 
 
-def _affine_init(cfg: BackboneConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    a = np.sqrt(6.0 / (cfg.lookback + cfg.horizon))
-    if cfg.shared:
-        weight = rng.uniform(-a, a, size=(cfg.horizon, cfg.lookback))
-        bias = np.zeros(cfg.horizon)
-    else:
-        weight = rng.uniform(-a, a, size=(cfg.channels, cfg.horizon, cfg.lookback))
-        bias = np.zeros((cfg.channels, cfg.horizon))
-    return weight, bias
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Xavier-uniform draw for a (..., fan_out, fan_in) weight."""
+    fan_out, fan_in = shape[-2:]
+    a = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-a, a, size=shape)
 
 
-def _affine_forward(weight, bias, x, shared: bool) -> np.ndarray:
-    if shared:
-        return np.einsum("hl,nlc->nhc", weight, x) + bias[None, :, None]
-    return np.einsum("chl,nlc->nhc", weight, x) + bias.T[None, :, :]
+def dense(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Affine map along axis 1: (N, I, C) -> (N, O, C).
+
+    weight is (O, I) with bias (O,), shared by every channel, or (C, O, I)
+    with bias (C, O), one map per channel.  Either way it is one BLAS matmul
+    per channel over the (I, N) slice.
+    """
+    out = weight @ x.T
+    out += bias[..., None]
+    return out.T
 
 
-def _affine_vjp(weight, x, upstream, shared: bool):
-    if shared:
-        g_w = np.einsum("nhc,nlc->hl", upstream, x)
-        g_b = upstream.sum(axis=(0, 2))
-        g_x = np.einsum("hl,nhc->nlc", weight, upstream)
-    else:
-        g_w = np.einsum("nhc,nlc->chl", upstream, x)
-        g_b = upstream.sum(axis=0).T
-        g_x = np.einsum("chl,nhc->nlc", weight, upstream)
+def dense_vjp(weight: np.ndarray, x: np.ndarray, upstream: np.ndarray):
+    """(g_weight, g_bias, g_x) of ``dense`` at x for the (N, O, C) cotangent."""
+    g_w = upstream.T @ x.transpose(2, 0, 1)
+    g_b = upstream.sum(axis=0).T
+    if weight.ndim == 2:  # shared weight: sum the per-channel gradients
+        g_w = g_w.sum(axis=0)
+        g_b = g_b.sum(axis=0)
+    g_x = (np.swapaxes(weight, -1, -2) @ upstream.T).T
     return g_w, g_b, g_x
+
+
+def mlp_forward(params: dict[str, np.ndarray], prefix: str, x: np.ndarray):
+    """Two-layer ReLU MLP ``w2 relu(w1 x + b1) + b2`` along axis 1 of (N, I, C).
+
+    Its tensors are ``<prefix>.w1`` etc. in params.  Returns (out, cache).
+    """
+    pre = dense(params[f"{prefix}.w1"], params[f"{prefix}.b1"], x)
+    hid = np.maximum(pre, 0.0)
+    return dense(params[f"{prefix}.w2"], params[f"{prefix}.b2"], hid), (x, pre, hid)
+
+
+def mlp_vjp(params: dict[str, np.ndarray], prefix: str, cache,
+            upstream: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients of ``mlp_forward``, under the same names."""
+    x, pre, hid = cache
+    g_w2, g_b2, g_hid = dense_vjp(params[f"{prefix}.w2"], hid, upstream)
+    g_w1, g_b1, _ = dense_vjp(params[f"{prefix}.w1"], x, g_hid * (pre > 0.0))
+    return {f"{prefix}.w1": g_w1, f"{prefix}.b1": g_b1, f"{prefix}.w2": g_w2, f"{prefix}.b2": g_b2}
+
+
+def _affine_init(cfg: BackboneConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    shape = (cfg.horizon, cfg.lookback) if cfg.shared else (cfg.channels, cfg.horizon, cfg.lookback)
+    return xavier_uniform(rng, shape), np.zeros(shape[:-1])
 
 
 class Backbone:
@@ -104,26 +129,27 @@ class Backbone:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(N, L, C) -> (N, H, C)."""
-        cfg = self.cfg
-        if cfg.kind == "linear":
-            return _affine_forward(self.params["weight"], self.params["bias"], x, cfg.shared)
-        trend, seasonal = moving_average_decompose(x, cfg.kernel)
-        out = _affine_forward(self.params["trend.weight"], self.params["trend.bias"], trend, cfg.shared)
-        out += _affine_forward(self.params["seasonal.weight"], self.params["seasonal.bias"], seasonal, cfg.shared)
+        p = self.params
+        if self.cfg.kind == "linear":
+            return dense(p["weight"], p["bias"], x)
+        trend, seasonal = moving_average_decompose(x, self.cfg.kernel)
+        out = dense(p["trend.weight"], p["trend.bias"], trend)
+        out += dense(p["seasonal.weight"], p["seasonal.bias"], seasonal)
         return out
 
     def vjp(self, x: np.ndarray, upstream: np.ndarray):
         """Returns (param_grads, grad_x) for the forward pass at x."""
         cfg = self.cfg
+        p = self.params
         if cfg.kind == "linear":
-            g_w, g_b, g_x = _affine_vjp(self.params["weight"], x, upstream, cfg.shared)
+            g_w, g_b, g_x = dense_vjp(p["weight"], x, upstream)
             return {"weight": g_w, "bias": g_b}, g_x
         trend, seasonal = moving_average_decompose(x, cfg.kernel)
-        g_wt, g_bt, g_trend = _affine_vjp(self.params["trend.weight"], trend, upstream, cfg.shared)
-        g_ws, g_bs, g_seasonal = _affine_vjp(self.params["seasonal.weight"], seasonal, upstream, cfg.shared)
+        g_wt, g_bt, g_trend = dense_vjp(p["trend.weight"], trend, upstream)
+        g_ws, g_bs, g_seasonal = dense_vjp(p["seasonal.weight"], seasonal, upstream)
         m = decompose_matrix(cfg.lookback, cfg.kernel)
         # x feeds trend through M and seasonal through (I - M)
-        g_x = np.einsum("nl,...nc->...lc", m, g_trend - g_seasonal) + g_seasonal
+        g_x = m.T @ (g_trend - g_seasonal) + g_seasonal
         return {
             "trend.weight": g_wt,
             "trend.bias": g_bt,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .models import mlp_forward, mlp_vjp, xavier_uniform
 from .spectral import (
     dft_forward,
     dft_forward_adjoint,
@@ -42,20 +43,12 @@ def init_params(bins: int, hidden: int, rng: np.random.Generator) -> dict[str, n
     if bins < 1 or hidden < 1:
         raise ValueError("bins and hidden width must be positive")
     params: dict[str, np.ndarray] = {}
-    a = np.sqrt(6.0 / (bins + hidden))
     for part in ("r", "i"):
-        params[f"{part}.w1"] = rng.uniform(-a, a, size=(hidden, bins))
+        params[f"{part}.w1"] = xavier_uniform(rng, (hidden, bins))
         params[f"{part}.b1"] = np.zeros(hidden)
         params[f"{part}.w2"] = np.zeros((bins, hidden))
         params[f"{part}.b2"] = np.ones(bins)
     return params
-
-
-def _net_forward(params: dict[str, np.ndarray], part: str, score_table: np.ndarray):
-    pre = params[f"{part}.w1"] @ score_table + params[f"{part}.b1"][:, None]
-    hid = np.maximum(pre, 0.0)
-    lam = params[f"{part}.w2"] @ hid + params[f"{part}.b2"][:, None]
-    return lam, pre, hid
 
 
 def weights_forward(params: dict[str, np.ndarray], score_table: np.ndarray):
@@ -63,10 +56,11 @@ def weights_forward(params: dict[str, np.ndarray], score_table: np.ndarray):
     score_table = np.asarray(score_table, dtype=float)
     if score_table.ndim != 2:
         raise ValueError("expected a (K, C) score table")
-    lam_r, pre_r, hid_r = _net_forward(params, "r", score_table)
-    lam_i, pre_i, hid_i = _net_forward(params, "i", score_table)
-    cache = (score_table, pre_r, hid_r, pre_i, hid_i)
-    return lam_r, lam_i, cache
+    # channels as the batch axis: each layer is one (hidden, K) @ (K, C) matmul
+    feats = score_table.T[:, :, None]
+    lam_r, cache_r = mlp_forward(params, "r", feats)
+    lam_i, cache_i = mlp_forward(params, "i", feats)
+    return lam_r[:, :, 0].T, lam_i[:, :, 0].T, (cache_r, cache_i)
 
 
 def weights_vjp(
@@ -76,18 +70,9 @@ def weights_vjp(
     g_lambda_i: np.ndarray,
 ) -> dict[str, np.ndarray]:
     """Backprop (K, C) weight cotangents to MLP parameter gradients."""
-    score_table, pre_r, hid_r, pre_i, hid_i = cache
-    grads: dict[str, np.ndarray] = {}
-    for part, pre, hid, g_lam in (
-        ("r", pre_r, hid_r, g_lambda_r),
-        ("i", pre_i, hid_i, g_lambda_i),
-    ):
-        grads[f"{part}.w2"] = g_lam @ hid.T
-        grads[f"{part}.b2"] = g_lam.sum(axis=1)
-        g_hid = params[f"{part}.w2"].T @ g_lam
-        g_pre = g_hid * (pre > 0.0)
-        grads[f"{part}.w1"] = g_pre @ score_table.T
-        grads[f"{part}.b1"] = g_pre.sum(axis=1)
+    cache_r, cache_i = cache
+    grads = mlp_vjp(params, "r", cache_r, g_lambda_r.T[:, :, None])
+    grads.update(mlp_vjp(params, "i", cache_i, g_lambda_i.T[:, :, None]))
     return grads
 
 

@@ -212,8 +212,7 @@ class FanNorm:
         pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
         loss_main, up_main = _mse_upstream(pred_main, t_main)
         loss_res, up_res = _mse_upstream(y_n, t_res)
-        grads, _, _ = baselines.fan_freq_vjp(self.params, cache, up_main)
-        return loss_main + loss_res, up_res, grads
+        return loss_main + loss_res, up_res, baselines.fan_freq_vjp(self.params, cache, up_main)
 
 
 class TifoLayer:

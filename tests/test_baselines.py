@@ -16,6 +16,7 @@ from specshift.baselines import (
     san_normalize,
     san_patch_stats,
     san_predict,
+    san_predict_vjp,
     softplus,
 )
 
@@ -93,6 +94,44 @@ def test_san_predict_variance_is_positive():
     assert mu_y.shape == (7, 2, 2)
     assert var_y.shape == (7, 2, 2)
     assert np.all(var_y > 0)
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+def test_san_predict_vjp_matches_finite_differences(channels):
+    # the stage-one loss of the patch-statistic predictor, as its training step uses it
+    rng = np.random.default_rng(7)
+    params = san_init(lookback=12, horizon=8, patch=4, hidden=6, rng=rng)
+    for name in params:
+        if name.endswith("b1") or name.endswith("b2"):
+            params[name] = rng.normal(scale=0.3, size=params[name].shape)
+    mu_x = rng.standard_normal((5, 3, channels))
+    var_x = rng.uniform(0, 2, size=(5, 3, channels))
+    mu_y = rng.standard_normal((5, 2, channels))
+    var_y = rng.uniform(0, 2, size=(5, 2, channels))
+
+    def loss():
+        mu_hat, var_hat, _ = san_predict(params, mu_x, var_x)
+        return float(np.mean((mu_hat - mu_y) ** 2) + np.mean((var_hat - var_y) ** 2))
+
+    mu_hat, var_hat, cache = san_predict(params, mu_x, var_x)
+    g_mu = (2.0 / mu_hat.size) * (mu_hat - mu_y)
+    g_var = (2.0 / var_hat.size) * (var_hat - var_y)
+    grads = san_predict_vjp(params, cache, g_mu, g_var)
+    assert sorted(grads) == sorted(params)
+    eps = 1e-5
+    worst = 0.0
+    for name, arr in params.items():
+        flat, g = arr.reshape(-1), grads[name].reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = loss()
+            flat[i] = orig - eps
+            down = loss()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * eps)
+            worst = max(worst, abs(numeric - g[i]) / max(abs(numeric), abs(g[i]), 1e-3))
+    assert worst < 1e-5
 
 
 def test_softplus_stable_and_positive():

@@ -198,21 +198,25 @@ def test_train_rerun_identical_bytes(tmp_path):
 
 
 def test_train_bytes_independent_of_blas_threads(tmp_path):
-    # a BLAS call may split its work by thread count; what train writes must not
+    # a BLAS call may split its work by thread count; what train writes must not.
+    # The three models reach the per-channel and shared dense layers and the SAN/FAN nets.
     syn = tmp_path / "syn"
     assert run("synth", "synth_mix=3:1.0,8:0.5|3:1.0,13:0.7", "synth_len=96",
                "synth_samples=4", "synth_channels=7", f"out={syn}") == 0
-    out = tmp_path / "run"
-    cmd = [sys.executable, "-m", "specshift", "train", f"data={syn / 'synthetic.csv'}",
-           "method=tifo", "backbone=dlinear", "lookback=96", "horizon=24", "hidden=16",
-           "max_epochs=2", f"out={out}"]
-    written = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
-        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        written.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
-    assert written[0] == written[1]
+    for model in (("method=tifo", "backbone=dlinear"),
+                  ("method=tifo+san", "backbone=dlinear"),
+                  ("method=fan", "backbone=linear", "shared_linear=true")):
+        out = tmp_path / "-".join(model)
+        cmd = [sys.executable, "-m", "specshift", "train", f"data={syn / 'synthetic.csv'}",
+               *model, "lookback=96", "horizon=24", "hidden=16",
+               "max_epochs=2", f"out={out}"]
+        written = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            written.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
+        assert written[0] == written[1], model
 
 
 # ---------------------------------------------------------------------------

@@ -61,9 +61,18 @@ def test_linear_shared_vs_per_channel_shapes():
         np.random.default_rng(0),
     )
     assert per_channel.params["weight"].shape == (4, 3, 6)
-    x = np.random.default_rng(1).standard_normal((5, 6, 4))
-    assert shared.forward(x).shape == (5, 3, 4)
-    assert per_channel.forward(x).shape == (5, 3, 4)
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((5, 6, 4))
+    shared.params["bias"][...] = rng.standard_normal(3)
+    per_channel.params["bias"][...] = rng.standard_normal((4, 3))
+    for model in (shared, per_channel):
+        w, b = model.params["weight"], model.params["bias"]
+        if w.ndim == 2:
+            w, b = np.broadcast_to(w, (4, 3, 6)), np.broadcast_to(b, (4, 3))
+        expected = np.stack([x[:, :, c] @ w[c].T + b[c] for c in range(4)], axis=-1)
+        out = model.forward(x)
+        assert out.shape == (5, 3, 4)
+        np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
 
 def test_dlinear_param_names():
@@ -84,12 +93,10 @@ def test_dlinear_forward_composition():
     model = Backbone(cfg, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((6, 8, 2))
     trend, seasonal = moving_average_decompose(x, 3)
-    from specshift.models import _affine_forward
+    from specshift.models import dense
 
-    manual = _affine_forward(
-        model.params["trend.weight"], model.params["trend.bias"], trend, cfg.shared
-    ) + _affine_forward(
-        model.params["seasonal.weight"], model.params["seasonal.bias"], seasonal, cfg.shared
+    manual = dense(model.params["trend.weight"], model.params["trend.bias"], trend) + dense(
+        model.params["seasonal.weight"], model.params["seasonal.bias"], seasonal
     )
     np.testing.assert_allclose(model.forward(x), manual, atol=1e-12)
 
