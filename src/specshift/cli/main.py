@@ -14,9 +14,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -28,7 +26,6 @@ from ..errors import CheckpointError, ConfigError, DataError, NumericError
 from ..models import BackboneConfig
 from ..shiftmetrics import shift_report
 from ..stationarity import amplitude_panel, scores as stability_scores
-from ..spectral import window_taps
 from ..tifo import TifoConfig
 from ..training import (
     PipelineConfig,
@@ -155,8 +152,7 @@ def cmd_synth(cfg: RunConfig) -> None:
 def cmd_stats(cfg: RunConfig) -> None:
     series = _load_series(cfg)
     ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
-    taps = None if cfg.window == "rectangular" else window_taps(cfg.window, cfg.lookback)
-    panel = amplitude_panel(ds.x_train, taps)
+    panel = amplitude_panel(ds.x_train, cfg.window)
     table = stability_scores(panel, cfg.score_metric, targets=ds.y_train, eps=cfg.score_eps)
     mu = panel.mean(axis=0)
     sigma = panel.std(axis=0)
@@ -257,9 +253,8 @@ def cmd_eval(cfg: RunConfig) -> None:
     _write_config(cfg, out)
 
 
-def _panel_pair(cfg: RunConfig, lookback: int, x_train, x_test):
-    taps = None if cfg.window == "rectangular" else window_taps(cfg.window, lookback)
-    return amplitude_panel(x_train, taps), amplitude_panel(x_test, taps)
+def _panel_pair(cfg: RunConfig, x_train, x_test):
+    return amplitude_panel(x_train, cfg.window), amplitude_panel(x_test, cfg.window)
 
 
 def _aggregate(report: dict) -> dict:
@@ -277,13 +272,12 @@ def _reduction(before: dict, after: dict) -> dict:
 
 def cmd_shift(cfg: RunConfig) -> None:
     if cfg.checkpoint:
-        pipeline, ck_cfg, ds = _rebuild(cfg)
-        lookback = ck_cfg.lookback
+        pipeline, _, ds = _rebuild(cfg)
     else:
         series = _load_series(cfg)
         ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
-        pipeline, lookback = None, cfg.lookback
-    raw_train, raw_test = _panel_pair(cfg, lookback, ds.x_train, ds.x_test)
+        pipeline = None
+    raw_train, raw_test = _panel_pair(cfg, ds.x_train, ds.x_test)
     before = shift_report(raw_train, raw_test, bins=cfg.hist_bins)
     after = note = None
     if pipeline is not None and not pipeline.transforms_input:
@@ -291,7 +285,7 @@ def cmd_shift(cfg: RunConfig) -> None:
     elif pipeline is not None:
         t_train = pipeline.transformed_input(ds.x_train)
         t_test = pipeline.transformed_input(ds.x_test)
-        tr_panel, te_panel = _panel_pair(cfg, lookback, t_train, t_test)
+        tr_panel, te_panel = _panel_pair(cfg, t_train, t_test)
         after = shift_report(tr_panel, te_panel, bins=cfg.hist_bins)
     out = _out_dir(cfg)
     k, c = before["jsd2"].shape
@@ -368,12 +362,7 @@ def cmd_ablate(cfg: RunConfig) -> None:
             "mae_std": float(np.std(maes)),
         }
 
-    workers = int(os.environ.get("SPECSHIFT_THREADS", "1"))
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
-    else:
-        rows = [run_cell(cell) for cell in cells]
+    rows = [run_cell(cell) for cell in cells]
     out = _out_dir(cfg)
     with open(out / "ablate.csv", "w") as fh:
         fh.write("score_metric,window,keep,alpha,ema_decay,repeats,mse_mean,mse_std,mae_mean,mae_std\n")

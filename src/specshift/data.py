@@ -63,9 +63,10 @@ def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.nd
         raise DataError("lookback and horizon must be positive")
     if n < 1:
         raise DataError(f"series length {t} too short for lookback {lookback} + horizon {horizon}")
-    idx = np.arange(n)
-    x = np.stack([series[i : i + lookback] for i in idx])
-    y = np.stack([series[i + lookback : i + lookback + horizon] for i in idx])
+    # (N, C, L + H) view of every stride-1 span; the copies are (N, L|H, C)
+    spans = np.lib.stride_tricks.sliding_window_view(series, lookback + horizon, axis=0)
+    x = spans[:, :, :lookback].transpose(0, 2, 1).copy()
+    y = spans[:, :, lookback:].transpose(0, 2, 1).copy()
     return x, y
 
 

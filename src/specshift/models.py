@@ -35,7 +35,11 @@ class BackboneConfig:
 
 
 def decompose_matrix(length: int, kernel: int) -> np.ndarray:
-    """(L, L) matrix M with (M x)[n] the edge-replicated moving average of x."""
+    """(L, L) matrix M with (M x)[n] the edge-replicated moving average of x.
+
+    The matrix is cached per (L, kernel) and shared by every caller, so it is
+    read-only.
+    """
     key = (length, kernel)
     m = _DECOMP.get(key)
     if m is None:
@@ -44,6 +48,7 @@ def decompose_matrix(length: int, kernel: int) -> np.ndarray:
         for n in range(length):
             for j in range(n - half, n + half + 1):
                 m[n, min(max(j, 0), length - 1)] += 1.0 / kernel
+        m.flags.writeable = False
         _DECOMP[key] = m
     return m
 

@@ -142,17 +142,3 @@ def apply_window(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:
     shape = [1] * x.ndim
     shape[axis] = taps.shape[0]
     return x * taps.reshape(shape)
-
-
-def truncate_bins(real: np.ndarray, imag: np.ndarray, keep: int, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Zero every bin at index >= keep; keep must satisfy 1 <= keep <= K."""
-    real = np.asarray(real, dtype=float)
-    imag = np.asarray(imag, dtype=float)
-    k = real.shape[axis]
-    if not 1 <= keep <= k:
-        raise ValueError(f"keep must be in [1, {k}], got {keep}")
-    r = np.moveaxis(real.copy(), axis, -1)
-    i = np.moveaxis(imag.copy(), axis, -1)
-    r[..., keep:] = 0.0
-    i[..., keep:] = 0.0
-    return np.moveaxis(r, -1, axis), np.moveaxis(i, -1, axis)

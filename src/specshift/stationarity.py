@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import amplitude, apply_window, dft_forward
+from .spectral import amplitude, apply_window, dft_forward, window_taps
 
 METRICS = ("mu_sigma", "entropy", "correlation")
 
 
-def amplitude_panel(windows: np.ndarray, taps: np.ndarray | None = None) -> np.ndarray:
+def amplitude_panel(windows: np.ndarray, window: str = "rectangular") -> np.ndarray:
     """Spectral amplitudes of a window collection.
 
     Parameters
     ----------
     windows : (N, L, C) array.
-    taps : optional analysis-window taps of length L applied before the DFT.
+    window : analysis window applied along L before the DFT, by name
+        ("rectangular" leaves the windows as they are, "hann").
 
     Returns
     -------
@@ -29,8 +30,8 @@ def amplitude_panel(windows: np.ndarray, taps: np.ndarray | None = None) -> np.n
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
         raise ValueError("expected a (N, L, C) window stack")
-    if taps is not None:
-        windows = apply_window(windows, taps, axis=1)
+    if window != "rectangular":
+        windows = apply_window(windows, window_taps(window, windows.shape[1]), axis=1)
     real, imag = dft_forward(windows, axis=1)
     return amplitude(real, imag)
 

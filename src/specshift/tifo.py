@@ -5,7 +5,9 @@ weights, one set for the real coefficients and one for the imaginary ones.
 A window is re-weighted by transforming it to the frequency domain, scaling
 coefficient (k, c) by the corresponding weight, and inverting back.  The
 score table is a constant of the layer: gradients flow to the MLP parameters
-and to the input series, never into the scores.
+and to the input series, never into the scores.  The functions here take
+the weights as given; ``training.TifoLayer`` forms them (alpha scaling and
+the ``keep`` truncation, a 0/1 factor on the weights).
 
 Initialization makes the layer an exact identity: hidden weights are
 Xavier-uniform, output weights start at zero, and the output bias starts at
@@ -24,7 +26,6 @@ from .spectral import (
     dft_forward_adjoint,
     dft_inverse,
     hermitian_multiplicity,
-    n_bins,
 )
 
 
@@ -86,32 +87,19 @@ def alpha_scale(lam: np.ndarray, alpha: float) -> np.ndarray:
     return 1.0 + alpha * (np.asarray(lam, dtype=float) - 1.0)
 
 
-def _keep_mask(bins: int, keep: int | None) -> np.ndarray | None:
-    if keep is None:
-        return None
-    if not 1 <= keep <= bins:
-        raise ValueError(f"keep must be in [1, {bins}]")
-    if keep == bins:
-        return None
-    mask = np.zeros(bins)
-    mask[:keep] = 1.0
-    return mask
-
-
 def transform(
     x: np.ndarray,
     lam_r: np.ndarray,
     lam_i: np.ndarray,
-    keep: int | None = None,
 ) -> np.ndarray:
     """Re-weight a window (or stack of windows) in the frequency domain.
 
-    x : (..., L, C); weights are (K, C).  Bins at index >= keep are zeroed.
+    x : (..., L, C); weights are (K, C).
     """
     x = np.asarray(x, dtype=float)
     length = x.shape[-2]
     real, imag = dft_forward(x, axis=-2)
-    return weighted_inverse(real, imag, lam_r, lam_i, length, keep)
+    return weighted_inverse(real, imag, lam_r, lam_i, length)
 
 
 def weighted_inverse(
@@ -120,16 +108,9 @@ def weighted_inverse(
     lam_r: np.ndarray,
     lam_i: np.ndarray,
     length: int,
-    keep: int | None = None,
 ) -> np.ndarray:
     """Inverse transform of a spectrum scaled per (bin, channel)."""
-    w_real = real * lam_r
-    w_imag = imag * lam_i
-    mask = _keep_mask(real.shape[-2], keep)
-    if mask is not None:
-        w_real = w_real * mask[:, None]
-        w_imag = w_imag * mask[:, None]
-    return dft_inverse(w_real, w_imag, length, axis=-2)
+    return dft_inverse(real * lam_r, imag * lam_i, length, axis=-2)
 
 
 def transform_vjp(
@@ -139,7 +120,6 @@ def transform_vjp(
     lam_r: np.ndarray,
     lam_i: np.ndarray,
     length: int,
-    keep: int | None = None,
 ):
     """VJP of ``weighted_inverse`` w.r.t. the input series and the weights.
 
@@ -155,10 +135,6 @@ def transform_vjp(
     scale = hermitian_multiplicity(length) / length
     g_wreal = gu_real * scale[:, None]
     g_wimag = gu_imag * scale[:, None]
-    mask = _keep_mask(real.shape[-2], keep)
-    if mask is not None:
-        g_wreal = g_wreal * mask[:, None]
-        g_wimag = g_wimag * mask[:, None]
     g_lambda_r = g_wreal * real
     g_lambda_i = g_wimag * imag
     while g_lambda_r.ndim > 2:
@@ -166,11 +142,3 @@ def transform_vjp(
         g_lambda_i = g_lambda_i.sum(axis=0)
     grad_x = dft_forward_adjoint(g_wreal * lam_r, g_wimag * lam_i, length, axis=-2)
     return grad_x, g_lambda_r, g_lambda_i
-
-
-def expected_bins(length: int, keep: int | None = None) -> int:
-    """Bin count K for a window length, independent of truncation (weights span all K)."""
-    k = n_bins(length)
-    if keep is not None and not 1 <= keep <= k:
-        raise ValueError(f"keep must be in [1, {k}]")
-    return k

@@ -20,8 +20,9 @@ import numpy as np
 from . import baselines, tifo
 from .errors import CheckpointError, ConfigError, NumericError
 from .models import Backbone, BackboneConfig
-from .spectral import dft_forward, n_bins, window_taps
+from .spectral import dft_forward, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
+
 
 def _paired(pred, target) -> tuple[np.ndarray, np.ndarray]:
     pred = np.asarray(pred, dtype=float)
@@ -217,26 +218,45 @@ class FanNorm:
 
 class TifoLayer:
     """Stability-score-driven spectral re-weighting between a normalization
-    block and the backbone.  ``scores`` is the fitted (K, C) table."""
+    block and the backbone.  ``scores`` is the fitted (K, C) table.
+
+    The only holder of the layer's rules: the effective weights are the
+    alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins >= keep,
+    and ``fit_scores`` turns normalized windows into a score table.
+    """
 
     name = "tifo"
 
     def __init__(self, cfg, rng):
         bc = cfg.backbone
         bins = n_bins(bc.lookback)
-        if cfg.tifo.keep is not None:
-            tifo.expected_bins(bc.lookback, cfg.tifo.keep)
-        self.alpha = cfg.tifo.alpha
+        keep = bins if cfg.tifo.keep is None else cfg.tifo.keep
+        if not 1 <= keep <= bins:
+            raise ConfigError(f"keep must be in [1, {bins}] for lookback {bc.lookback}")
+        self.cfg = cfg.tifo
+        self.mask = (np.arange(bins) < keep).astype(float)[:, None]
         self.params = tifo.init_params(bins, cfg.tifo.hidden, rng)
         self.scores = np.zeros((bins, bc.channels))
         self.frozen = {"scores": self.scores}
 
     def weights(self, alpha: float | None = None, scores: np.ndarray | None = None):
-        """(lambda_r, lambda_i, cache, alpha) for the stored or the given score table."""
+        """(lambda_r, lambda_i, cache, alpha): the effective weights for the
+        stored or the given score table."""
         table = self.scores if scores is None else scores
         lam_r, lam_i, cache = tifo.weights_forward(self.params, table)
-        a = self.alpha if alpha is None else alpha
-        return tifo.alpha_scale(lam_r, a), tifo.alpha_scale(lam_i, a), cache, a
+        a = self.cfg.alpha if alpha is None else alpha
+        return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, cache, a
+
+    def apply(self, x_n: np.ndarray, alpha: float | None = None,
+              scores: np.ndarray | None = None) -> np.ndarray:
+        """Re-weight normalized windows (N, L, C)."""
+        lam_r, lam_i, _, _ = self.weights(alpha, scores)
+        return tifo.transform(x_n, lam_r, lam_i)
+
+    def fit_scores(self, x_n: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(K, C) stability scores of normalized windows and their targets."""
+        panel = amplitude_panel(x_n, self.cfg.window)
+        return stability_scores(panel, self.cfg.score_metric, targets=y, eps=self.cfg.score_eps)
 
 
 # method -> (normalization block, whether the re-weighting layer sits inside it)
@@ -309,8 +329,7 @@ class Pipeline:
         """Forecast from a normalized window.  alpha rescales the spectral
         weights toward identity; scores replaces the stored stability table."""
         if self.tifo is not None:
-            lam_r, lam_i, _, _ = self.tifo.weights(alpha, scores)
-            x_n = tifo.transform(x_n, lam_r, lam_i, self.cfg.tifo.keep)
+            x_n = self.tifo.apply(x_n, alpha, scores)
         elif alpha is not None or scores is not None:
             raise ConfigError(f"method {self.method!r} has no spectral weights to scale")
         return self.norm.leave(self.backbone.forward(x_n), ctx)
@@ -322,27 +341,24 @@ class Pipeline:
     def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
         """The series the backbone consumes."""
         x_n, _ = self.enter(x)
-        if self.tifo is None:
-            return x_n
-        lam_r, lam_i, _, _ = self.tifo.weights(alpha)
-        return tifo.transform(x_n, lam_r, lam_i, self.cfg.tifo.keep)
+        return x_n if self.tifo is None else self.tifo.apply(x_n, alpha)
 
     def loss_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         x_t, ctx = self.enter(x)
         if self.tifo is not None:
-            keep = self.cfg.tifo.keep
             length = self.cfg.backbone.lookback
             lam_r, lam_i, cache, a = self.tifo.weights()
             real, imag = dft_forward(x_t, axis=-2)
-            x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length, keep)
+            x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length)
         loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, y)
         bb_grads, g_xt = self.backbone.vjp(x_t, upstream)
         grads = _namespace("backbone", bb_grads)
         grads.update(_namespace(self.norm.name, norm_grads))
         if self.tifo is not None:
-            _, g_lam_r, g_lam_i = tifo.transform_vjp(g_xt, real, imag, lam_r, lam_i, length, keep)
-            # alpha scaling is affine in the raw weights
-            tif_grads = tifo.weights_vjp(self.tifo.params, cache, a * g_lam_r, a * g_lam_i)
+            _, g_lam_r, g_lam_i = tifo.transform_vjp(g_xt, real, imag, lam_r, lam_i, length)
+            # the effective weights are mask * (1 + a * (raw - 1))
+            scale = a * self.tifo.mask
+            tif_grads = tifo.weights_vjp(self.tifo.params, cache, scale * g_lam_r, scale * g_lam_i)
             grads.update(_namespace("tifo", tif_grads))
         return loss, grads
 
@@ -356,13 +372,7 @@ def fit_score_table(
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer sees them."""
-    tcfg = pipeline.cfg.tifo
-    base, _ = pipeline.enter(x_train)
-    taps = None
-    if tcfg.window != "rectangular":
-        taps = window_taps(tcfg.window, base.shape[-2])
-    panel = amplitude_panel(base, taps)
-    return stability_scores(panel, tcfg.score_metric, targets=y_train, eps=tcfg.score_eps)
+    return pipeline.tifo.fit_scores(pipeline.enter(x_train)[0], y_train)
 
 
 def build_pipeline(
@@ -459,28 +469,18 @@ def evaluate(
     """
     if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
         raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
-    running_scores = None
-    taps = None
-    if ema_decay is not None:
-        tcfg = pipeline.cfg.tifo
-        running_scores = pipeline.tifo.scores.copy()
-        if tcfg.window != "rectangular":
-            taps = window_taps(tcfg.window, pipeline.cfg.backbone.lookback)
+    running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
     sq_sum = 0.0
     abs_sum = 0.0
     count = 0
     for start in range(0, x.shape[0], batch):
         xb = x[start : start + batch]
         yb = y[start : start + batch]
+        x_n, ctx = pipeline.enter(xb)
         if running_scores is not None:
-            tcfg = pipeline.cfg.tifo
-            x_n, ctx = pipeline.enter(xb)
-            panel = amplitude_panel(x_n, taps)
-            batch_scores = stability_scores(panel, tcfg.score_metric, targets=yb, eps=tcfg.score_eps)
+            batch_scores = pipeline.tifo.fit_scores(x_n, yb)
             running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
-            pred = pipeline.head(x_n, ctx, alpha, running_scores)
-        else:
-            pred = pipeline.predict(xb, alpha=alpha)
+        pred = pipeline.head(x_n, ctx, alpha, running_scores)
         err = pred - yb
         sq_sum += float((err * err).sum())
         abs_sum += float(np.abs(err).sum())

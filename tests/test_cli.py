@@ -4,15 +4,25 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import specshift
 from specshift.cli.checkpoint import load_checkpoint, save_checkpoint
 from specshift.cli.config import RunConfig, config_from_echo, echo_config, load_config
 from specshift.cli.main import main
 from specshift.data import load_csv
 from specshift.errors import CheckpointError, ConfigError
+
+
+def child_env(**extra):
+    """Environment for a ``python -m specshift`` child that imports the same
+    package as this test process, installed or not."""
+    src = str(Path(specshift.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 TINY = [
@@ -212,7 +222,7 @@ def test_train_bytes_independent_of_blas_threads(tmp_path):
                "max_epochs=2", f"out={out}"]
         written = []
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+            env = child_env(OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
             assert proc.returncode == 0, proc.stderr
             written.append(((out / "model.ckpt").read_bytes(), (out / "history.csv").read_bytes()))
@@ -341,6 +351,6 @@ def test_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "specshift", "synth", "synth_mix=2:1.0",
          "synth_len=32", "synth_samples=4", f"out={tmp_path / 's'}"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr

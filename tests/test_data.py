@@ -73,6 +73,20 @@ def test_make_windows_counts():
     assert y[1, 0, 0] == series[4, 0]
 
 
+def test_make_windows_matches_explicit_slices():
+    series = np.random.default_rng(4).standard_normal((20, 3))
+    x, y = make_windows(series, 6, 4)
+    assert x.shape == (11, 6, 3) and y.shape == (11, 4, 3)
+    for i in range(11):
+        np.testing.assert_array_equal(x[i], series[i : i + 6])
+        np.testing.assert_array_equal(y[i], series[i + 6 : i + 10])
+    # owned, writable, C-ordered copies, not views into the series
+    for arr in (x, y):
+        assert arr.dtype == np.float64
+        assert arr.flags.c_contiguous and arr.flags.writeable
+        assert not np.shares_memory(arr, series)
+
+
 def test_make_windows_single_window():
     series = np.arange(4.0).reshape(4, 1)
     x, y = make_windows(series, 3, 1)

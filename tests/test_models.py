@@ -33,6 +33,14 @@ def test_decompose_matrix_rows_average_with_edge_replication():
     np.testing.assert_allclose(m[0], [2 / 3, 1 / 3, 0, 0, 0], atol=1e-12)
 
 
+def test_decompose_matrix_cache_is_read_only():
+    # every DLinear forward and VJP of this (L, kernel) shares the cached matrix
+    m = decompose_matrix(6, 3)
+    with pytest.raises(ValueError):
+        m[0, 0] = 1.0
+    assert decompose_matrix(6, 3) is m
+
+
 def test_decomposition_exact_for_all_kernels():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 16, 3))

@@ -12,7 +12,6 @@ from specshift.spectral import (
     dft_inverse,
     hermitian_multiplicity,
     n_bins,
-    truncate_bins,
     window_taps,
 )
 
@@ -120,27 +119,6 @@ def test_apply_window_scales_rows():
     out = apply_window(x, taps)
     np.testing.assert_allclose(out[:, 0], taps)
     np.testing.assert_allclose(out[:, 1], taps)
-
-
-def test_truncate_keep_one_is_running_mean():
-    real, imag = dft_forward(np.array([1.0, 2.0, 3.0, 4.0]))
-    tr, ti = truncate_bins(real, imag, 1)
-    np.testing.assert_allclose(dft_inverse(tr, ti, 4), [2.5, 2.5, 2.5, 2.5], atol=1e-12)
-
-
-def test_truncate_validates_keep():
-    real, imag = dft_forward(np.arange(8.0))
-    with pytest.raises(ValueError):
-        truncate_bins(real, imag, 0)
-    with pytest.raises(ValueError):
-        truncate_bins(real, imag, 6)
-
-
-def test_truncate_full_keep_is_identity():
-    real, imag = dft_forward(np.arange(8.0))
-    tr, ti = truncate_bins(real, imag, 5)
-    np.testing.assert_array_equal(tr, real)
-    np.testing.assert_array_equal(ti, imag)
 
 
 def test_forward_adjoint_consistency():

@@ -184,7 +184,7 @@ def test_amplitude_panel_windowed():
     rng = np.random.default_rng(3)
     windows = rng.standard_normal((4, 8, 1))
     taps = window_taps("hann", 8)
-    panel = amplitude_panel(windows, taps)
+    panel = amplitude_panel(windows, "hann")
     manual = amplitude_panel(windows * taps[None, :, None])
     np.testing.assert_allclose(panel, manual, atol=1e-12)
 

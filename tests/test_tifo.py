@@ -106,15 +106,6 @@ def test_transform_linear_in_x():
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
-def test_transform_keep_truncates_high_bins():
-    x = np.random.default_rng(3).standard_normal((2, 8, 1))
-    ones = np.ones((5, 1))
-    out = tifo.transform(x, ones, ones, keep=2)
-    real, imag = dft_forward(out, axis=1)
-    np.testing.assert_allclose(real[:, 2:, :], 0.0, atol=1e-10)
-    np.testing.assert_allclose(imag[:, 2:, :], 0.0, atol=1e-10)
-
-
 def test_alpha_scale():
     lam = np.array([[3.0]])
     np.testing.assert_array_equal(tifo.alpha_scale(lam, 1.0), lam)
@@ -139,7 +130,7 @@ def test_transform_vjp_zero_upstream():
     x = rng.standard_normal((3, 8, 1))
     real, imag = dft_forward(x, axis=1)
     lam = rng.uniform(0.5, 1.5, size=(5, 1))
-    gx, gr, gi = tifo.transform_vjp(np.zeros_like(x), real, imag, lam, lam, 8, None)
+    gx, gr, gi = tifo.transform_vjp(np.zeros_like(x), real, imag, lam, lam, 8)
     np.testing.assert_array_equal(gx, 0.0)
     np.testing.assert_array_equal(gr, 0.0)
     np.testing.assert_array_equal(gi, 0.0)
@@ -151,27 +142,32 @@ def test_transform_vjp_identity_passes_upstream_through():
     upstream = rng.standard_normal((4, 8, 2))
     real, imag = dft_forward(x, axis=1)
     ones = np.ones((5, 2))
-    gx, _, _ = tifo.transform_vjp(upstream, real, imag, ones, ones, 8, None)
+    gx, _, _ = tifo.transform_vjp(upstream, real, imag, ones, ones, 8)
     np.testing.assert_allclose(gx, upstream, atol=1e-10)
 
 
 @pytest.mark.parametrize("keep", [None, 3])
 def test_transform_vjp_matches_finite_differences(keep):
+    # with keep, the weights are zero at bins >= keep, as a pipeline's
+    # re-weighting layer hands them over; x's gradient must then skip those bins
     rng = np.random.default_rng(6)
     length = 8
     x = rng.standard_normal((3, length, 2))
     lam_r = rng.uniform(0.2, 1.8, size=(n_bins(length), 2))
     lam_i = rng.uniform(0.2, 1.8, size=(n_bins(length), 2))
+    if keep is not None:
+        lam_r[keep:] = 0.0
+        lam_i[keep:] = 0.0
     target = rng.standard_normal(x.shape)
 
     def loss(x_, lr_, li_):
-        out = tifo.transform(x_, lr_, li_, keep=keep)
+        out = tifo.transform(x_, lr_, li_)
         return float(np.mean((out - target) ** 2))
 
-    base = tifo.transform(x, lam_r, lam_i, keep=keep)
+    base = tifo.transform(x, lam_r, lam_i)
     upstream = 2.0 * (base - target) / base.size
     real, imag = dft_forward(x, axis=1)
-    gx, gr, gi = tifo.transform_vjp(upstream, real, imag, lam_r, lam_i, length, keep)
+    gx, gr, gi = tifo.transform_vjp(upstream, real, imag, lam_r, lam_i, length)
 
     eps = 1e-6
     for arr, grad in ((x, gx), (lam_r, gr), (lam_i, gi)):
@@ -186,10 +182,3 @@ def test_transform_vjp_matches_finite_differences(keep):
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
             assert abs(numeric - gflat[idx]) < 1e-6 * max(1.0, abs(numeric))
-
-
-def test_expected_bins_spans_full_spectrum():
-    assert tifo.expected_bins(48) == 25
-    assert tifo.expected_bins(48, keep=10) == 25
-    with pytest.raises(ValueError):
-        tifo.expected_bins(48, keep=26)

@@ -7,6 +7,7 @@ from specshift import baselines
 from specshift.baselines import FanConfig, SanConfig
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
+from specshift.spectral import dft_forward
 from specshift.tifo import TifoConfig
 from specshift.training import (
     Adam,
@@ -23,7 +24,7 @@ from specshift.training import (
 
 
 def make_pipeline(method, backbone="linear", lookback=8, horizon=4, channels=1,
-                  seed=0, n=24):
+                  seed=0, n=24, keep=None):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, lookback, channels))
     y = rng.normal(size=(n, horizon, channels))
@@ -33,7 +34,7 @@ def make_pipeline(method, backbone="linear", lookback=8, horizon=4, channels=1,
             kind=backbone, lookback=lookback, horizon=horizon,
             channels=channels, kernel=3,
         ),
-        tifo=TifoConfig(hidden=6),
+        tifo=TifoConfig(hidden=6, keep=keep),
         san=SanConfig(patch=4, hidden=8, epochs=2),
         fan=FanConfig(topk=2, hidden1=8, hidden2=8),
     )
@@ -345,6 +346,56 @@ def test_evaluate_batch_size_invariant():
 
 
 # ---------------------------------------------------------------------------
+# spectral truncation (keep)
+# ---------------------------------------------------------------------------
+
+
+def _perturb_tifo(pipe, seed=31):
+    # move the weights off their identity start so truncation is not the only effect
+    rng = np.random.default_rng(seed)
+    for name in ("tifo.r.w2", "tifo.i.w2"):
+        pipe.params[name][...] = rng.normal(scale=0.5, size=pipe.params[name].shape)
+
+
+@pytest.mark.parametrize("method", ["tifo", "tifo+san"])
+def test_transformed_input_keep_truncates_high_bins(method):
+    pipe, x, _ = make_pipeline(method, channels=2, keep=2)
+    _perturb_tifo(pipe)
+    real, imag = dft_forward(pipe.transformed_input(x), axis=1)
+    np.testing.assert_allclose(real[:, 2:, :], 0.0, atol=1e-10)
+    np.testing.assert_allclose(imag[:, 2:, :], 0.0, atol=1e-10)
+    assert np.abs(real[:, :2, :]).max() > 1e-3
+
+
+def test_transformed_input_keep_one_is_window_mean():
+    pipe, x, _ = make_pipeline("tifo", channels=2, keep=1)
+    _perturb_tifo(pipe)
+    means = np.broadcast_to(x.mean(axis=1, keepdims=True), x.shape)
+    np.testing.assert_allclose(pipe.transformed_input(x, alpha=0.0), means, atol=1e-12)
+
+
+def test_full_keep_matches_no_keep():
+    full, x, y = make_pipeline("tifo", channels=2, keep=5)  # lookback 8: K = 5
+    plain, _, _ = make_pipeline("tifo", channels=2)
+    for pipe in (full, plain):
+        _perturb_tifo(pipe)
+    np.testing.assert_array_equal(full.transformed_input(x), plain.transformed_input(x))
+    np.testing.assert_array_equal(full.predict(x), plain.predict(x))
+    loss_full, grads_full = full.loss_grads(x, y)
+    loss_plain, grads_plain = plain.loss_grads(x, y)
+    assert loss_full == loss_plain
+    for name, g in grads_plain.items():
+        np.testing.assert_array_equal(grads_full[name], g)
+
+
+@pytest.mark.parametrize("method", ["tifo", "tifo+san"])
+def test_keep_outside_bins_raises_config_error(method):
+    for keep in (0, 6):  # lookback 8: K = 5
+        with pytest.raises(ConfigError):
+            make_pipeline(method, keep=keep)
+
+
+# ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------
 
@@ -371,13 +422,15 @@ def _fd_cases(methods, short_linear=False):
 
 @pytest.mark.parametrize("method,backbone,channels", _fd_cases(["none", "revin", "fan", "tifo"]))
 def test_gradients_match_finite_differences(method, backbone, channels):
-    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=17, n=8)
+    # keep=3 of K=5 bins for "tifo"; the other methods ignore it
+    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=17, n=8, keep=3)
     assert finite_diff_check(pipe, x, y) <= 1e-5
 
 
 @pytest.mark.parametrize("method,backbone,channels", _fd_cases(["san", "tifo+san"], short_linear=True))
 def test_gradients_for_patch_normalized_methods(method, backbone, channels):
-    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=18, n=8)
+    # keep=3 of K=5 bins for "tifo+san"; "san" ignores it
+    pipe, x, y = make_pipeline(method, backbone=backbone, channels=channels, seed=18, n=8, keep=3)
     assert finite_diff_check(pipe, x, y) <= 1e-5
 
 
