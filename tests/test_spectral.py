@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specshift.models import BackboneConfig
 from specshift.spectral import (
     amplitude,
     apply_window,
@@ -14,6 +15,8 @@ from specshift.spectral import (
     n_bins,
     window_taps,
 )
+from specshift.tifo import TifoConfig
+from specshift.training import PipelineConfig, TifoLayer
 
 
 def test_forward_known_values():
@@ -119,6 +122,25 @@ def test_apply_window_scales_rows():
     out = apply_window(x, taps)
     np.testing.assert_allclose(out[:, 0], taps)
     np.testing.assert_allclose(out[:, 1], taps)
+
+
+def test_truncate_validates_keep():
+    # truncation is a 0/1 mask on the re-weighting layer; keep must lie in [1, K]
+    def layer(keep):
+        cfg = PipelineConfig(
+            method="tifo",
+            backbone=BackboneConfig(kind="linear", lookback=8, horizon=4, channels=1),
+            tifo=TifoConfig(hidden=3, keep=keep),
+        )
+        return TifoLayer(cfg, np.random.default_rng(0))
+
+    assert n_bins(8) == 5
+    with pytest.raises(ValueError):
+        layer(0)
+    with pytest.raises(ValueError):
+        layer(6)
+    np.testing.assert_array_equal(layer(1).mask[:, 0], [1, 0, 0, 0, 0])
+    np.testing.assert_array_equal(layer(5).mask[:, 0], np.ones(5))
 
 
 def test_forward_adjoint_consistency():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from specshift import tifo
+from specshift.models import BackboneConfig
 from specshift.spectral import dft_forward, n_bins
+from specshift.training import PipelineConfig, TifoLayer
 
 
 def make_params(bins=5, hidden=3, seed=0):
@@ -182,3 +184,20 @@ def test_transform_vjp_matches_finite_differences(keep):
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
             assert abs(numeric - gflat[idx]) < 1e-6 * max(1.0, abs(numeric))
+
+
+def test_expected_bins_spans_full_spectrum():
+    # keep truncates through a mask; the weights always span all K = L // 2 + 1 bins
+    def layer(keep):
+        cfg = PipelineConfig(
+            method="tifo",
+            backbone=BackboneConfig(kind="linear", lookback=48, horizon=4, channels=2),
+            tifo=tifo.TifoConfig(hidden=3, keep=keep),
+        )
+        return TifoLayer(cfg, np.random.default_rng(0))
+
+    for keep in (None, 10):
+        lam_r, lam_i, _, _ = layer(keep).weights()
+        assert lam_r.shape == lam_i.shape == (25, 2)
+    with pytest.raises(ValueError):
+        layer(26)
