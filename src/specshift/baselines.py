@@ -194,7 +194,7 @@ def fan_freq_vjp(params, cache, upstream) -> dict[str, np.ndarray]:
     grads["w3"], grads["b3"], g_hid2 = dense_vjp(params["w3"], hid2, upstream)
     grads["w2"], grads["b2"], g_cat = dense_vjp(params["w2"], cat, g_hid2 * (pre2 > 0.0))
     g_pre1 = g_cat[:, : pre1.shape[1], :] * (pre1 > 0.0)
-    grads["w1"], grads["b1"], _ = dense_vjp(params["w1"], x_main, g_pre1)
+    grads["w1"], grads["b1"], _ = dense_vjp(params["w1"], x_main, g_pre1, input_grad=False)
     return grads
 
 

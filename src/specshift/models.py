@@ -79,14 +79,15 @@ def dense(weight: np.ndarray, bias: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def dense_vjp(weight: np.ndarray, x: np.ndarray, upstream: np.ndarray):
-    """(g_weight, g_bias, g_x) of ``dense`` at x for the (N, O, C) cotangent."""
+def dense_vjp(weight: np.ndarray, x: np.ndarray, upstream: np.ndarray, input_grad: bool = True):
+    """(g_weight, g_bias, g_x) of ``dense`` at x for the (N, O, C) cotangent;
+    g_x is None when input_grad is False."""
     g_w = upstream.T @ x.transpose(2, 0, 1)
     g_b = upstream.sum(axis=0).T
     if weight.ndim == 2:  # shared weight: sum the per-channel gradients
         g_w = g_w.sum(axis=0)
         g_b = g_b.sum(axis=0)
-    g_x = (np.swapaxes(weight, -1, -2) @ upstream.T).T
+    g_x = (np.swapaxes(weight, -1, -2) @ upstream.T).T if input_grad else None
     return g_w, g_b, g_x
 
 
@@ -105,7 +106,7 @@ def mlp_vjp(params: dict[str, np.ndarray], prefix: str, cache,
     """Parameter gradients of ``mlp_forward``, under the same names."""
     x, pre, hid = cache
     g_w2, g_b2, g_hid = dense_vjp(params[f"{prefix}.w2"], hid, upstream)
-    g_w1, g_b1, _ = dense_vjp(params[f"{prefix}.w1"], x, g_hid * (pre > 0.0))
+    g_w1, g_b1, _ = dense_vjp(params[f"{prefix}.w1"], x, g_hid * (pre > 0.0), input_grad=False)
     return {f"{prefix}.w1": g_w1, f"{prefix}.b1": g_b1, f"{prefix}.w2": g_w2, f"{prefix}.b2": g_b2}
 
 
@@ -142,22 +143,25 @@ class Backbone:
         out += dense(p["seasonal.weight"], p["seasonal.bias"], seasonal)
         return out
 
-    def vjp(self, x: np.ndarray, upstream: np.ndarray):
-        """Returns (param_grads, grad_x) for the forward pass at x."""
+    def vjp(self, x: np.ndarray, upstream: np.ndarray, input_grad: bool = True):
+        """Returns (param_grads, grad_x) for the forward pass at x; grad_x is
+        None when input_grad is False."""
         cfg = self.cfg
         p = self.params
         if cfg.kind == "linear":
-            g_w, g_b, g_x = dense_vjp(p["weight"], x, upstream)
+            g_w, g_b, g_x = dense_vjp(p["weight"], x, upstream, input_grad)
             return {"weight": g_w, "bias": g_b}, g_x
         trend, seasonal = moving_average_decompose(x, cfg.kernel)
-        g_wt, g_bt, g_trend = dense_vjp(p["trend.weight"], trend, upstream)
-        g_ws, g_bs, g_seasonal = dense_vjp(p["seasonal.weight"], seasonal, upstream)
-        m = decompose_matrix(cfg.lookback, cfg.kernel)
-        # x feeds trend through M and seasonal through (I - M)
-        g_x = m.T @ (g_trend - g_seasonal) + g_seasonal
-        return {
+        g_wt, g_bt, g_trend = dense_vjp(p["trend.weight"], trend, upstream, input_grad)
+        g_ws, g_bs, g_seasonal = dense_vjp(p["seasonal.weight"], seasonal, upstream, input_grad)
+        grads = {
             "trend.weight": g_wt,
             "trend.bias": g_bt,
             "seasonal.weight": g_ws,
             "seasonal.bias": g_bs,
-        }, g_x
+        }
+        if not input_grad:
+            return grads, None
+        m = decompose_matrix(cfg.lookback, cfg.kernel)
+        # x feeds trend through M and seasonal through (I - M)
+        return grads, m.T @ (g_trend - g_seasonal) + g_seasonal

@@ -9,6 +9,12 @@ general-purpose tape.  A pipeline owns two tensor groups:
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
   FAN's combination weights), checkpointed but never updated by the main loop
+
+``params`` is a ``TensorGroup``: every trainable tensor is a view of one
+contiguous float64 vector, and each block's own ``params`` dict holds the
+same views.  The patch predictor that stage one trains is a second group.
+Adam updates a group with one vector operation, and ``train`` keeps and
+restores the best state with one copy.
 """
 
 from __future__ import annotations
@@ -42,8 +48,29 @@ def mae(pred: np.ndarray, target: np.ndarray) -> float:
     return float(np.mean(np.abs(pred - target)))
 
 
+class TensorGroup(dict):
+    """Named tensors that are consecutive views of one float64 ``vector``,
+    in insertion order; the given tensors' values are copied in."""
+
+    def __init__(self, tensors: dict[str, np.ndarray]):
+        self.vector = np.empty(sum(arr.size for arr in tensors.values()))
+        offset = 0
+        views = {}
+        for name, arr in tensors.items():
+            views[name] = self.vector[offset : offset + arr.size].reshape(arr.shape)
+            views[name][...] = arr
+            offset += arr.size
+        super().__init__(views)
+
+
 class Adam:
-    """Adam with bias correction; a step with any non-finite gradient is rejected."""
+    """Adam with bias correction; a step with any non-finite gradient is rejected.
+
+    The moments are flat vectors over the tensors of ``params`` in its order.
+    A step gathers the gradients into one vector and updates a
+    ``TensorGroup`` through its vector; a plain dict gets the same update
+    tensor by tensor.
+    """
 
     def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -52,26 +79,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.names = list(params)
+        self.m = np.zeros(sum(arr.size for arr in params.values()))
+        self.v = np.zeros_like(self.m)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> bool:
         """Apply one update in place; returns False (no update) on non-finite grads."""
-        for name in params:
-            if not np.isfinite(grads[name]).all():
-                return False
+        g = np.concatenate([np.ravel(grads[name]) for name in self.names])
+        if not np.isfinite(g).all():
+            return False
         self.t += 1
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * g
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * g * g
+        update = self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
+        if isinstance(params, TensorGroup):
+            params.vector -= update
+            return True
+        offset = 0
+        for name in self.names:
+            p = params[name]
+            p -= update[offset : offset + p.size].reshape(p.shape)
+            offset += p.size
         return True
 
 
@@ -100,18 +132,27 @@ def _mse_upstream(pred, target):
 
 # ---------------------------------------------------------------------------
 # normalization blocks
-#
-# A block wraps the backbone: ``enter(x) -> (x_n, ctx)`` normalizes the
-# lookback window, ``leave(y_n, ctx) -> y`` maps the backbone output back, and
-# ``loss(y_n, ctx, y) -> (loss, g_n, grads)`` gives the training loss, its
-# cotangent at the backbone output and the block's own parameter gradients.
-# ``ctx`` belongs to the caller; no forward or loss call changes a block.
-# ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays are
-# the pipeline's own, registered there under ``<name>.``.
 # ---------------------------------------------------------------------------
 
 
-class IdentityNorm:
+class NormBlock:
+    """A block wraps the backbone: ``enter(x) -> (x_n, ctx)`` normalizes the
+    lookback window, ``leave(y_n, ctx) -> y`` maps the backbone output back,
+    and ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` gives the training
+    loss, its cotangent at the backbone output and the block's own parameter
+    gradients.  ``targets(y)`` is the form of the forecast windows ``loss``
+    takes (``loss`` also accepts y itself); ``train`` forms it once per split.
+
+    ``ctx`` belongs to the caller; no forward or loss call changes a block.
+    ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
+    are the pipeline's own, registered there under ``<name>.``.
+    """
+
+    def targets(self, y):
+        return y
+
+
+class IdentityNorm(NormBlock):
     name = "identity"
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
@@ -129,7 +170,7 @@ class IdentityNorm:
         return loss, upstream, {}
 
 
-class RevinNorm:
+class RevinNorm(NormBlock):
     """Per-window z-scoring with a learnable per-channel affine on the way out."""
 
     name = "revin"
@@ -153,7 +194,7 @@ class RevinNorm:
         return loss, upstream * self.params["gamma"] * sigma, {"gamma": g_gamma, "beta": g_beta}
 
 
-class SanNorm:
+class SanNorm(NormBlock):
     """Patch-statistic normalization; the statistics predictor trains in a
     first stage (``train_san_predictor``) and stays frozen afterwards."""
 
@@ -165,7 +206,7 @@ class SanNorm:
         if bc.lookback % self.patch or bc.horizon % self.patch:
             raise ConfigError("lookback and horizon must be divisible by san patch length")
         self.params = {}
-        self.frozen = baselines.san_init(bc.lookback, bc.horizon, self.patch, cfg.san.hidden, rng)
+        self.frozen = TensorGroup(baselines.san_init(bc.lookback, bc.horizon, self.patch, cfg.san.hidden, rng))
 
     def enter(self, x):
         x = np.asarray(x, dtype=float)
@@ -182,7 +223,7 @@ class SanNorm:
         return loss, upstream * baselines.san_denorm_scale(ctx[1], self.patch), {}
 
 
-class FanNorm:
+class FanNorm(NormBlock):
     """Top-k frequency decomposition: the backbone forecasts the residual, a
     frequency MLP the main part.  Training supervises the two separately."""
 
@@ -208,8 +249,12 @@ class FanNorm:
         y_main, _ = baselines.fan_freq_forward(self.params, *ctx)
         return baselines.fan_combine(self.frozen, y_n, y_main)
 
+    def targets(self, y):
+        """(main, residual) split of the forecast windows."""
+        return baselines.main_frequency_split(y, self.topk)
+
     def loss(self, y_n, ctx, y):
-        t_main, t_res = baselines.main_frequency_split(y, self.topk)
+        t_main, t_res = y if isinstance(y, tuple) else self.targets(y)
         pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
         loss_main, up_main = _mse_upstream(pred_main, t_main)
         loss_res, up_res = _mse_upstream(y_n, t_res)
@@ -286,12 +331,16 @@ class Pipeline:
         self.backbone = Backbone(cfg.backbone, rng)
         self.tifo = TifoLayer(cfg, rng) if reweight else None
         self.norm = norm_cls(cfg, rng)
-        self.params: dict[str, np.ndarray] = _namespace("backbone", self.backbone.params)
+        owners = {"backbone": self.backbone.params}
         self.frozen: dict[str, np.ndarray] = {}
         for block in (self.norm, self.tifo):
             if block is not None:
-                self.params.update(_namespace(block.name, block.params))
+                owners[block.name] = block.params
                 self.frozen.update(_namespace(block.name, block.frozen))
+        self.params = TensorGroup({f"{prefix}.{k}": v for prefix, own in owners.items() for k, v in own.items()})
+        for prefix, own in owners.items():
+            for key in own:
+                own[key] = self.params[f"{prefix}.{key}"]
 
     @property
     def transforms_input(self) -> bool:
@@ -343,7 +392,9 @@ class Pipeline:
         x_n, _ = self.enter(x)
         return x_n if self.tifo is None else self.tifo.apply(x_n, alpha)
 
-    def loss_grads(self, x: np.ndarray, y: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+    def loss_grads(self, x: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
+        """(training loss, parameter gradients); y is the forecast windows or
+        ``norm.targets`` of them."""
         x_t, ctx = self.enter(x)
         if self.tifo is not None:
             length = self.cfg.backbone.lookback
@@ -351,7 +402,7 @@ class Pipeline:
             real, imag = dft_forward(x_t, axis=-2)
             x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length)
         loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, y)
-        bb_grads, g_xt = self.backbone.vjp(x_t, upstream)
+        bb_grads, g_xt = self.backbone.vjp(x_t, upstream, input_grad=self.tifo is not None)
         grads = _namespace("backbone", bb_grads)
         grads.update(_namespace(self.norm.name, norm_grads))
         if self.tifo is not None:
@@ -465,7 +516,9 @@ def evaluate(
 
     alpha rescales the spectral weights toward identity (score-driven methods
     only).  ema_decay, if set, refreshes the stability scores from each batch
-    before weighting; the pipeline's stored scores are not modified.
+    of at least two windows before weighting (a one-window batch has no
+    spread to score and keeps the running scores); the pipeline's stored
+    scores are not modified.
     """
     if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
         raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
@@ -477,7 +530,7 @@ def evaluate(
         xb = x[start : start + batch]
         yb = y[start : start + batch]
         x_n, ctx = pipeline.enter(xb)
-        if running_scores is not None:
+        if running_scores is not None and xb.shape[0] >= 2:
             batch_scores = pipeline.tifo.fit_scores(x_n, yb)
             running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
         pred = pipeline.head(x_n, ctx, alpha, running_scores)
@@ -508,6 +561,8 @@ def train(
     if isinstance(pipeline.norm, SanNorm):
         train_san_predictor(pipeline, x_train, y_train, cfg.batch, rng)
     adam = Adam(pipeline.params, lr=cfg.lr)
+    vector = pipeline.params.vector
+    targets = pipeline.norm.targets(y_train)
     n = x_train.shape[0]
     init_val = evaluate(pipeline, x_val, y_val)
     history = [
@@ -523,7 +578,7 @@ def train(
     # as an improvement; the init row is diagnostic, not a baseline.
     best_val = float("inf")
     best_epoch = 0
-    best_state = {k: v.copy() for k, v in pipeline.params.items()}
+    best_state = vector.copy()
     bad_epochs = 0
     epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -532,7 +587,8 @@ def train(
         rejected = 0
         for start in range(0, n, cfg.batch):
             sel = perm[start : start + cfg.batch]
-            loss, grads = pipeline.loss_grads(x_train[sel], y_train[sel])
+            y_sel = tuple(t[sel] for t in targets) if isinstance(targets, tuple) else targets[sel]
+            loss, grads = pipeline.loss_grads(x_train[sel], y_sel)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch}"
@@ -554,14 +610,13 @@ def train(
         if val["mse"] < best_val:
             best_val = val["mse"]
             best_epoch = epoch
-            best_state = {k: v.copy() for k, v in pipeline.params.items()}
+            np.copyto(best_state, vector)
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    for name, arr in pipeline.params.items():
-        arr[...] = best_state[name]
+    np.copyto(vector, best_state)
     return TrainResult(
         history=history,
         best_epoch=best_epoch,

@@ -6,6 +6,7 @@ two ETTh1 checks need the public CSV: place it at data/ETTh1.csv or point
 SPECSHIFT_ETTH1 at it; without the file they skip.
 """
 
+import dataclasses
 import json
 import os
 import time
@@ -127,6 +128,29 @@ def test_criterion_2_etth1_shift_reduction(etth1):
     assert elapsed < 60
     print(f"criterion 2: PASS  jsd2 reduced {jsd_red:.1%}, ks reduced "
           f"{ks_red:.1%} in {elapsed:.1f}s")
+
+
+def test_criterion_1_budget_on_etth1_sized_synthetic():
+    # Criterion 1's fit runs up to 30 epochs within 180 s.  Without the CSV,
+    # time one epoch plus its validation on a synthetic series of ETTh1's
+    # size (4 x 45 x 96 = 17,280 rows, 7 channels) at criterion 1's shape.
+    spec = dataclasses.replace(shift_benchmark(0), sample_length=96, channels=7,
+                               samples_per_condition=45)
+    ds = build_dataset(synthetic_series(spec), 96, 96)
+    cfg = PipelineConfig(
+        method="tifo",
+        backbone=BackboneConfig(kind="dlinear", lookback=96, horizon=96, channels=7),
+        tifo=TifoConfig(hidden=128),
+    )
+    pipe = build_pipeline(cfg, np.random.default_rng(0), ds.x_train, ds.y_train)
+    start = time.perf_counter()
+    # one epoch; the untrained-state validation row adds a second pass over val
+    train(pipe, ds.x_train, ds.y_train, ds.x_val, ds.y_val,
+          TrainConfig(lr=1e-3, batch=32, max_epochs=1, patience=1), np.random.default_rng(0))
+    epoch_s = time.perf_counter() - start
+    assert 30 * epoch_s < 180
+    print(f"criterion 1 budget: PASS  {epoch_s:.2f}s per epoch, 30 epochs "
+          f"{30 * epoch_s:.0f}s of 180s")
 
 
 # ---------------------------------------------------------------------------

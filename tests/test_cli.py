@@ -281,6 +281,16 @@ def test_eval_matches_training_report(tmp_path, trained_tifo):
     assert record["mse"] == pytest.approx(reported, rel=1e-4)
 
 
+def test_eval_ema_with_one_window_last_batch(tmp_path, trained_tifo):
+    # TINY's test split holds 37 windows, so eval_batch=36 leaves one window
+    ck, _ = trained_tifo
+    out = tmp_path / "ev"
+    code = run("eval", *TINY, f"checkpoint={ck / 'model.ckpt'}", "ema_decay=0.9",
+               "eval_batch=36", f"out={out}")
+    assert code == 0
+    assert json.loads((out / "metrics.json").read_text())["test"][0]["mse"] > 0
+
+
 # ---------------------------------------------------------------------------
 # shift
 # ---------------------------------------------------------------------------

@@ -152,6 +152,22 @@ def test_vjp_matches_finite_differences(kind, shared):
         assert abs(numeric - gxflat[idx]) < 1e-7
 
 
+@pytest.mark.parametrize("kind", ["linear", "dlinear"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_vjp_without_input_gradient_keeps_parameter_gradients(kind, shared):
+    cfg = BackboneConfig(kind=kind, lookback=6, horizon=3, channels=2, shared=shared, kernel=3)
+    model = Backbone(cfg, np.random.default_rng(4))
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((5, 6, 2))
+    upstream = rng.standard_normal((5, 3, 2))
+    full, grad_x = model.vjp(x, upstream)
+    params_only, none = model.vjp(x, upstream, input_grad=False)
+    assert grad_x.shape == x.shape and none is None
+    assert params_only.keys() == full.keys()
+    for name in full:
+        np.testing.assert_array_equal(params_only[name], full[name])
+
+
 def test_same_seed_same_init():
     cfg = BackboneConfig(kind="dlinear", lookback=8, horizon=4, channels=2, kernel=5)
     a = Backbone(cfg, np.random.default_rng(9))

@@ -8,10 +8,12 @@ from specshift.baselines import FanConfig, SanConfig
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
 from specshift.spectral import dft_forward
+from specshift.stationarity import ema_refresh
 from specshift.tifo import TifoConfig
 from specshift.training import (
     Adam,
     PipelineConfig,
+    TensorGroup,
     TrainConfig,
     build_pipeline,
     evaluate,
@@ -128,6 +130,105 @@ def test_adam_deterministic():
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
+
+
+class _PerTensorAdam:
+    """Reference: Adam applied tensor by tensor, with its own moments."""
+
+    def __init__(self, params, lr):
+        self.lr, self.t = lr, 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        if not all(np.isfinite(grads[k]).all() for k in params):
+            return False
+        self.t += 1
+        c1, c2 = 1.0 - 0.9**self.t, 1.0 - 0.999**self.t
+        for k, p in params.items():
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * g * g
+            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
+        return True
+
+
+def _tifo_grads(pipe, x, y):
+    return lambda: pipe.loss_grads(x, y)[1]
+
+
+def _san_predictor_grads(pipe, x, y):
+    group = pipe.norm.frozen
+    mu_x, var_x = baselines.san_patch_stats(x, 4)
+    mu_y, var_y = baselines.san_patch_stats(y, 4)
+
+    def grads():
+        mu_hat, var_hat, cache = baselines.san_predict(group, mu_x, var_x)
+        return baselines.san_predict_vjp(group, cache, (2.0 / mu_hat.size) * (mu_hat - mu_y),
+                                         (2.0 / var_hat.size) * (var_hat - var_y))
+
+    return grads
+
+
+@pytest.mark.parametrize("method,group_of,grads_of", [
+    pytest.param("tifo", lambda p: p.params, _tifo_grads, id="tifo-model"),
+    pytest.param("san", lambda p: p.norm.frozen, _san_predictor_grads, id="san-predictor"),
+])
+def test_flat_adam_matches_per_tensor_reference(method, group_of, grads_of):
+    pipe, x, y = make_pipeline(method, channels=2, seed=4, n=16)
+    group = group_of(pipe)
+    reference = {k: v.copy() for k, v in group.items()}
+    flat, ref = Adam(group, lr=0.01), _PerTensorAdam(reference, lr=0.01)
+    grads = grads_of(pipe, x, y)
+    for step in range(7):
+        g = grads()
+        if step == 3:  # one non-finite entry rejects the whole step on both sides
+            g[next(iter(g))].flat[0] = np.nan
+        assert flat.step(group, g) is ref.step(reference, g) is (step != 3)
+        for k in group:
+            np.testing.assert_array_equal(group[k], reference[k], err_msg=f"step {step} {k}")
+    assert flat.t == ref.t == 6
+
+
+def _assert_views_of_one_vector(pipe):
+    """Every trainable tensor is the next slice of ``params.vector`` and the
+    owning block's dict holds the same view; so are SAN's predictor tensors."""
+    groups = [(pipe.params, {"backbone": pipe.backbone.params,
+                             pipe.norm.name: pipe.norm.params,
+                             "tifo": pipe.tifo.params if pipe.tifo is not None else {}})]
+    if pipe.method in ("san", "tifo+san"):
+        assert isinstance(pipe.norm.frozen, TensorGroup)
+        groups.append((pipe.norm.frozen, {"": pipe.norm.frozen}))
+        for k, view in pipe.norm.frozen.items():
+            assert pipe.frozen[f"{pipe.norm.name}.{k}"] is view
+    for group, owners in groups:
+        start = group.vector.__array_interface__["data"][0]
+        offset = 0
+        for name, view in group.items():
+            assert view.base is group.vector and view.flags.c_contiguous, name
+            assert view.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += view.size
+        assert offset == group.vector.size
+        owned = {f"{p}.{k}" if p else k: v for p, d in owners.items() for k, v in d.items()}
+        assert owned.keys() == group.keys()
+        for name, view in owned.items():
+            assert group[name] is view, name
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_params_are_views_of_one_vector(method):
+    pipe, x, y = make_pipeline(method, backbone="dlinear", channels=2, n=16)
+    _assert_views_of_one_vector(pipe)
+    twin, _, _ = make_pipeline(method, backbone="dlinear", channels=2, seed=3, n=16)
+    twin.load_tensors(pipe.tensors())
+    _assert_views_of_one_vector(twin)
+    np.testing.assert_array_equal(twin.params.vector, pipe.params.vector)
+    cfg = TrainConfig(lr=0.05, batch=4, max_epochs=4, patience=4)
+    result = train(pipe, x[:12], y[:12], x[12:], y[12:], cfg, np.random.default_rng(5))
+    _assert_views_of_one_vector(pipe)
+    assert evaluate(pipe, x[12:], y[12:])["mse"] == result.best_val_mse
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +364,35 @@ def test_san_predictor_frozen_during_main_loop():
     assert moved  # stage one actually trained something
 
 
+def test_fan_splits_training_targets_once(monkeypatch):
+    # lookback 8, horizon 4: the target splits are the horizon-length calls
+    pipe, x, y = make_pipeline("fan", n=20)
+    shapes = []
+    real = baselines.main_frequency_split
+
+    def recorded(arr, k):
+        shapes.append(np.shape(arr))
+        return real(arr, k)
+
+    monkeypatch.setattr(baselines, "main_frequency_split", recorded)
+    cfg = TrainConfig(lr=1e-3, batch=4, max_epochs=3, patience=3)
+    train(pipe, x, y, x, y, cfg, np.random.default_rng(0))
+    assert [s for s in shapes if s[1] == 4] == [(20, 4, 1)]
+
+
+def test_fan_targets_of_a_split_slice_like_per_batch_splits():
+    pipe, x, y = make_pipeline("fan", channels=3, n=40)
+    whole = pipe.norm.targets(y)
+    sel = np.random.default_rng(0).permutation(40)[:7]
+    for part, per_batch in zip(whole, pipe.norm.targets(y[sel])):
+        np.testing.assert_array_equal(part[sel], per_batch)
+    loss, grads = pipe.loss_grads(x[sel], y[sel])
+    loss_t, grads_t = pipe.loss_grads(x[sel], tuple(part[sel] for part in whole))
+    assert loss_t == loss
+    for name in grads:
+        np.testing.assert_array_equal(grads_t[name], grads[name])
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -303,6 +433,26 @@ def test_ema_decay_near_one_is_no_refresh():
     stored = pipe.tifo.scores.copy()
     evaluate(pipe, x, y, ema_decay=0.5)
     np.testing.assert_array_equal(pipe.tifo.scores, stored)  # refresh is transient
+
+
+@pytest.mark.parametrize("method", ["tifo", "tifo+san"])
+def test_ema_evaluate_one_window_tail_keeps_running_scores(method):
+    # 25 windows in batches of 8 leave a one-window batch, which has no
+    # spread to score: it is forecast with the scores the first three left
+    pipe, x, y = make_pipeline(method, seed=12, n=25)
+    _short_train(pipe, x, y)
+    got = evaluate(pipe, x, y, batch=8, ema_decay=0.9)
+    running = pipe.tifo.scores.copy()
+    sq = ab = 0.0
+    for start in range(0, 25, 8):
+        x_n, ctx = pipe.enter(x[start : start + 8])
+        if start < 24:
+            running = ema_refresh(running, pipe.tifo.fit_scores(x_n, y[start : start + 8]), 0.9)
+        err = pipe.head(x_n, ctx, scores=running) - y[start : start + 8]
+        sq += float((err * err).sum())
+        ab += float(np.abs(err).sum())
+    assert got["mse"] == sq / y.size
+    assert got["mae"] == ab / y.size
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
