@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import dense, dense_vjp, mlp_forward, mlp_vjp, xavier_uniform
 from .spectral import amplitude, dft_forward, dft_inverse, n_bins
 
@@ -77,8 +78,10 @@ def san_patch_stats(x: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
 
 def san_init(lookback: int, horizon: int, patch: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Two predictor nets (mean and variance), shared across channels."""
+    if patch < 1 or hidden < 1:
+        raise ConfigError(f"san patch and hidden width must be at least 1, got {patch} and {hidden}")
     if lookback % patch or horizon % patch:
-        raise ValueError("lookback and horizon must be divisible by the patch length")
+        raise ConfigError(f"lookback and horizon must be divisible by san patch length {patch}")
     d_in = 2 * (lookback // patch)
     d_out = horizon // patch
     params: dict[str, np.ndarray] = {}

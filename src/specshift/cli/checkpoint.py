@@ -52,7 +52,7 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
     end = blob.find(end_marker)
     if end < 0:
         raise CheckpointError(f"{path}: missing end-of-header marker")
-    header = blob[newline + 1 : end].decode("utf-8")
+    header = blob[newline + 1 : end].decode("utf-8", "replace")
     payload = blob[end + len(end_marker) :]
     config_lines: list[str] = []
     shapes: list[tuple[str, tuple[int, ...]]] = []
@@ -60,10 +60,9 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
         if line.startswith("config "):
             config_lines.append(line[len("config ") :])
         elif line.startswith("tensor "):
-            parts = line.split()
-            name = parts[1]
             try:
-                dims = tuple(int(d) for d in parts[2:])
+                _, name, *sizes = line.split()
+                dims = tuple(int(d) for d in sizes)
             except ValueError:
                 raise CheckpointError(f"{path}: bad tensor line {line!r}") from None
             shapes.append((name, dims))

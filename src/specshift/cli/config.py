@@ -1,9 +1,11 @@
 """Flat key=value run configuration.
 
 Config files hold one ``key = value`` pair per line with ``#`` comments;
-command-line overrides use the same ``key=value`` syntax.  ``echo_config``
-emits a canonical text form that round-trips through the parser to an equal
-config (used both for provenance files and checkpoint headers).
+command-line overrides use the same ``key=value`` syntax.  List-valued keys
+hold comma lists whose tokens ``parse_list`` parses like scalar values.
+``echo_config`` emits a canonical text form that round-trips through the
+parser to an equal config (used both for provenance files and checkpoint
+headers).
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ class RunConfig:
 _FIELDS = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(key: str, raw: str):
-    kind = _FIELDS[key]
+def _coerce(key: str, raw: str, kind: str | None = None):
+    kind = kind or _FIELDS[key]
     raw = raw.strip()
     try:
         if kind == "int":
@@ -105,6 +107,12 @@ def parse_assignments(lines, cfg: RunConfig, origin: str) -> RunConfig:
             raise ConfigError(f"{origin}, line {lineno}: unknown config key {key!r}")
         setattr(cfg, key, _coerce(key, raw))
     return cfg
+
+
+def parse_list(cfg: RunConfig, key: str, kind: str) -> list:
+    """The comma list under ``key``, each token parsed as ``kind``; [] when unset."""
+    raw = getattr(cfg, key)
+    return [_coerce(key, tok, kind) for tok in raw.split(",")] if raw else []
 
 
 def load_config(path: str | None, overrides: list[str]) -> RunConfig:

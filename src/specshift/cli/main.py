@@ -4,7 +4,10 @@
 
 Commands: synth, stats, train, eval, shift, ablate.  Overrides apply on top
 of the config file.  Exit codes: 0 success, 2 configuration problem, 3 bad
-input data, 4 numeric failure (NaN loss), 5 incompatible checkpoint.
+input data, 4 numeric failure (NaN loss), 5 incompatible checkpoint.  Each
+comes from the class of the ``SpecshiftError`` raised, which ``main`` reports
+as one ``<label> error: <message>`` line on stderr.  Any other exception is a
+fault in the program: it propagates with its traceback (status 1).
 
 Every command writes ``config.txt`` (the resolved configuration, reparseable)
 into the output directory next to its artifacts.  Floats are printed with six
@@ -14,6 +17,7 @@ significant digits.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -22,7 +26,7 @@ import numpy as np
 
 from .. import data as datamod
 from ..baselines import FanConfig, SanConfig
-from ..errors import CheckpointError, ConfigError, DataError, NumericError
+from ..errors import CheckpointError, ConfigError, SpecshiftError
 from ..models import BackboneConfig
 from ..shiftmetrics import shift_report
 from ..stationarity import amplitude_panel, scores as stability_scores
@@ -35,7 +39,7 @@ from ..training import (
     train,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, config_from_echo, echo_config, load_config
+from .config import RunConfig, config_from_echo, echo_config, load_config, parse_list
 
 
 def _fmt(value: float) -> str:
@@ -63,10 +67,7 @@ def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
         raise ConfigError(f"unknown synth_preset {cfg.synth_preset!r}")
     if not cfg.synth_mix:
         raise ConfigError("no data path given and no synth_preset/synth_mix to generate from")
-    noise_overrides: list[float | None] = []
-    if cfg.synth_noise_by_condition:
-        for tok in cfg.synth_noise_by_condition.split(","):
-            noise_overrides.append(float(tok.strip()))
+    noise_overrides = parse_list(cfg, "synth_noise_by_condition", "float")
     conditions = []
     for idx, chunk in enumerate(cfg.synth_mix.split("|")):
         comps = []
@@ -115,7 +116,7 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
         tifo=TifoConfig(
             hidden=cfg.hidden,
             alpha=cfg.alpha,
-            keep=cfg.keep if cfg.keep > 0 else None,
+            keep=None if cfg.keep == 0 else cfg.keep,
             score_metric=cfg.score_metric,
             score_eps=cfg.score_eps,
             window=cfg.window,
@@ -172,6 +173,8 @@ def cmd_stats(cfg: RunConfig) -> None:
 
 
 def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     pcfg = _pipeline_config(cfg, ds.channels)
     rng = np.random.default_rng(cfg.seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
@@ -232,17 +235,11 @@ def _rebuild(cfg: RunConfig):
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    pipeline, ck_cfg, ds = _rebuild(cfg)
-    weighted = pipeline.tifo is not None
-    ema = cfg.ema_decay if (weighted and cfg.ema_decay > 0) else None
+    pipeline, _, ds = _rebuild(cfg)
+    ema = None if cfg.ema_decay == 0 else cfg.ema_decay
     out = _out_dir(cfg)
     results = []
-    if cfg.alphas:
-        if not weighted:
-            raise ConfigError(f"alpha sweep needs a spectral method, checkpoint has {ck_cfg.method!r}")
-        alphas = [float(tok) for tok in cfg.alphas.split(",")]
-    else:
-        alphas = [cfg.alpha if weighted else None]
+    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
     for a in alphas:
         metrics = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=a, ema_decay=ema)
         row = {"alpha": a, "mse": _round6(metrics["mse"]), "mae": _round6(metrics["mae"])}
@@ -317,20 +314,16 @@ def cmd_shift(cfg: RunConfig) -> None:
         print(note)
 
 
-def _grid_values(raw: str, fallback):
-    if not raw:
-        return [fallback]
-    return [tok.strip() for tok in raw.split(",") if tok.strip()]
-
-
 def cmd_ablate(cfg: RunConfig) -> None:
+    if cfg.repeats < 1:
+        raise ConfigError(f"repeats must be at least 1, got {cfg.repeats}")
     series = _load_series(cfg)
     ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
-    metrics_axis = _grid_values(cfg.ablate_metrics, cfg.score_metric)
-    windows_axis = _grid_values(cfg.ablate_windows, cfg.window)
-    keeps_axis = [int(v) for v in _grid_values(cfg.ablate_keeps, cfg.keep)]
-    alphas_axis = [float(v) for v in _grid_values(cfg.ablate_alphas, cfg.alpha)]
-    emas_axis = [float(v) for v in _grid_values(cfg.ablate_emas, cfg.ema_decay)]
+    metrics_axis = parse_list(cfg, "ablate_metrics", "str") or [cfg.score_metric]
+    windows_axis = parse_list(cfg, "ablate_windows", "str") or [cfg.window]
+    keeps_axis = parse_list(cfg, "ablate_keeps", "int") or [cfg.keep]
+    alphas_axis = parse_list(cfg, "ablate_alphas", "float") or [cfg.alpha]
+    emas_axis = parse_list(cfg, "ablate_emas", "float") or [cfg.ema_decay]
     cells = [
         {"score_metric": m, "window": w, "keep": kp, "alpha": al, "ema_decay": em}
         for m in metrics_axis
@@ -343,14 +336,10 @@ def cmd_ablate(cfg: RunConfig) -> None:
     def run_cell(cell: dict) -> dict:
         mses, maes = [], []
         for rep in range(cfg.repeats):
-            sub = load_config(None, [])
-            sub.__dict__.update(cfg.__dict__)
-            sub.__dict__.update(cell)
-            sub.seed = cfg.seed + rep
+            sub = dataclasses.replace(cfg, **cell, seed=cfg.seed + rep)
             pipeline, _ = _train_once(sub, ds)
-            weighted = pipeline.tifo is not None
-            ema = sub.ema_decay if (sub.ema_decay > 0 and weighted) else None
-            alpha = sub.alpha if weighted else None
+            ema = None if sub.ema_decay == 0 else sub.ema_decay
+            alpha = sub.alpha if pipeline.tifo is not None else None
             m = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=alpha, ema_decay=ema)
             mses.append(m["mse"])
             maes.append(m["mae"])
@@ -397,21 +386,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, list(args.overrides))
         COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
-    except CheckpointError as exc:
-        print(f"checkpoint error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    except SpecshiftError as exc:
+        print(f"{exc.label} error: {exc}", file=sys.stderr)
+        return exc.exit_code
     return 0
 
 

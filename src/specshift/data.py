@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 ZSCORE_EPS = 1e-8
 
@@ -21,12 +21,13 @@ def load_csv(path: str) -> np.ndarray:
     """Load a (T, C) series from a headered CSV.
 
     A leading non-numeric column (dates) is dropped; any other non-numeric
-    entry, ragged row, or empty table raises DataError with the row index.
+    entry, ragged row, or empty table raises DataError with the row index,
+    and so does a file with no numeric column.
     """
     try:
         with open(path, newline="") as fh:
             rows = [row for row in csv.reader(fh) if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
     if len(rows) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")
@@ -37,6 +38,8 @@ def load_csv(path: str) -> np.ndarray:
         float(data_rows[0][0])
     except (ValueError, IndexError):
         skip_first = True
+    if width <= skip_first:
+        raise DataError(f"{path}: no numeric column")
     out = np.empty((len(data_rows), width - skip_first))
     for idx, row in enumerate(data_rows):
         if len(row) != width:
@@ -57,10 +60,10 @@ def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.nd
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise DataError("series must be (T, C)")
+    if lookback < 1 or horizon < 1:
+        raise ConfigError(f"lookback and horizon must be positive, got {lookback} and {horizon}")
     t = series.shape[0]
     n = t - lookback - horizon + 1
-    if lookback < 1 or horizon < 1:
-        raise DataError("lookback and horizon must be positive")
     if n < 1:
         raise DataError(f"series length {t} too short for lookback {lookback} + horizon {horizon}")
     # (N, C, L + H) view of every stride-1 span; the copies are (N, L|H, C)
@@ -116,12 +119,16 @@ def build_dataset(series: np.ndarray, lookback: int, horizon: int, scaler: Scale
     """Window, split chronologically, and z-score with train-split statistics.
 
     A pre-fit scaler (e.g. from a checkpoint) can be supplied to reproduce
-    the exact training-time normalization.
+    the exact training-time normalization.  A series that is not finite once
+    z-scored (non-finite values, or values so large the statistics overflow)
+    raises DataError.
     """
     x, y = make_windows(series, lookback, horizon)
     tr, va, te = chronological_split(x.shape[0])
     if scaler is None:
         scaler = fit_scaler(x[tr])
+    if not np.isfinite(scaler.apply(np.asarray(series, dtype=float))).all():
+        raise DataError("series is not finite once z-scored (non-finite or overflowing values)")
     return Dataset(
         x_train=scaler.apply(x[tr]),
         y_train=scaler.apply(y[tr]),
@@ -161,13 +168,18 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("samples_per_condition", "sample_length", "channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not self.conditions:
-            raise ValueError("need at least one condition")
+            raise ConfigError("need at least one condition")
         k = self.sample_length // 2 + 1
         for cond in self.conditions:
             for freq, _ in cond.components:
                 if not 0 <= freq < k:
-                    raise ValueError(f"component frequency {freq} out of range for {k} bins")
+                    raise ConfigError(f"component frequency {freq} out of range for {k} bins")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:

@@ -1,17 +1,41 @@
-"""Error taxonomy shared by the library and the CLI exit-code mapping."""
+"""Error taxonomy shared by the library and the CLI.
+
+Every error a caller's input can cause is a ``SpecshiftError``, and its class
+alone decides what the CLI does with it: ``main`` prints
+``<label> error: <message>`` and exits with the class's ``exit_code``.  Any
+other exception is a fault in the program and propagates with its traceback.
+Each class also keeps a builtin base (``ValueError`` or ``RuntimeError``), so
+library callers may catch those.
+"""
 
 
-class ConfigError(ValueError):
-    """Bad configuration key, value, or combination (CLI exit code 2)."""
+class SpecshiftError(Exception):
+    """Input at fault; subclasses set ``exit_code`` and ``label``."""
 
 
-class DataError(ValueError):
-    """Unusable input data: parse failures, ragged rows, too-short series (exit code 3)."""
+class ConfigError(SpecshiftError, ValueError):
+    """Bad configuration key, value, or combination."""
+
+    exit_code = 2
+    label = "config"
 
 
-class NumericError(RuntimeError):
-    """Non-finite values where finite ones are required, e.g. NaN loss (exit code 4)."""
+class DataError(SpecshiftError, ValueError):
+    """Unusable input data: parse failures, ragged rows, too-short series."""
+
+    exit_code = 3
+    label = "data"
 
 
-class CheckpointError(ValueError):
-    """Malformed or incompatible checkpoint file (exit code 5)."""
+class NumericError(SpecshiftError, RuntimeError):
+    """Non-finite values where finite ones are required, e.g. NaN loss."""
+
+    exit_code = 4
+    label = "numeric"
+
+
+class CheckpointError(SpecshiftError, ValueError):
+    """Malformed or incompatible checkpoint file."""
+
+    exit_code = 5
+    label = "checkpoint"

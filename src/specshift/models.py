@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 _DECOMP: dict[tuple[int, int], np.ndarray] = {}
 
 
@@ -27,11 +29,11 @@ class BackboneConfig:
 
     def __post_init__(self):
         if self.kind not in ("linear", "dlinear"):
-            raise ValueError(f"unknown backbone kind: {self.kind!r}")
+            raise ConfigError(f"unknown backbone kind: {self.kind!r}")
         if min(self.lookback, self.horizon, self.channels) < 1:
-            raise ValueError("lookback, horizon and channels must be positive")
+            raise ConfigError("lookback, horizon and channels must be positive")
         if self.kind == "dlinear" and (self.kernel < 1 or self.kernel % 2 == 0):
-            raise ValueError("moving-average kernel must be a positive odd integer")
+            raise ConfigError(f"moving-average kernel must be a positive odd integer, got {self.kernel}")
 
 
 def decompose_matrix(length: int, kernel: int) -> np.ndarray:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 HIST_BINS = 50
 
 
@@ -24,7 +26,7 @@ def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tu
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     if bins < 1:
-        raise ValueError("bins must be positive")
+        raise ConfigError(f"histogram bins must be positive, got {bins}")
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     if hi == lo:

@@ -9,14 +9,17 @@ Conventions, fixed across the package:
 
 Only the K = floor(L/2) + 1 non-redundant bins are kept for real input; the
 self-conjugate bins (0, and K-1 for even L) carry an exactly zero imaginary
-part.  The transforms run on numpy's real FFT (``np.fft.rfft``/``irfft``),
-vectorised over leading axes, and must agree with the O(L^2) oracle
-``dft_direct`` to 1e-9 (enforced in tests).
+part: ``rfft`` writes it as +0.0 and ``irfft`` ignores it, so only the oracle
+has to zero it.  The transforms run on numpy's real FFT
+(``np.fft.rfft``/``irfft``), vectorised over leading axes, and must agree
+with the O(L^2) oracle ``dft_direct`` to 1e-9 (enforced in tests).
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import ConfigError
 
 
 def n_bins(length: int) -> int:
@@ -54,10 +57,8 @@ def dft_forward(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     (real, imag) arrays with K = floor(L/2) + 1 bins along `axis`.
     """
     x = np.asarray(x, dtype=float)
-    length = x.shape[axis]
     moved = np.moveaxis(x, axis, -1)
     spec = np.fft.rfft(moved)
-    _zero_self_conjugate_imag(spec, length)
     real = np.ascontiguousarray(np.moveaxis(spec.real, -1, axis))
     imag = np.ascontiguousarray(np.moveaxis(spec.imag, -1, axis))
     return real, imag
@@ -75,7 +76,6 @@ def dft_inverse(real: np.ndarray, imag: np.ndarray, length: int, axis: int = 0) 
     if r.shape != i.shape or r.shape[-1] != k:
         raise ValueError(f"expected {k} bins for length {length}, got shapes {r.shape} and {i.shape}")
     z = r + 1j * i
-    _zero_self_conjugate_imag(z, length)
     x = np.fft.irfft(z, n=length)
     return np.ascontiguousarray(np.moveaxis(x, -1, axis))
 
@@ -85,8 +85,8 @@ def dft_forward_adjoint(g_real: np.ndarray, g_imag: np.ndarray, length: int, axi
 
     Needed for gradient propagation through the forward transform:
     out[n] = sum_k (g_real[k] * cos(2 pi k n / L) - g_imag[k] * sin(2 pi k n / L)).
-    Imaginary-part cotangents at the self-conjugate bins are ignored, matching
-    the zeroing done in the forward pass.
+    Imaginary-part cotangents at the self-conjugate bins are ignored (``irfft``
+    drops them), matching their zero imaginary part in the forward pass.
     """
     gr = np.moveaxis(np.asarray(g_real, dtype=float), axis, -1)
     gi = np.moveaxis(np.asarray(g_imag, dtype=float), axis, -1)
@@ -94,7 +94,6 @@ def dft_forward_adjoint(g_real: np.ndarray, g_imag: np.ndarray, length: int, axi
     if gr.shape != gi.shape or gr.shape[-1] != k:
         raise ValueError("cotangent shape does not match bin count")
     z = gr + 1j * gi
-    _zero_self_conjugate_imag(z, length)
     # irfft counts each non-self-conjugate bin twice (Hermitian extension);
     # dividing by that multiplicity leaves one real-part contribution per bin
     out = length * np.fft.irfft(z / hermitian_multiplicity(length), n=length)
@@ -131,7 +130,7 @@ def window_taps(kind: str, length: int) -> np.ndarray:
             return np.ones(1)
         n = np.arange(length)
         return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / (length - 1)))
-    raise ValueError(f"unknown window kind: {kind!r}")
+    raise ConfigError(f"unknown window kind: {kind!r}")
 
 
 def apply_window(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:

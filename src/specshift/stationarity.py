@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .spectral import amplitude, apply_window, dft_forward, window_taps
 
 METRICS = ("mu_sigma", "entropy", "correlation")
@@ -63,7 +64,7 @@ def entropy_scores(panel: np.ndarray) -> np.ndarray:
     panel = np.asarray(panel, dtype=float)
     n, k, c = panel.shape
     if k < 2:
-        raise ValueError("entropy scores need at least two bins")
+        raise ConfigError("entropy scores need at least two bins (lookback >= 2)")
     total = panel.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         prob = np.where(total > 0.0, panel / total, 1.0 / k)
@@ -110,13 +111,13 @@ def scores(
         if targets is None:
             raise ValueError("metric 'correlation' needs target windows")
         return correlation_scores(panel, targets)
-    raise ValueError(f"unknown stability metric: {metric!r}")
+    raise ConfigError(f"unknown stability metric: {metric!r}")
 
 
 def ema_refresh(current: np.ndarray, batch_scores: np.ndarray, decay: float) -> np.ndarray:
     """Exponential moving average update: decay * current + (1 - decay) * batch."""
     if not 0.0 < decay < 1.0:
-        raise ValueError("decay must lie strictly inside (0, 1)")
+        raise ConfigError(f"ema decay must lie strictly inside (0, 1), got {decay}")
     current = np.asarray(current, dtype=float)
     batch_scores = np.asarray(batch_scores, dtype=float)
     if current.shape != batch_scores.shape:

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .models import mlp_forward, mlp_vjp, xavier_uniform
 from .spectral import (
     dft_forward,
@@ -42,7 +43,7 @@ class TifoConfig:
 def init_params(bins: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Parameters for the two weighting MLPs; the real net is drawn first."""
     if bins < 1 or hidden < 1:
-        raise ValueError("bins and hidden width must be positive")
+        raise ConfigError(f"bins and hidden width must be positive, got {bins} and {hidden}")
     params: dict[str, np.ndarray] = {}
     for part in ("r", "i"):
         params[f"{part}.w1"] = xavier_uniform(rng, (hidden, bins))
@@ -83,7 +84,7 @@ def alpha_scale(lam: np.ndarray, alpha: float) -> np.ndarray:
     alpha = 1 keeps the learned weights, alpha = 0 removes the layer.
     """
     if not 0.0 <= alpha <= 1.0:
-        raise ValueError("alpha must lie in [0, 1]")
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     return 1.0 + alpha * (np.asarray(lam, dtype=float) - 1.0)
 
 

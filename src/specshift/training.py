@@ -203,8 +203,6 @@ class SanNorm(NormBlock):
     def __init__(self, cfg, rng):
         bc = cfg.backbone
         self.patch = cfg.san.patch
-        if bc.lookback % self.patch or bc.horizon % self.patch:
-            raise ConfigError("lookback and horizon must be divisible by san patch length")
         self.params = {}
         self.frozen = TensorGroup(baselines.san_init(bc.lookback, bc.horizon, self.patch, cfg.san.hidden, rng))
 
@@ -522,6 +520,8 @@ def evaluate(
     """
     if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
         raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
+    if batch < 1:
+        raise ConfigError(f"evaluation batch must be at least 1, got {batch}")
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
     sq_sum = 0.0
     abs_sum = 0.0

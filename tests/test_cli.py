@@ -1,20 +1,27 @@
-"""Command surface: config parsing, checkpoint format, artifacts, determinism."""
+"""Command surface: config parsing, checkpoint format, artifacts, determinism,
+and the exit code and message every kind of bad input gets."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specshift
+from specshift.cli import main as climain
 from specshift.cli.checkpoint import load_checkpoint, save_checkpoint
 from specshift.cli.config import RunConfig, config_from_echo, echo_config, load_config
 from specshift.cli.main import main
 from specshift.data import load_csv
-from specshift.errors import CheckpointError, ConfigError
+from specshift.errors import CheckpointError, ConfigError, DataError, NumericError
 
 
 def child_env(**extra):
@@ -364,3 +371,138 @@ def test_module_invocation(tmp_path):
         capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# bad input: one exit code and one stderr line per error class
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (DataError, 3), (NumericError, 4),
+                                         (CheckpointError, 5)])
+def test_error_class_sets_exit_code(monkeypatch, capsys, error, code):
+    def fail(cfg):
+        raise error("boom")
+
+    monkeypatch.setitem(climain.COMMANDS, "stats", fail)
+    assert run("stats") == code
+    assert capsys.readouterr().err == f"{error.label} error: boom\n"
+
+
+def bad_csv(kind, row=0, col=0):
+    """The text of a 40-row CSV (a date column, two numeric ones) with one fault."""
+    rows = [[f"2020-01-{1 + h // 24:02d} {h % 24:02d}:00", f"{np.sin(h):.6f}", f"{np.cos(h):.6f}"]
+            for h in range(40)]
+    if kind == "empty file":
+        return ""
+    if kind == "header only":
+        return "date,a,b\n"
+    if kind == "date column only":
+        return "date\n" + "".join(r[0] + "\n" for r in rows)
+    if kind == "ragged row":
+        rows[row] = rows[row][:col + 1] if col < 2 else rows[row] + ["1.0"]
+    else:
+        rows[row][1 + col % 2] = {"non-numeric cell": "oops", "nan": "nan"}[kind]
+    return "date,a,b\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+# (command and overrides after TINY, exit code, text stderr must hold); "{ck}" is a
+# tifo checkpoint, "{dates}" a CSV with only a date column; code None: main raises
+EXIT_TABLE = [
+    (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
+    (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
+    (["train", "synth_channels=0"], 2, "channels"),
+    (["stats", "data={dates}"], 3, "dates.csv"),
+    (["train", "lookback=0"], 2, "lookback"),
+    (["train", "method=san", "san_patch=0"], 2, "patch"),
+    (["train", "method=tifo", "keep=-3"], 2, "keep"),
+    (["eval", "{ck}", "ema_decay=-0.5"], 2, "decay"),
+    (["ablate", "repeats=0"], 2, "repeats"),
+    (["stats"], None, "program fault"),
+]
+
+
+@pytest.mark.parametrize("argv, code, needle", EXIT_TABLE, ids=[" ".join(row[0]) for row in EXIT_TABLE])
+def test_exit_code_table(tmp_path, trained_tifo, monkeypatch, capsys, argv, code, needle):
+    ck, _ = trained_tifo
+    dates = tmp_path / "dates.csv"
+    dates.write_text(bad_csv("date column only"))
+    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates) for a in argv]
+    args = [command, *TINY, *overrides, f"out={tmp_path / 'out'}"]
+    if code is None:
+        def fault(*a, **k):
+            raise ValueError(needle)
+
+        monkeypatch.setattr(climain, "amplitude_panel", fault)
+        with pytest.raises(ValueError, match=needle):
+            run(*args)
+        return
+    assert run(*args) == code
+    err = capsys.readouterr().err
+    assert needle in err, err
+
+
+LABELS = {2: "config", 3: "data", 4: "numeric", 5: "checkpoint"}
+INT_KEYS = ["lookback", "horizon", "hidden", "keep", "dlinear_kernel", "san_patch", "san_hidden",
+            "fan_topk", "batch", "max_epochs", "patience", "eval_batch", "hist_bins", "seed",
+            "synth_samples", "synth_len", "synth_channels", "repeats"]
+FLOAT_KEYS = ["alpha", "ema_decay", "lr", "score_eps", "synth_noise", "synth_jitter"]
+LIST_KEYS = ["alphas", "synth_mix", "synth_noise_by_condition", "ablate_metrics", "ablate_windows",
+             "ablate_keeps", "ablate_alphas", "ablate_emas"]
+TOKENS = ["a", "", " ", "1", "0.5", "-1", "nan", "inf", "2:1.0", "3:", "x:y", "1e400"]
+
+bad_override = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(INT_KEYS), st.integers(-3, 1) | st.sampled_from([2, 17, 64])),
+    st.builds("{}={}".format, st.sampled_from(FLOAT_KEYS),
+              st.floats(-1e3, -1e-9) | st.sampled_from(["nan", "inf", "-inf"])),
+    st.builds("{}={}".format, st.sampled_from(LIST_KEYS),
+              st.lists(st.sampled_from(TOKENS), min_size=1, max_size=3).map(",".join)),
+    st.sampled_from(["nope=1", "Lookback=8", "lookback", "=3", "method=bogus", "backbone=rnn",
+                     "window=boxcar", "score_metric=none", "synth_preset=other"]),
+)
+
+
+def _main_quietly(args):
+    """(exit code, stderr) of one in-process command; degenerate inputs may
+    make numpy warn, which is not what these tests check."""
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(args)
+    return code, err.getvalue()
+
+
+def _assert_reported(code, err):
+    assert code in (0, 2, 3, 4, 5), (code, err)
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith(f"{LABELS[code]} error: "), err
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(command=st.sampled_from(["synth", "stats", "train", "eval", "shift", "ablate"]),
+       method=st.sampled_from(["tifo", "none", "revin", "san", "fan", "tifo+san"]),
+       overrides=st.lists(bad_override, min_size=1, max_size=2))
+def test_bad_overrides_exit_with_a_labelled_code(trained_tifo, tmp_path_factory, command, method, overrides):
+    ck, _ = trained_tifo
+    ck_arg = f"checkpoint={ck / 'model.ckpt'}"
+    base = [ck_arg] if command in ("eval", "shift") else [f"method={method}", "repeats=1"]
+    out = tmp_path_factory.getbasetemp() / "fuzz-out"
+    _assert_reported(*_main_quietly([command, *TINY, "max_epochs=1", *base, *overrides, f"out={out}"]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(command=st.sampled_from(["stats", "train", "eval", "shift"]),
+       kind=st.sampled_from(["ragged row", "non-numeric cell", "nan", "header only", "empty file",
+                             "date column only"]),
+       row=st.integers(0, 39), col=st.integers(0, 2))
+def test_malformed_csv_is_a_data_error_naming_the_file(trained_tifo, tmp_path_factory, command, kind,
+                                                       row, col):
+    ck, _ = trained_tifo
+    path = tmp_path_factory.getbasetemp() / "fuzz-bad.csv"
+    path.write_text(bad_csv(kind, row, col))
+    base = [f"checkpoint={ck / 'model.ckpt'}"] if command in ("eval", "shift") else []
+    code, err = _main_quietly([command, *TINY, "max_epochs=1", *base, f"data={path}",
+                               f"out={path.parent / 'fuzz-csv-out'}"])
+    _assert_reported(code, err)
+    assert code == 3 and str(path) in err, err

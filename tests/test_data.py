@@ -14,7 +14,7 @@ from specshift.data import (
     shift_benchmark,
     synthetic_series,
 )
-from specshift.errors import DataError
+from specshift.errors import ConfigError, DataError
 
 
 def write_csv(tmp_path, text, name="series.csv"):
@@ -58,6 +58,12 @@ def test_load_csv_rejects_ragged_rows(tmp_path):
 def test_load_csv_rejects_headerless_empty(tmp_path):
     path = write_csv(tmp_path, "a,b\n")
     with pytest.raises(DataError):
+        load_csv(path)
+
+
+def test_load_csv_rejects_date_column_only(tmp_path):
+    path = write_csv(tmp_path, "date\n2016-07-01\n2016-07-02\n")
+    with pytest.raises(DataError, match="no numeric column"):
         load_csv(path)
 
 
@@ -207,6 +213,22 @@ def test_generate_synthetic_rejects_bad_bin():
             noise=0.0,
             seed=0,
         )
+
+
+@pytest.mark.parametrize("field, value", [("samples_per_condition", 0), ("sample_length", 0),
+                                          ("channels", 0), ("seed", -1)])
+def test_synthetic_spec_rejects_bad_sizes_and_seed(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SyntheticSpec(conditions=(Condition(components=((1, 1.0),)),), **{field: value})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
+def test_build_dataset_rejects_series_not_finite_once_scaled(value):
+    series = np.sin(np.arange(40.0))[:, None]
+    series[::3] = value  # 1e308 is finite, but the z-score statistics overflow
+    with pytest.raises(DataError, match="not finite"):
+        build_dataset(series, 8, 2)
 
 
 def test_disjoint_mixtures_separate_spectrally():
