@@ -65,6 +65,10 @@ class SanConfig:
     epochs: int = 5
     lr: float = 1e-3
 
+    def __post_init__(self):
+        if self.epochs < 1:
+            raise ConfigError("san_epochs must be at least 1")
+
 
 def san_patch_stats(x: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch mean and population variance; the time axis must divide evenly."""

@@ -65,6 +65,8 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 dims = tuple(int(d) for d in sizes)
             except ValueError:
                 raise CheckpointError(f"{path}: bad tensor line {line!r}") from None
+            if any(d < 0 for d in dims):
+                raise CheckpointError(f"{path}: negative size in tensor line {line!r}")
             shapes.append((name, dims))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")

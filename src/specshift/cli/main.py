@@ -52,7 +52,10 @@ def _round6(value: float) -> float:
 
 def _out_dir(cfg: RunConfig) -> Path:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"out={cfg.out}: cannot create the output directory: {exc.strerror}") from None
     return out
 
 

@@ -20,9 +20,10 @@ ZSCORE_EPS = 1e-8
 def load_csv(path: str) -> np.ndarray:
     """Load a (T, C) series from a headered CSV.
 
-    A leading non-numeric column (dates) is dropped; any other non-numeric
-    entry, ragged row, or empty table raises DataError with the row index,
-    and so does a file with no numeric column.
+    The first column is dropped (dates) when none of its cells is a number.
+    Any other non-numeric entry raises DataError naming the row and the
+    column, so a first column that mixes numbers and text does too; so do a
+    ragged row, an empty table and a file with no numeric column.
     """
     try:
         with open(path, newline="") as fh:
@@ -33,11 +34,7 @@ def load_csv(path: str) -> np.ndarray:
         raise DataError(f"{path}: need a header row and at least one data row")
     header, data_rows = rows[0], rows[1:]
     width = len(header)
-    skip_first = False
-    try:
-        float(data_rows[0][0])
-    except (ValueError, IndexError):
-        skip_first = True
+    skip_first = not any(_is_number(row[0]) for row in data_rows)
     if width <= skip_first:
         raise DataError(f"{path}: no numeric column")
     out = np.empty((len(data_rows), width - skip_first))
@@ -53,6 +50,14 @@ def load_csv(path: str) -> np.ndarray:
         bad = int(np.argwhere(~np.isfinite(out))[0][0])
         raise DataError(f"{path}: non-finite value in row {bad + 1}")
     return out
+
+
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:

@@ -18,8 +18,10 @@ HIST_BINS = 50
 def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tuple[np.ndarray, np.ndarray]:
     """Normalized histograms of two samples over their shared value range.
 
-    The range is [min(a u b), max(a u b)] split into `bins` equal-width bins;
-    a degenerate range puts all mass of both samples in bin 0.
+    The range is [min(a u b), max(a u b)] split into `bins` equal-width bins.
+    A degenerate range, one too narrow for ``np.linspace(lo, hi, bins + 1)``
+    to give strictly increasing edges (hi == lo, or a few ulps apart), puts
+    all mass of both samples in bin 0.
     """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
@@ -29,7 +31,8 @@ def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tu
         raise ConfigError(f"histogram bins must be positive, got {bins}")
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
-    if hi == lo:
+    edges = np.linspace(lo, hi, bins + 1)
+    if (edges[:-1] >= edges[1:]).any():
         p = np.zeros(bins)
         q = np.zeros(bins)
         p[0] = 1.0

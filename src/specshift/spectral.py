@@ -11,8 +11,9 @@ Only the K = floor(L/2) + 1 non-redundant bins are kept for real input; the
 self-conjugate bins (0, and K-1 for even L) carry an exactly zero imaginary
 part: ``rfft`` writes it as +0.0 and ``irfft`` ignores it, so only the oracle
 has to zero it.  The transforms run on numpy's real FFT
-(``np.fft.rfft``/``irfft``), vectorised over leading axes, and must agree
-with the O(L^2) oracle ``dft_direct`` to 1e-9 (enforced in tests).
+(``np.fft.rfft``/``irfft``) along the given axis, vectorised over the others,
+and must agree with the O(L^2) oracle ``dft_direct`` to 1e-9 (enforced in
+tests).
 """
 
 from __future__ import annotations
@@ -56,12 +57,8 @@ def dft_forward(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     -------
     (real, imag) arrays with K = floor(L/2) + 1 bins along `axis`.
     """
-    x = np.asarray(x, dtype=float)
-    moved = np.moveaxis(x, axis, -1)
-    spec = np.fft.rfft(moved)
-    real = np.ascontiguousarray(np.moveaxis(spec.real, -1, axis))
-    imag = np.ascontiguousarray(np.moveaxis(spec.imag, -1, axis))
-    return real, imag
+    spec = np.fft.rfft(np.asarray(x, dtype=float), axis=axis)
+    return np.ascontiguousarray(spec.real), np.ascontiguousarray(spec.imag)
 
 
 def dft_inverse(real: np.ndarray, imag: np.ndarray, length: int, axis: int = 0) -> np.ndarray:
@@ -70,14 +67,7 @@ def dft_inverse(real: np.ndarray, imag: np.ndarray, length: int, axis: int = 0) 
     The spectrum is Hermitian-extended before inversion; imaginary parts of
     the self-conjugate bins are ignored.
     """
-    r = np.moveaxis(np.asarray(real, dtype=float), axis, -1)
-    i = np.moveaxis(np.asarray(imag, dtype=float), axis, -1)
-    k = n_bins(length)
-    if r.shape != i.shape or r.shape[-1] != k:
-        raise ValueError(f"expected {k} bins for length {length}, got shapes {r.shape} and {i.shape}")
-    z = r + 1j * i
-    x = np.fft.irfft(z, n=length)
-    return np.ascontiguousarray(np.moveaxis(x, -1, axis))
+    return np.fft.irfft(_spectrum(real, imag, length, axis), n=length, axis=axis)
 
 
 def dft_forward_adjoint(g_real: np.ndarray, g_imag: np.ndarray, length: int, axis: int = 0) -> np.ndarray:
@@ -88,16 +78,24 @@ def dft_forward_adjoint(g_real: np.ndarray, g_imag: np.ndarray, length: int, axi
     Imaginary-part cotangents at the self-conjugate bins are ignored (``irfft``
     drops them), matching their zero imaginary part in the forward pass.
     """
-    gr = np.moveaxis(np.asarray(g_real, dtype=float), axis, -1)
-    gi = np.moveaxis(np.asarray(g_imag, dtype=float), axis, -1)
-    k = n_bins(length)
-    if gr.shape != gi.shape or gr.shape[-1] != k:
-        raise ValueError("cotangent shape does not match bin count")
-    z = gr + 1j * gi
+    z = _spectrum(g_real, g_imag, length, axis)
     # irfft counts each non-self-conjugate bin twice (Hermitian extension);
     # dividing by that multiplicity leaves one real-part contribution per bin
-    out = length * np.fft.irfft(z / hermitian_multiplicity(length), n=length)
-    return np.ascontiguousarray(np.moveaxis(out, -1, axis))
+    shape = [1] * z.ndim
+    shape[axis] = -1
+    return length * np.fft.irfft(z / hermitian_multiplicity(length).reshape(shape), n=length, axis=axis)
+
+
+def _spectrum(real, imag, length: int, axis: int) -> np.ndarray:
+    """real + 1j * imag, checked to hold the K bins of `length` along `axis`."""
+    real = np.asarray(real, dtype=float)
+    imag = np.asarray(imag, dtype=float)
+    k = n_bins(length)
+    if real.shape != imag.shape or real.shape[axis] != k:
+        raise ValueError(
+            f"expected {k} bins for length {length} on axis {axis}, got shapes {real.shape} and {imag.shape}"
+        )
+    return real + 1j * imag
 
 
 def dft_direct(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -102,7 +102,10 @@ def scores(
     targets: np.ndarray | None = None,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Dispatch to one of the stability metrics in ``METRICS``."""
+    """Dispatch to one of the stability metrics in ``METRICS``; ``eps``
+    (the ``score_eps`` key) must be positive whichever metric is chosen."""
+    if not eps > 0:
+        raise ConfigError(f"score_eps must be positive, got {eps}")
     if metric == "mu_sigma":
         return mu_sigma_scores(panel, eps=eps)
     if metric == "entropy":

@@ -4,7 +4,8 @@ an Adam optimizer, the early-stopping loop, evaluation, and a
 finite-difference gradient check.
 
 Gradients come from composing explicit per-block VJPs; there is no
-general-purpose tape.  A pipeline owns two tensor groups:
+general-purpose tape.  Each block owns its forward and its VJP, and
+``Pipeline.loss_grads`` only chains them.  A pipeline owns two tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
@@ -13,7 +14,7 @@ general-purpose tape.  A pipeline owns two tensor groups:
 ``params`` is a ``TensorGroup``: every trainable tensor is a view of one
 contiguous float64 vector, and each block's own ``params`` dict holds the
 same views.  The patch predictor that stage one trains is a second group.
-Adam updates a group with one vector operation, and ``train`` keeps and
+``Adam`` updates its group with one vector operation, and ``train`` keeps and
 restores the best state with one copy.
 """
 
@@ -64,28 +65,27 @@ class TensorGroup(dict):
 
 
 class Adam:
-    """Adam with bias correction; a step with any non-finite gradient is rejected.
+    """Adam with bias correction over one ``TensorGroup``; a step with any
+    non-finite gradient is rejected.
 
-    The moments are flat vectors over the tensors of ``params`` in its order.
-    A step gathers the gradients into one vector and updates a
-    ``TensorGroup`` through its vector; a plain dict gets the same update
-    tensor by tensor.
+    The moments are flat vectors in the group's order.  A step gathers the
+    gradients into one vector and updates the group through its vector.
     """
 
-    def __init__(self, params: dict[str, np.ndarray], lr: float = 1e-3,
+    def __init__(self, group: TensorGroup, lr: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        self.group = group
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.names = list(params)
-        self.m = np.zeros(sum(arr.size for arr in params.values()))
+        self.m = np.zeros_like(group.vector)
         self.v = np.zeros_like(self.m)
 
-    def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> bool:
+    def step(self, grads: dict[str, np.ndarray]) -> bool:
         """Apply one update in place; returns False (no update) on non-finite grads."""
-        g = np.concatenate([np.ravel(grads[name]) for name in self.names])
+        g = np.concatenate([np.ravel(grads[name]) for name in self.group])
         if not np.isfinite(g).all():
             return False
         self.t += 1
@@ -95,15 +95,7 @@ class Adam:
         self.m += (1.0 - self.beta1) * g
         self.v *= self.beta2
         self.v += (1.0 - self.beta2) * g * g
-        update = self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
-        if isinstance(params, TensorGroup):
-            params.vector -= update
-            return True
-        offset = 0
-        for name in self.names:
-            p = params[name]
-            p -= update[offset : offset + p.size].reshape(p.shape)
-            offset += p.size
+        self.group.vector -= self.lr * (self.m / c1) / (np.sqrt(self.v / c2) + self.eps)
         return True
 
 
@@ -125,23 +117,27 @@ def _namespace(prefix: str, tensors: dict[str, np.ndarray]) -> dict[str, np.ndar
 
 
 def _mse_upstream(pred, target):
+    pred, target = _paired(pred, target)
     err = pred - target
     loss = float(np.mean(err * err))
     return loss, (2.0 / err.size) * err
 
 
 # ---------------------------------------------------------------------------
-# normalization blocks
+# blocks
 # ---------------------------------------------------------------------------
 
 
 class NormBlock:
     """A block wraps the backbone: ``enter(x) -> (x_n, ctx)`` normalizes the
-    lookback window, ``leave(y_n, ctx) -> y`` maps the backbone output back,
-    and ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` gives the training
-    loss, its cotangent at the backbone output and the block's own parameter
-    gradients.  ``targets(y)`` is the form of the forecast windows ``loss``
-    takes (``loss`` also accepts y itself); ``train`` forms it once per split.
+    lookback window and ``leave(y_n, ctx) -> y`` maps the backbone output
+    back.  ``leave_vjp(upstream, y_n, ctx) -> (g_n, grads)`` takes the
+    cotangent of ``leave``'s output to the backbone output's and the block's
+    own parameter gradients.
+
+    ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` is the training loss,
+    the MSE of ``leave`` against ``targets(y)``, the one form of the forecast
+    windows it takes; ``train`` forms it once per split.
 
     ``ctx`` belongs to the caller; no forward or loss call changes a block.
     ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
@@ -150,6 +146,10 @@ class NormBlock:
 
     def targets(self, y):
         return y
+
+    def loss(self, y_n, ctx, targets):
+        loss, upstream = _mse_upstream(self.leave(y_n, ctx), targets)
+        return (loss, *self.leave_vjp(upstream, y_n, ctx))
 
 
 class IdentityNorm(NormBlock):
@@ -165,9 +165,8 @@ class IdentityNorm(NormBlock):
     def leave(self, y_n, ctx):
         return y_n
 
-    def loss(self, y_n, ctx, y):
-        loss, upstream = _mse_upstream(y_n, y)
-        return loss, upstream, {}
+    def leave_vjp(self, upstream, y_n, ctx):
+        return upstream, {}
 
 
 class RevinNorm(NormBlock):
@@ -187,11 +186,10 @@ class RevinNorm(NormBlock):
         mu, sigma = ctx
         return baselines.revin_denormalize(y_n, mu, sigma, self.params["gamma"], self.params["beta"])
 
-    def loss(self, y_n, ctx, y):
+    def leave_vjp(self, upstream, y_n, ctx):
         mu, sigma = ctx
-        loss, upstream = _mse_upstream(self.leave(y_n, ctx), y)
         g_gamma, g_beta = baselines.revin_denorm_vjp(upstream, y_n, mu, sigma)
-        return loss, upstream * self.params["gamma"] * sigma, {"gamma": g_gamma, "beta": g_beta}
+        return upstream * self.params["gamma"] * sigma, {"gamma": g_gamma, "beta": g_beta}
 
 
 class SanNorm(NormBlock):
@@ -216,9 +214,8 @@ class SanNorm(NormBlock):
         mu_y, var_y = ctx
         return baselines.san_denormalize(y_n, mu_y, var_y, self.patch)
 
-    def loss(self, y_n, ctx, y):
-        loss, upstream = _mse_upstream(self.leave(y_n, ctx), y)
-        return loss, upstream * baselines.san_denorm_scale(ctx[1], self.patch), {}
+    def leave_vjp(self, upstream, y_n, ctx):
+        return upstream * baselines.san_denorm_scale(ctx[1], self.patch), {}
 
 
 class FanNorm(NormBlock):
@@ -248,14 +245,13 @@ class FanNorm(NormBlock):
         return baselines.fan_combine(self.frozen, y_n, y_main)
 
     def targets(self, y):
-        """(main, residual) split of the forecast windows."""
-        return baselines.main_frequency_split(y, self.topk)
+        """Main and residual parts of the forecast windows, stacked on axis 1."""
+        return np.stack(baselines.main_frequency_split(y, self.topk), axis=1)
 
-    def loss(self, y_n, ctx, y):
-        t_main, t_res = y if isinstance(y, tuple) else self.targets(y)
+    def loss(self, y_n, ctx, targets):
         pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
-        loss_main, up_main = _mse_upstream(pred_main, t_main)
-        loss_res, up_res = _mse_upstream(y_n, t_res)
+        loss_main, up_main = _mse_upstream(pred_main, targets[:, 0])
+        loss_res, up_res = _mse_upstream(y_n, targets[:, 1])
         return loss_main + loss_res, up_res, baselines.fan_freq_vjp(self.params, cache, up_main)
 
 
@@ -265,7 +261,8 @@ class TifoLayer:
 
     The only holder of the layer's rules: the effective weights are the
     alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins >= keep,
-    and ``fit_scores`` turns normalized windows into a score table.
+    ``forward``/``vjp`` are the training pass and its gradients, and
+    ``fit_scores`` turns normalized windows into a score table.
     """
 
     name = "tifo"
@@ -283,18 +280,33 @@ class TifoLayer:
         self.frozen = {"scores": self.scores}
 
     def weights(self, alpha: float | None = None, scores: np.ndarray | None = None):
-        """(lambda_r, lambda_i, cache, alpha): the effective weights for the
-        stored or the given score table."""
+        """(lambda_r, lambda_i, cache): the effective weights for the stored
+        or the given score table."""
         table = self.scores if scores is None else scores
         lam_r, lam_i, cache = tifo.weights_forward(self.params, table)
         a = self.cfg.alpha if alpha is None else alpha
-        return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, cache, a
+        return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, cache
 
     def apply(self, x_n: np.ndarray, alpha: float | None = None,
               scores: np.ndarray | None = None) -> np.ndarray:
         """Re-weight normalized windows (N, L, C)."""
-        lam_r, lam_i, _, _ = self.weights(alpha, scores)
+        lam_r, lam_i, _ = self.weights(alpha, scores)
         return tifo.transform(x_n, lam_r, lam_i)
+
+    def forward(self, x_n: np.ndarray):
+        """(re-weighted windows, cache for ``vjp``) at the configured alpha."""
+        lam_r, lam_i, w_cache = self.weights()
+        real, imag = dft_forward(x_n, axis=-2)
+        x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, x_n.shape[-2])
+        return x_t, (real, imag, lam_r, lam_i, w_cache)
+
+    def vjp(self, cache, g_x: np.ndarray) -> dict[str, np.ndarray]:
+        """MLP parameter gradients from the cotangent of ``forward``'s output."""
+        real, imag, lam_r, lam_i, w_cache = cache
+        _, g_lam_r, g_lam_i = tifo.transform_vjp(g_x, real, imag, lam_r, lam_i, g_x.shape[-2])
+        # the effective weights are mask * (1 + alpha * (raw - 1))
+        scale = self.cfg.alpha * self.mask
+        return tifo.weights_vjp(self.params, w_cache, scale * g_lam_r, scale * g_lam_i)
 
     def fit_scores(self, x_n: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(K, C) stability scores of normalized windows and their targets."""
@@ -367,10 +379,6 @@ class Pipeline:
 
     # -- forward passes -----------------------------------------------------
 
-    def enter(self, x: np.ndarray):
-        """(normalized x, context for ``head``)."""
-        return self.norm.enter(x)
-
     def head(self, x_n: np.ndarray, ctx, alpha: float | None = None,
              scores: np.ndarray | None = None) -> np.ndarray:
         """Forecast from a normalized window.  alpha rescales the spectral
@@ -383,36 +391,26 @@ class Pipeline:
 
     def predict(self, x: np.ndarray, alpha: float | None = None,
                 scores: np.ndarray | None = None) -> np.ndarray:
-        return self.head(*self.enter(x), alpha=alpha, scores=scores)
+        return self.head(*self.norm.enter(x), alpha=alpha, scores=scores)
 
     def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
         """The series the backbone consumes."""
-        x_n, _ = self.enter(x)
+        x_n, _ = self.norm.enter(x)
         return x_n if self.tifo is None else self.tifo.apply(x_n, alpha)
 
-    def loss_grads(self, x: np.ndarray, y) -> tuple[float, dict[str, np.ndarray]]:
-        """(training loss, parameter gradients); y is the forecast windows or
-        ``norm.targets`` of them."""
-        x_t, ctx = self.enter(x)
+    def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
+        """(training loss, parameter gradients); targets is ``norm.targets``
+        of the forecast windows."""
+        x_t, ctx = self.norm.enter(x)
         if self.tifo is not None:
-            length = self.cfg.backbone.lookback
-            lam_r, lam_i, cache, a = self.tifo.weights()
-            real, imag = dft_forward(x_t, axis=-2)
-            x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, length)
-        loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, y)
+            x_t, tifo_cache = self.tifo.forward(x_t)
+        loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, targets)
         bb_grads, g_xt = self.backbone.vjp(x_t, upstream, input_grad=self.tifo is not None)
         grads = _namespace("backbone", bb_grads)
         grads.update(_namespace(self.norm.name, norm_grads))
         if self.tifo is not None:
-            _, g_lam_r, g_lam_i = tifo.transform_vjp(g_xt, real, imag, lam_r, lam_i, length)
-            # the effective weights are mask * (1 + a * (raw - 1))
-            scale = a * self.tifo.mask
-            tif_grads = tifo.weights_vjp(self.tifo.params, cache, scale * g_lam_r, scale * g_lam_i)
-            grads.update(_namespace("tifo", tif_grads))
+            grads.update(_namespace("tifo", self.tifo.vjp(tifo_cache, g_xt)))
         return loss, grads
-
-    def loss_value(self, x: np.ndarray, y: np.ndarray) -> float:
-        return self.loss_grads(x, y)[0]
 
 
 def fit_score_table(
@@ -421,7 +419,7 @@ def fit_score_table(
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer sees them."""
-    return pipeline.tifo.fit_scores(pipeline.enter(x_train)[0], y_train)
+    return pipeline.tifo.fit_scores(pipeline.norm.enter(x_train)[0], y_train)
 
 
 def build_pipeline(
@@ -499,7 +497,7 @@ def train_san_predictor(
             g_mu = (2.0 / mu_hat.size) * (mu_hat - mu_y[sel])
             g_var = (2.0 / var_hat.size) * (var_hat - var_y[sel])
             grads = baselines.san_predict_vjp(params, cache, g_mu, g_var)
-            adam.step(params, grads)
+            adam.step(grads)
 
 
 def evaluate(
@@ -529,7 +527,7 @@ def evaluate(
     for start in range(0, x.shape[0], batch):
         xb = x[start : start + batch]
         yb = y[start : start + batch]
-        x_n, ctx = pipeline.enter(xb)
+        x_n, ctx = pipeline.norm.enter(xb)
         if running_scores is not None and xb.shape[0] >= 2:
             batch_scores = pipeline.tifo.fit_scores(x_n, yb)
             running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
@@ -587,13 +585,12 @@ def train(
         rejected = 0
         for start in range(0, n, cfg.batch):
             sel = perm[start : start + cfg.batch]
-            y_sel = tuple(t[sel] for t in targets) if isinstance(targets, tuple) else targets[sel]
-            loss, grads = pipeline.loss_grads(x_train[sel], y_sel)
+            loss, grads = pipeline.loss_grads(x_train[sel], targets[sel])
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch}"
                 )
-            if not adam.step(pipeline.params, grads):
+            if not adam.step(grads):
                 rejected += 1
             loss_sum += loss * sel.size
         val = evaluate(pipeline, x_val, y_val)
@@ -631,7 +628,8 @@ def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: flo
     The denominator is floored at 1e-3 so exactly-zero analytic gradients are
     compared absolutely at that scale rather than against roundoff noise.
     """
-    _, grads = pipeline.loss_grads(x, y)
+    targets = pipeline.norm.targets(y)
+    _, grads = pipeline.loss_grads(x, targets)
     worst = 0.0
     for name in sorted(pipeline.params):
         arr = pipeline.params[name]
@@ -640,9 +638,9 @@ def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: flo
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + eps
-            up = pipeline.loss_value(x, y)
+            up = pipeline.loss_grads(x, targets)[0]
             flat[i] = orig - eps
-            down = pipeline.loss_value(x, y)
+            down = pipeline.loss_grads(x, targets)[0]
             flat[i] = orig
             numeric = (up - down) / (2.0 * eps)
             denom = max(abs(numeric), abs(g[i]), 1e-3)

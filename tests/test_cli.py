@@ -313,6 +313,16 @@ def test_shift_without_checkpoint(tmp_path):
     assert rows[1].split(",")[3] == "nan"
 
 
+def test_shift_noise_free_tone(tmp_path):
+    # every amplitude of a noise-free tone is equal up to rounding, so the
+    # histogram ranges are a few ulps wide
+    out = tmp_path / "sh"
+    assert run("shift", "synth_mix=4:1.0", "synth_noise=0", "synth_samples=20", "synth_len=48",
+               "lookback=48", "horizon=24", f"out={out}") == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert 0.0 <= summary["before"]["jsd2_mean"] <= 1.0
+
+
 def test_shift_identity_weights_after_equals_before(tmp_path):
     # a weighting net trained with a vanishing learning rate stays at the
     # identity, so transforming both panels must not move the metrics
@@ -406,8 +416,9 @@ def bad_csv(kind, row=0, col=0):
     return "date,a,b\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-# (command and overrides after TINY, exit code, text stderr must hold); "{ck}" is a
-# tifo checkpoint, "{dates}" a CSV with only a date column; code None: main raises
+# (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
+# is a tifo checkpoint, "{dates}" a CSV with only a date column, "{negck}" a checkpoint
+# whose one tensor has negative sizes; code None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -418,6 +429,11 @@ EXIT_TABLE = [
     (["train", "method=tifo", "keep=-3"], 2, "keep"),
     (["eval", "{ck}", "ema_decay=-0.5"], 2, "decay"),
     (["ablate", "repeats=0"], 2, "repeats"),
+    (["stats", "score_eps=-1"], 2, "score_eps"),
+    (["train", "method=tifo", "score_eps=0"], 2, "score_eps"),
+    (["train", "method=san", "san_epochs=-1"], 2, "san_epochs"),
+    (["stats", "out={dates}/sub"], 2, "out="),
+    (["eval", "checkpoint={negck}"], 5, "negative size"),
     (["stats"], None, "program fault"),
 ]
 
@@ -427,8 +443,11 @@ def test_exit_code_table(tmp_path, trained_tifo, monkeypatch, capsys, argv, code
     ck, _ = trained_tifo
     dates = tmp_path / "dates.csv"
     dates.write_text(bad_csv("date column only"))
-    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates) for a in argv]
-    args = [command, *TINY, *overrides, f"out={tmp_path / 'out'}"]
+    negck = tmp_path / "neg.ckpt"
+    negck.write_bytes(b"specshift-checkpoint v1\ntensor w -1 -1\nend\n" + bytes(8))
+    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates, negck=negck)
+                           for a in argv]
+    args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
     if code is None:
         def fault(*a, **k):
             raise ValueError(needle)

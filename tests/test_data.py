@@ -61,6 +61,13 @@ def test_load_csv_rejects_headerless_empty(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_rejects_a_mixed_first_column(tmp_path):
+    # the first cell alone does not make column a a date column: it is mixed
+    path = write_csv(tmp_path, "a,b\nx,1\n2,3\n4,5\n")
+    with pytest.raises(DataError, match="row 1, column 'a'"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_date_column_only(tmp_path):
     path = write_csv(tmp_path, "date\n2016-07-01\n2016-07-02\n")
     with pytest.raises(DataError, match="no numeric column"):

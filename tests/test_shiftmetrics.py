@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specshift.shiftmetrics import jsd2, ks, paired_histograms, shift_report
@@ -23,6 +23,12 @@ def test_paired_histograms_degenerate_range():
     p, q = paired_histograms(np.array([2.0, 2.0]), np.array([2.0, 2.0]), bins=5)
     np.testing.assert_allclose(p, [1.0, 0.0, 0.0, 0.0, 0.0])
     np.testing.assert_allclose(q, p)
+
+
+def test_paired_histograms_range_a_few_ulps_wide():
+    # 50 equal-width bins cannot split [1, 1 + 2**-52]: it counts as degenerate
+    p, q = paired_histograms(np.array([1.0]), np.array([1.0 + 2**-52]), bins=50)
+    assert p[0] == q[0] == 1.0 and p.sum() == q.sum() == 1.0
 
 
 def test_paired_histograms_rejects_empty():
@@ -154,6 +160,7 @@ def test_ks_bounds_property(a, b):
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=25),
     st.integers(min_value=2, max_value=20),
 )
+@example([0.0], [5e-324], 2)  # a range too narrow for two distinct bins
 def test_jsd2_of_histograms_bounded_property(a, b, bins):
     p, q = paired_histograms(np.asarray(a), np.asarray(b), bins=bins)
     v = jsd2(p, q)

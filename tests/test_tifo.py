@@ -197,7 +197,7 @@ def test_expected_bins_spans_full_spectrum():
         return TifoLayer(cfg, np.random.default_rng(0))
 
     for keep in (None, 10):
-        lam_r, lam_i, _, _ = layer(keep).weights()
+        lam_r, lam_i, _ = layer(keep).weights()
         assert lam_r.shape == lam_i.shape == (25, 2)
     with pytest.raises(ValueError):
         layer(26)

@@ -91,31 +91,31 @@ def test_mae_bounded_by_root_mse():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
+    params = TensorGroup({"w": np.array([1.0, -2.0])})
     adam = Adam(params, lr=0.1)
-    assert adam.step(params, {"w": np.zeros(2)})
+    assert adam.step({"w": np.zeros(2)})
     np.testing.assert_array_equal(params["w"], [1.0, -2.0])
 
 
 def test_adam_first_step_is_lr_times_sign():
     # at t=1 bias correction gives m_hat/sqrt(v_hat) = g/|g|
     g = np.array([0.2, -0.03, 1.7])
-    params = {"w": np.zeros(3)}
+    params = TensorGroup({"w": np.zeros(3)})
     adam = Adam(params, lr=1e-2)
-    adam.step(params, {"w": g.copy()})
+    adam.step({"w": g.copy()})
     np.testing.assert_allclose(params["w"], -1e-2 * np.sign(g), rtol=1e-6)
 
 
 def test_adam_rejects_nonfinite_gradients():
-    params = {"w": np.array([1.0, 2.0]), "b": np.array([0.5])}
+    params = TensorGroup({"w": np.array([1.0, 2.0]), "b": np.array([0.5])})
     adam = Adam(params, lr=0.1)
     before = {k: v.copy() for k, v in params.items()}
-    ok = adam.step(params, {"w": np.array([np.nan, 1.0]), "b": np.array([0.0])})
+    ok = adam.step({"w": np.array([np.nan, 1.0]), "b": np.array([0.0])})
     assert not ok
     assert adam.t == 0  # rejected steps do not advance the counter
     for k in params:
         np.testing.assert_array_equal(params[k], before[k])
-    assert adam.step(params, {"w": np.array([1.0, 1.0]), "b": np.array([1.0])})
+    assert adam.step({"w": np.array([1.0, 1.0]), "b": np.array([1.0])})
     assert adam.t == 1
 
 
@@ -123,10 +123,10 @@ def test_adam_deterministic():
     g_seq = [np.array([0.3, -0.2]), np.array([-0.1, 0.4])]
 
     def run():
-        params = {"w": np.array([1.0, -1.0])}
+        params = TensorGroup({"w": np.array([1.0, -1.0])})
         adam = Adam(params, lr=0.05)
         for g in g_seq:
-            adam.step(params, {"w": g.copy()})
+            adam.step({"w": g.copy()})
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
@@ -186,7 +186,7 @@ def test_flat_adam_matches_per_tensor_reference(method, group_of, grads_of):
         g = grads()
         if step == 3:  # one non-finite entry rejects the whole step on both sides
             g[next(iter(g))].flat[0] = np.nan
-        assert flat.step(group, g) is ref.step(reference, g) is (step != 3)
+        assert flat.step(g) is ref.step(reference, g) is (step != 3)
         for k in group:
             np.testing.assert_array_equal(group[k], reference[k], err_msg=f"step {step} {k}")
     assert flat.t == ref.t == 6
@@ -383,11 +383,13 @@ def test_fan_splits_training_targets_once(monkeypatch):
 def test_fan_targets_of_a_split_slice_like_per_batch_splits():
     pipe, x, y = make_pipeline("fan", channels=3, n=40)
     whole = pipe.norm.targets(y)
+    assert whole.shape == (40, 2, *y.shape[1:])
     sel = np.random.default_rng(0).permutation(40)[:7]
-    for part, per_batch in zip(whole, pipe.norm.targets(y[sel])):
-        np.testing.assert_array_equal(part[sel], per_batch)
-    loss, grads = pipe.loss_grads(x[sel], y[sel])
-    loss_t, grads_t = pipe.loss_grads(x[sel], tuple(part[sel] for part in whole))
+    np.testing.assert_array_equal(whole[sel], pipe.norm.targets(y[sel]))
+    loss, grads = pipe.loss_grads(x[sel], pipe.norm.targets(y[sel]))
+    loss_t, grads_t = pipe.loss_grads(x[sel], whole[sel])
+    with pytest.raises(ValueError, match="shape mismatch"):  # raw windows are not FAN targets
+        pipe.loss_grads(x[sel], y[sel])
     assert loss_t == loss
     for name in grads:
         np.testing.assert_array_equal(grads_t[name], grads[name])
@@ -445,7 +447,7 @@ def test_ema_evaluate_one_window_tail_keeps_running_scores(method):
     running = pipe.tifo.scores.copy()
     sq = ab = 0.0
     for start in range(0, 25, 8):
-        x_n, ctx = pipe.enter(x[start : start + 8])
+        x_n, ctx = pipe.norm.enter(x[start : start + 8])
         if start < 24:
             running = ema_refresh(running, pipe.tifo.fit_scores(x_n, y[start : start + 8]), 0.9)
         err = pipe.head(x_n, ctx, scores=running) - y[start : start + 8]
@@ -463,7 +465,7 @@ def test_calls_leave_pipeline_attributes_bound(method):
     before = dict(vars(pipe))
     pipe.predict(x)
     pipe.transformed_input(x)
-    pipe.loss_grads(x, y)
+    pipe.loss_grads(x, pipe.norm.targets(y))
     evaluate(pipe, x, y, batch=7)
     if pipe.tifo is not None:
         evaluate(pipe, x, y, batch=7, alpha=0.5, ema_decay=0.9)
