@@ -9,15 +9,18 @@ comes from the class of the ``SpecshiftError`` raised, which ``main`` reports
 as one ``<label> error: <message>`` line on stderr.  Any other exception is a
 fault in the program: it propagates with its traceback (status 1).
 
-Every command writes ``config.txt`` (the resolved configuration, reparseable)
-into the output directory next to its artifacts.  Floats are printed with six
-significant digits.
+Once a command returns, ``main`` writes ``config.txt`` (the resolved
+configuration, reparseable) into the output directory next to its artifacts.
+Floats are printed with six significant digits.  ``eval`` and ``shift`` take
+the model keys (lookback, horizon, method, backbone, alpha, ...) from the
+checkpoint, which must carry the scaler its model was trained under.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -59,8 +62,16 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _write_config(cfg: RunConfig, out: Path) -> None:
-    (out / "config.txt").write_text(echo_config(cfg))
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One line per row; a float cell gets six significant digits, any other its str."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
@@ -98,10 +109,26 @@ def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
     )
 
 
-def _load_series(cfg: RunConfig) -> np.ndarray:
-    if cfg.data:
-        return datamod.load_csv(cfg.data)
-    return datamod.synthetic_series(_synthetic_spec(cfg))
+def _dataset(cfg: RunConfig, ck_cfg: RunConfig | None = None,
+             scaler: datamod.Scaler | None = None) -> datamod.Dataset:
+    """cfg's data (a CSV, or synthesized from the synth_* keys), windowed and
+    z-scored: by cfg's lookback and horizon with a scaler fitted on the train
+    split, or as a checkpointed model (ck_cfg, scaler) saw its data."""
+    series = datamod.load_csv(cfg.data) if cfg.data else datamod.synthetic_series(_synthetic_spec(cfg))
+    if ck_cfg is not None and series.shape[1] != ck_cfg.channels:
+        raise CheckpointError(
+            f"checkpoint was trained on {ck_cfg.channels} channels, data has {series.shape[1]}"
+        )
+    shape = ck_cfg or cfg
+    return datamod.build_dataset(series, shape.lookback, shape.horizon, scaler)
+
+
+def _test_metrics(pipeline, ds: datamod.Dataset, cfg: RunConfig, alpha: float | None,
+                  ema_decay: float) -> dict:
+    """Test-split MSE/MAE at eval-time settings: alpha None keeps the trained
+    one, ema_decay 0 means no score refresh."""
+    return evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=alpha,
+                    ema_decay=None if ema_decay == 0 else ema_decay)
 
 
 def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
@@ -138,37 +165,24 @@ def cmd_synth(cfg: RunConfig) -> None:
     spec = _synthetic_spec(cfg)
     series = datamod.synthetic_series(spec)
     out = _out_dir(cfg)
-    header = ",".join(f"c{i}" for i in range(series.shape[1]))
-    with open(out / "synthetic.csv", "w") as fh:
-        fh.write(header + "\n")
-        for row in series:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_csv(out / "synthetic.csv", ",".join(f"c{i}" for i in range(series.shape[1])),
+               ([repr(float(v)) for v in row] for row in series))
     ranges = datamod.condition_ranges(spec)
-    (out / "segments.json").write_text(
-        json.dumps({"condition_rows": ranges}, indent=2, sort_keys=True) + "\n"
-    )
-    _write_config(cfg, out)
+    _write_json(out / "segments.json", {"condition_rows": ranges})
     print(f"wrote {series.shape[0]} rows x {series.shape[1]} channels to {out / 'synthetic.csv'}")
     for idx, (lo, hi) in enumerate(ranges):
         print(f"condition {idx}: rows [{lo}, {hi})")
 
 
 def cmd_stats(cfg: RunConfig) -> None:
-    series = _load_series(cfg)
-    ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
+    ds = _dataset(cfg)
     panel = amplitude_panel(ds.x_train, cfg.window)
     table = stability_scores(panel, cfg.score_metric, targets=ds.y_train, eps=cfg.score_eps)
     mu = panel.mean(axis=0)
     sigma = panel.std(axis=0)
-    out = _out_dir(cfg)
-    with open(out / "scores.csv", "w") as fh:
-        fh.write("channel,freq_index,mean,std,score\n")
-        for c in range(table.shape[1]):
-            for k in range(table.shape[0]):
-                fh.write(
-                    f"{c},{k},{_fmt(mu[k, c])},{_fmt(sigma[k, c])},{_fmt(table[k, c])}\n"
-                )
-    _write_config(cfg, out)
+    _write_csv(_out_dir(cfg) / "scores.csv", "channel,freq_index,mean,std,score",
+               ((c, k, mu[k, c], sigma[k, c], table[k, c])
+                for c in range(table.shape[1]) for k in range(table.shape[0])))
     for c in range(table.shape[1]):
         top = np.argsort(-table[:, c], kind="stable")[:3]
         desc = ", ".join(f"bin {int(k)}: {_fmt(table[k, c])}" for k in top)
@@ -189,8 +203,7 @@ def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
 
 
 def cmd_train(cfg: RunConfig) -> None:
-    series = _load_series(cfg)
-    ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
+    ds = _dataset(cfg)
     cfg.channels = ds.channels
     pipeline, result = _train_once(cfg, ds, log=True)
     out = _out_dir(cfg)
@@ -198,15 +211,10 @@ def cmd_train(cfg: RunConfig) -> None:
     tensors["scaler.mu"] = ds.scaler.mu
     tensors["scaler.sigma"] = ds.scaler.sigma
     save_checkpoint(str(out / "model.ckpt"), echo_config(cfg), tensors)
-    with open(out / "history.csv", "w") as fh:
-        fh.write("epoch,train_mse,val_mse,val_mae,lr,rejected\n")
-        for row in result.history:
-            fh.write(
-                f"{row['epoch']},{_fmt(row['train_mse'])},{_fmt(row['val_mse'])},"
-                f"{_fmt(row['val_mae'])},{_fmt(cfg.lr)},{row['rejected']}\n"
-            )
-    _write_config(cfg, out)
-    test = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch)
+    _write_csv(out / "history.csv", "epoch,train_mse,val_mse,val_mae,lr,rejected",
+               ((r["epoch"], r["train_mse"], r["val_mse"], r["val_mae"], cfg.lr, r["rejected"])
+                for r in result.history))
+    test = _test_metrics(pipeline, ds, cfg, None, 0.0)
     print(
         f"trained {cfg.method}/{cfg.backbone}: best val mse {_fmt(result.best_val_mse)} "
         f"(epoch {result.best_epoch}, ran {result.epochs_run})"
@@ -223,34 +231,31 @@ def _rebuild(cfg: RunConfig):
     ck_cfg = config_from_echo(echo)
     if ck_cfg.channels < 1:
         raise CheckpointError(f"{cfg.checkpoint}: header lacks a channel count")
-    scaler = None
-    if "scaler.mu" in tensors and "scaler.sigma" in tensors:
-        scaler = datamod.Scaler(mu=tensors["scaler.mu"], sigma=tensors["scaler.sigma"])
-    series = _load_series(cfg)
-    if series.shape[1] != ck_cfg.channels:
-        raise CheckpointError(
-            f"checkpoint was trained on {ck_cfg.channels} channels, data has {series.shape[1]}"
-        )
-    ds = datamod.build_dataset(series, ck_cfg.lookback, ck_cfg.horizon, scaler)
+    for name in ("scaler.mu", "scaler.sigma"):
+        if name not in tensors:
+            raise CheckpointError(f"{cfg.checkpoint}: checkpoint lacks tensor {name}")
+        if tensors[name].shape != (ck_cfg.channels,):
+            raise CheckpointError(
+                f"{cfg.checkpoint}: tensor {name}: shape {tensors[name].shape} does not match "
+                f"expected ({ck_cfg.channels},)"
+            )
+    ds = _dataset(cfg, ck_cfg, datamod.Scaler(mu=tensors["scaler.mu"], sigma=tensors["scaler.sigma"]))
     pipeline = build_pipeline(_pipeline_config(ck_cfg, ck_cfg.channels), np.random.default_rng(ck_cfg.seed))
     pipeline.load_tensors(tensors)
     return pipeline, ck_cfg, ds
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    pipeline, _, ds = _rebuild(cfg)
-    ema = None if cfg.ema_decay == 0 else cfg.ema_decay
+    pipeline, ck_cfg, ds = _rebuild(cfg)
     out = _out_dir(cfg)
     results = []
-    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
+    alphas = parse_list(cfg, "alphas", "float") or [ck_cfg.alpha if pipeline.tifo is not None else None]
     for a in alphas:
-        metrics = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=a, ema_decay=ema)
-        row = {"alpha": a, "mse": _round6(metrics["mse"]), "mae": _round6(metrics["mae"])}
-        results.append(row)
+        metrics = _test_metrics(pipeline, ds, cfg, a, cfg.ema_decay)
+        results.append({"alpha": a, "mse": _round6(metrics["mse"]), "mae": _round6(metrics["mae"])})
         tag = "" if a is None else f"alpha {_fmt(a)}: "
         print(f"{tag}test mse {_fmt(metrics['mse'])} mae {_fmt(metrics['mae'])}")
-    (out / "metrics.json").write_text(json.dumps({"test": results}, indent=2, sort_keys=True) + "\n")
-    _write_config(cfg, out)
+    _write_json(out / "metrics.json", {"test": results})
 
 
 def _panel_pair(cfg: RunConfig, x_train, x_test):
@@ -271,12 +276,7 @@ def _reduction(before: dict, after: dict) -> dict:
 
 
 def cmd_shift(cfg: RunConfig) -> None:
-    if cfg.checkpoint:
-        pipeline, _, ds = _rebuild(cfg)
-    else:
-        series = _load_series(cfg)
-        ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
-        pipeline = None
+    pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
     raw_train, raw_test = _panel_pair(cfg, ds.x_train, ds.x_test)
     before = shift_report(raw_train, raw_test, bins=cfg.hist_bins)
     after = note = None
@@ -288,17 +288,11 @@ def cmd_shift(cfg: RunConfig) -> None:
         tr_panel, te_panel = _panel_pair(cfg, t_train, t_test)
         after = shift_report(tr_panel, te_panel, bins=cfg.hist_bins)
     out = _out_dir(cfg)
+    blank = np.full(before["jsd2"].shape, np.nan)
+    columns = [before["jsd2"], after["jsd2"] if after else blank, before["ks"], after["ks"] if after else blank]
     k, c = before["jsd2"].shape
-    with open(out / "shift.csv", "w") as fh:
-        fh.write("channel,freq_index,jsd2_before,jsd2_after,ks_before,ks_after\n")
-        for ci in range(c):
-            for ki in range(k):
-                j_after = _fmt(after["jsd2"][ki, ci]) if after else "nan"
-                k_after = _fmt(after["ks"][ki, ci]) if after else "nan"
-                fh.write(
-                    f"{ci},{ki},{_fmt(before['jsd2'][ki, ci])},{j_after},"
-                    f"{_fmt(before['ks'][ki, ci])},{k_after}\n"
-                )
+    _write_csv(out / "shift.csv", "channel,freq_index,jsd2_before,jsd2_after,ks_before,ks_after",
+               ((ci, ki, *(col[ki, ci] for col in columns)) for ci in range(c) for ki in range(k)))
     summary = {
         "before": _aggregate(before),
         "after": _aggregate(after) if after else None,
@@ -306,8 +300,7 @@ def cmd_shift(cfg: RunConfig) -> None:
     }
     if note:
         summary["note"] = note
-    (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    _write_config(cfg, out)
+    _write_json(out / "summary.json", summary)
     print(f"before: mean jsd2 {_fmt(before['aggregate']['jsd2_mean'])} mean ks {_fmt(before['aggregate']['ks_mean'])}")
     if after:
         print(f"after:  mean jsd2 {_fmt(after['aggregate']['jsd2_mean'])} mean ks {_fmt(after['aggregate']['ks_mean'])}")
@@ -317,54 +310,40 @@ def cmd_shift(cfg: RunConfig) -> None:
         print(note)
 
 
+# (RunConfig key, comma-list key, token kind) per ablation axis, in the order of
+# the ablate.csv columns and, outermost first, of its rows.  ema_decay must stay
+# last: it acts only at evaluation, so each trained model serves every value.
+ABLATE_AXES = (
+    ("score_metric", "ablate_metrics", "str"),
+    ("window", "ablate_windows", "str"),
+    ("keep", "ablate_keeps", "int"),
+    ("alpha", "ablate_alphas", "float"),
+    ("ema_decay", "ablate_emas", "float"),
+)
+
+
 def cmd_ablate(cfg: RunConfig) -> None:
     if cfg.repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {cfg.repeats}")
-    series = _load_series(cfg)
-    ds = datamod.build_dataset(series, cfg.lookback, cfg.horizon)
-    metrics_axis = parse_list(cfg, "ablate_metrics", "str") or [cfg.score_metric]
-    windows_axis = parse_list(cfg, "ablate_windows", "str") or [cfg.window]
-    keeps_axis = parse_list(cfg, "ablate_keeps", "int") or [cfg.keep]
-    alphas_axis = parse_list(cfg, "ablate_alphas", "float") or [cfg.alpha]
-    emas_axis = parse_list(cfg, "ablate_emas", "float") or [cfg.ema_decay]
-    cells = [
-        {"score_metric": m, "window": w, "keep": kp, "alpha": al, "ema_decay": em}
-        for m in metrics_axis
-        for w in windows_axis
-        for kp in keeps_axis
-        for al in alphas_axis
-        for em in emas_axis
-    ]
-
-    def run_cell(cell: dict) -> dict:
-        mses, maes = [], []
+    ds = _dataset(cfg)
+    *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
+    train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
+    rows = []
+    for cell in itertools.product(*train_axes):
+        sub = dataclasses.replace(cfg, **dict(zip(train_names, cell)))
+        per_ema = [[] for _ in emas]
         for rep in range(cfg.repeats):
-            sub = dataclasses.replace(cfg, **cell, seed=cfg.seed + rep)
-            pipeline, _ = _train_once(sub, ds)
-            ema = None if sub.ema_decay == 0 else sub.ema_decay
+            pipeline, _ = _train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)
             alpha = sub.alpha if pipeline.tifo is not None else None
-            m = evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=alpha, ema_decay=ema)
-            mses.append(m["mse"])
-            maes.append(m["mae"])
-        return {
-            **cell,
-            "mse_mean": float(np.mean(mses)),
-            "mse_std": float(np.std(mses)),
-            "mae_mean": float(np.mean(maes)),
-            "mae_std": float(np.std(maes)),
-        }
-
-    rows = [run_cell(cell) for cell in cells]
+            for metrics, ema in zip(per_ema, emas):
+                metrics.append(_test_metrics(pipeline, ds, cfg, alpha, ema))
+        for ema, metrics in zip(emas, per_ema):
+            mses = [m["mse"] for m in metrics]
+            maes = [m["mae"] for m in metrics]
+            rows.append((*cell, ema, cfg.repeats, np.mean(mses), np.std(mses), np.mean(maes), np.std(maes)))
     out = _out_dir(cfg)
-    with open(out / "ablate.csv", "w") as fh:
-        fh.write("score_metric,window,keep,alpha,ema_decay,repeats,mse_mean,mse_std,mae_mean,mae_std\n")
-        for row in rows:
-            fh.write(
-                f"{row['score_metric']},{row['window']},{row['keep']},{_fmt(row['alpha'])},"
-                f"{_fmt(row['ema_decay'])},{cfg.repeats},{_fmt(row['mse_mean'])},"
-                f"{_fmt(row['mse_std'])},{_fmt(row['mae_mean'])},{_fmt(row['mae_std'])}\n"
-            )
-    _write_config(cfg, out)
+    header = ",".join(name for name, _, _ in ABLATE_AXES) + ",repeats,mse_mean,mse_std,mae_mean,mae_std"
+    _write_csv(out / "ablate.csv", header, rows)
     print(f"ablation wrote {len(rows)} cells x {cfg.repeats} repeats to {out / 'ablate.csv'}")
 
 
@@ -389,6 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = load_config(args.config, list(args.overrides))
         COMMANDS[args.command](cfg)
+        (_out_dir(cfg) / "config.txt").write_text(echo_config(cfg))
     except SpecshiftError as exc:
         print(f"{exc.label} error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -3,6 +3,7 @@ and the exit code and message every kind of bad input gets."""
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -137,6 +138,20 @@ def test_exit_code_missing_checkpoint(tmp_path, capsys):
 
 def test_exit_code_success(tmp_path):
     assert run("synth", "synth_preset=shift_bench", f"out={tmp_path / 's'}") == 0
+
+
+@pytest.mark.parametrize("command", ["synth", "stats", "train", "eval", "shift", "ablate"])
+def test_every_command_writes_its_resolved_config(tmp_path, trained_tifo, command):
+    ck, _ = trained_tifo
+    extra = {"eval": [f"checkpoint={ck / 'model.ckpt'}", "alphas=1.0,0.5"],
+             "shift": [f"checkpoint={ck / 'model.ckpt'}"],
+             "ablate": ["repeats=1", "ablate_keeps=0,4"]}.get(command, [])
+    overrides = [*TINY, *extra, f"out={tmp_path / 'out'}"]
+    assert run(command, *overrides) == 0
+    expected = load_config(None, overrides)
+    if command == "train":
+        expected.channels = 1
+    assert config_from_echo((tmp_path / "out" / "config.txt").read_text()) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +303,19 @@ def test_eval_matches_training_report(tmp_path, trained_tifo):
     assert record["mse"] == pytest.approx(reported, rel=1e-4)
 
 
+def test_eval_defaults_to_the_trained_alpha(tmp_path):
+    ck = tmp_path / "ck"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run("train", *TINY, "method=tifo", "alpha=0.5", f"out={ck}") == 0
+    reported = float(buf.getvalue().split("test mse ")[1].split(" ")[0])
+    out = tmp_path / "ev"
+    assert run("eval", *TINY, f"checkpoint={ck / 'model.ckpt'}", f"out={out}") == 0
+    [record] = json.loads((out / "metrics.json").read_text())["test"]
+    assert record["alpha"] == 0.5
+    assert record["mse"] == pytest.approx(reported, rel=1e-4)
+
+
 def test_eval_ema_with_one_window_last_batch(tmp_path, trained_tifo):
     # TINY's test split holds 37 windows, so eval_batch=36 leaves one window
     ck, _ = trained_tifo
@@ -369,6 +397,31 @@ def test_ablate_single_cell_matches_train_eval(tmp_path):
     assert float(cell["mse_std"]) == 0.0
 
 
+def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch):
+    calls = []
+    real_train = climain.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(climain, "train", counting_train)
+    grid = ["ablate_metrics=mu_sigma,correlation", "ablate_keeps=0,4", "ablate_alphas=1.0,0.5"]
+    out = tmp_path / "ab"
+    assert run("ablate", *TINY, "method=tifo", "repeats=2", *grid, "ablate_emas=0,0.9", f"out={out}") == 0
+    assert len(calls) == 2 * 2 * 2 * 2  # training cells x repeats, not x ema values too
+    rows = [line.split(",") for line in (out / "ablate.csv").read_text().splitlines()[1:]]
+    expected = itertools.product(["mu_sigma", "correlation"], ["rectangular"], [0, 4], [1.0, 0.5], [0.0, 0.9])
+    assert [(m, w, int(k), float(a), float(e)) for m, w, k, a, e, *_ in rows] == list(expected)
+    # each model is shared by the ema values: evaluating them in the other order
+    # must not change any row
+    swapped = tmp_path / "swapped"
+    assert run("ablate", *TINY, "method=tifo", "repeats=2", *grid, "ablate_emas=0.9,0",
+               f"out={swapped}") == 0
+    rows_swapped = [line.split(",") for line in (swapped / "ablate.csv").read_text().splitlines()[1:]]
+    assert sorted(rows_swapped) == sorted(rows)
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
@@ -418,7 +471,8 @@ def bad_csv(kind, row=0, col=0):
 
 # (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
 # is a tifo checkpoint, "{dates}" a CSV with only a date column, "{negck}" a checkpoint
-# whose one tensor has negative sizes; code None: main raises
+# whose one tensor has negative sizes, and each SCALER_FAULTS name a copy of a 3-channel
+# tifo checkpoint with that change to its scaler (None drops a tensor); code None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -434,19 +488,45 @@ EXIT_TABLE = [
     (["train", "method=san", "san_epochs=-1"], 2, "san_epochs"),
     (["stats", "out={dates}/sub"], 2, "out="),
     (["eval", "checkpoint={negck}"], 5, "negative size"),
+    (["eval", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
+    (["eval", "synth_channels=3", "checkpoint={mu_of_1}"], 5, "scaler.mu"),
+    (["eval", "synth_channels=3", "checkpoint={sigma_of_2}"], 5, "scaler.sigma"),
+    (["shift", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
     (["stats"], None, "program fault"),
 ]
 
 
+SCALER_FAULTS = {
+    "no_scaler": {"scaler.mu": None, "scaler.sigma": None},
+    "mu_of_1": {"scaler.mu": np.zeros(1)},
+    "sigma_of_2": {"scaler.sigma": np.ones(2)},
+}
+
+
+@pytest.fixture(scope="module")
+def scaler_faults(tmp_path_factory):
+    """{SCALER_FAULTS name: path of a 3-channel tifo checkpoint with that fault}"""
+    out = tmp_path_factory.mktemp("ck3")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run("train", *TINY, "method=tifo", "synth_channels=3", f"out={out / 'run'}") == 0
+    echo, tensors = load_checkpoint(str(out / "run" / "model.ckpt"))
+    paths = {}
+    for name, changes in SCALER_FAULTS.items():
+        paths[name] = out / f"{name}.ckpt"
+        changed = {**tensors, **changes}
+        save_checkpoint(str(paths[name]), echo, {k: v for k, v in changed.items() if v is not None})
+    return paths
+
+
 @pytest.mark.parametrize("argv, code, needle", EXIT_TABLE, ids=[" ".join(row[0]) for row in EXIT_TABLE])
-def test_exit_code_table(tmp_path, trained_tifo, monkeypatch, capsys, argv, code, needle):
+def test_exit_code_table(tmp_path, trained_tifo, scaler_faults, monkeypatch, capsys, argv, code, needle):
     ck, _ = trained_tifo
     dates = tmp_path / "dates.csv"
     dates.write_text(bad_csv("date column only"))
     negck = tmp_path / "neg.ckpt"
     negck.write_bytes(b"specshift-checkpoint v1\ntensor w -1 -1\nend\n" + bytes(8))
-    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates, negck=negck)
-                           for a in argv]
+    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates, negck=negck,
+                                    **scaler_faults) for a in argv]
     args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
     if code is None:
         def fault(*a, **k):
