@@ -1,9 +1,13 @@
-"""Normalization baselines: instance z-scoring, patch-statistic prediction,
-and top-k frequency decomposition.
+"""Statistics and learned parts of the normalization baselines: instance
+z-scoring (RevIN), patch-statistic prediction (SAN) and top-k frequency
+decomposition (FAN).
 
-Each baseline exposes the pieces the training pipelines compose explicitly;
-none of them owns a training loop (the two-stage schedule for the patch
-predictor lives in the training module).
+The blocks ``training.RevinNorm``, ``SanNorm`` and ``FanNorm`` own each
+method's normalize, denormalize and combine arithmetic and its VJP; this
+module holds what they call: RevIN's window statistics, SAN's patch
+statistics and its predictor nets, FAN's top-k split and frequency MLP.  None
+of them owns a training loop (the two-stage schedule for the patch predictor
+lives in the training module).
 """
 
 from __future__ import annotations
@@ -21,12 +25,8 @@ PATCH_EPS = 1e-5
 
 
 # ---------------------------------------------------------------------------
-# instance z-score with learnable affine (RevIN)
+# instance z-score (RevIN)
 # ---------------------------------------------------------------------------
-
-
-def revin_init(channels: int) -> dict[str, np.ndarray]:
-    return {"gamma": np.ones(channels), "beta": np.zeros(channels)}
 
 
 def revin_stats(x: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndarray, np.ndarray]:
@@ -35,22 +35,6 @@ def revin_stats(x: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndarray, np.n
     mu = x.mean(axis=-2, keepdims=True)
     sigma = np.sqrt(x.var(axis=-2, keepdims=True) + eps)
     return mu, sigma
-
-
-def revin_normalize(x: np.ndarray, mu: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    return (np.asarray(x, dtype=float) - mu) / sigma
-
-
-def revin_denormalize(y_norm, mu, sigma, gamma, beta) -> np.ndarray:
-    """gamma * (y_norm * sigma + mu) + beta, broadcast per channel."""
-    return gamma * (np.asarray(y_norm, dtype=float) * sigma + mu) + beta
-
-
-def revin_denorm_vjp(upstream, y_norm, mu, sigma):
-    """Grads of the denormalized output w.r.t. (y_norm, gamma, beta)."""
-    g_gamma = (upstream * (y_norm * sigma + mu)).sum(axis=(0, 1))
-    g_beta = upstream.sum(axis=(0, 1))
-    return g_gamma, g_beta
 
 
 # ---------------------------------------------------------------------------
@@ -122,25 +106,6 @@ def san_predict_vjp(params, cache, g_mu, g_var) -> dict[str, np.ndarray]:
     return grads
 
 
-def _expand_patches(stat: np.ndarray, patch: int) -> np.ndarray:
-    return np.repeat(stat, patch, axis=1)
-
-
-def san_normalize(x: np.ndarray, mu_x: np.ndarray, var_x: np.ndarray, patch: int) -> np.ndarray:
-    scale = np.sqrt(var_x + PATCH_EPS)
-    return (x - _expand_patches(mu_x, patch)) / _expand_patches(scale, patch)
-
-
-def san_denormalize(y_norm: np.ndarray, mu_y: np.ndarray, var_y: np.ndarray, patch: int) -> np.ndarray:
-    scale = np.sqrt(var_y + PATCH_EPS)
-    return y_norm * _expand_patches(scale, patch) + _expand_patches(mu_y, patch)
-
-
-def san_denorm_scale(var_y: np.ndarray, patch: int) -> np.ndarray:
-    """Per-step multiplier the backbone output sees; needed for its VJP."""
-    return _expand_patches(np.sqrt(var_y + PATCH_EPS), patch)
-
-
 # ---------------------------------------------------------------------------
 # top-k frequency decomposition (FAN)
 # ---------------------------------------------------------------------------
@@ -172,15 +137,14 @@ def main_frequency_split(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]
     return main, x - main
 
 
-def fan_init(lookback: int, horizon: int, channels: int, cfg: FanConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Frequency-branch MLP (shared across channels) plus combination weights."""
+def fan_init(lookback: int, horizon: int, cfg: FanConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Frequency-branch MLP, shared across channels."""
     h1, h2 = cfg.hidden1, cfg.hidden2
     sizes = [(h1, lookback), (h2, h1 + lookback), (horizon, h2)]
     params: dict[str, np.ndarray] = {}
     for idx, shape in enumerate(sizes, start=1):
         params[f"w{idx}"] = xavier_uniform(rng, shape)
         params[f"b{idx}"] = np.zeros(shape[0])
-    params["combine"] = np.ones((2, channels))
     return params
 
 
@@ -203,8 +167,3 @@ def fan_freq_vjp(params, cache, upstream) -> dict[str, np.ndarray]:
     g_pre1 = g_cat[:, : pre1.shape[1], :] * (pre1 > 0.0)
     grads["w1"], grads["b1"], _ = dense_vjp(params["w1"], x_main, g_pre1, input_grad=False)
     return grads
-
-
-def fan_combine(params: dict[str, np.ndarray], y_residual: np.ndarray, y_main: np.ndarray) -> np.ndarray:
-    w = params["combine"]
-    return w[0] * y_residual + w[1] * y_main

@@ -12,8 +12,11 @@ fault in the program: it propagates with its traceback (status 1).
 Once a command returns, ``main`` writes ``config.txt`` (the resolved
 configuration, reparseable) into the output directory next to its artifacts.
 Floats are printed with six significant digits.  ``eval`` and ``shift`` take
-the model keys (lookback, horizon, method, backbone, alpha, ...) from the
-checkpoint, which must carry the scaler its model was trained under.
+the model keys (``MODEL_KEYS``: lookback, horizon, method, backbone, alpha,
+...) from the checkpoint, so their ``config.txt`` records the model they ran;
+``shift`` keeps its own ``window``, the analysis window of the spectra it
+compares.  A checkpoint must carry the scaler its model was trained under,
+with a finite mean and a finite, positive scale per channel.
 """
 
 from __future__ import annotations
@@ -109,18 +112,16 @@ def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
     )
 
 
-def _dataset(cfg: RunConfig, ck_cfg: RunConfig | None = None,
-             scaler: datamod.Scaler | None = None) -> datamod.Dataset:
-    """cfg's data (a CSV, or synthesized from the synth_* keys), windowed and
-    z-scored: by cfg's lookback and horizon with a scaler fitted on the train
-    split, or as a checkpointed model (ck_cfg, scaler) saw its data."""
+def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Dataset:
+    """cfg's data (a CSV, or synthesized from the synth_* keys), windowed by
+    cfg's lookback and horizon and z-scored: with a scaler fitted on the train
+    split, or with a checkpoint's scaler, whose model has cfg.channels."""
     series = datamod.load_csv(cfg.data) if cfg.data else datamod.synthetic_series(_synthetic_spec(cfg))
-    if ck_cfg is not None and series.shape[1] != ck_cfg.channels:
+    if scaler is not None and series.shape[1] != cfg.channels:
         raise CheckpointError(
-            f"checkpoint was trained on {ck_cfg.channels} channels, data has {series.shape[1]}"
+            f"checkpoint was trained on {cfg.channels} channels, data has {series.shape[1]}"
         )
-    shape = ck_cfg or cfg
-    return datamod.build_dataset(series, shape.lookback, shape.horizon, scaler)
+    return datamod.build_dataset(series, cfg.lookback, cfg.horizon, scaler)
 
 
 def _test_metrics(pipeline, ds: datamod.Dataset, cfg: RunConfig, alpha: float | None,
@@ -223,8 +224,17 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"checkpoint: {out / 'model.ckpt'}")
 
 
+# the RunConfig keys that define a trained model, which eval and shift take from its checkpoint
+MODEL_KEYS = (
+    "lookback", "horizon", "channels", "backbone", "method", "shared_linear", "dlinear_kernel",
+    "hidden", "score_metric", "score_eps", "window", "keep", "alpha", "san_patch", "san_hidden",
+    "fan_topk",
+)
+
+
 def _rebuild(cfg: RunConfig):
-    """Pipeline + training-time config from cfg.checkpoint; data from cfg."""
+    """(pipeline, training-time config, dataset) from cfg.checkpoint and cfg's
+    data.  cfg takes the checkpoint's ``MODEL_KEYS``."""
     if not cfg.checkpoint:
         raise ConfigError("this command needs checkpoint=<path>")
     echo, tensors = load_checkpoint(cfg.checkpoint)
@@ -239,17 +249,24 @@ def _rebuild(cfg: RunConfig):
                 f"{cfg.checkpoint}: tensor {name}: shape {tensors[name].shape} does not match "
                 f"expected ({ck_cfg.channels},)"
             )
-    ds = _dataset(cfg, ck_cfg, datamod.Scaler(mu=tensors["scaler.mu"], sigma=tensors["scaler.sigma"]))
+    mu, sigma = tensors["scaler.mu"], tensors["scaler.sigma"]
+    if not np.isfinite(mu).all():
+        raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.mu is not finite")
+    if not (np.isfinite(sigma) & (sigma > 0)).all():
+        raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.sigma is not finite and positive")
+    for key in MODEL_KEYS:
+        setattr(cfg, key, getattr(ck_cfg, key))
+    ds = _dataset(cfg, datamod.Scaler(mu=mu, sigma=sigma))
     pipeline = build_pipeline(_pipeline_config(ck_cfg, ck_cfg.channels), np.random.default_rng(ck_cfg.seed))
     pipeline.load_tensors(tensors)
     return pipeline, ck_cfg, ds
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    pipeline, ck_cfg, ds = _rebuild(cfg)
+    pipeline, _, ds = _rebuild(cfg)
     out = _out_dir(cfg)
     results = []
-    alphas = parse_list(cfg, "alphas", "float") or [ck_cfg.alpha if pipeline.tifo is not None else None]
+    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
     for a in alphas:
         metrics = _test_metrics(pipeline, ds, cfg, a, cfg.ema_decay)
         results.append({"alpha": a, "mse": _round6(metrics["mse"]), "mae": _round6(metrics["mae"])})
@@ -276,7 +293,9 @@ def _reduction(before: dict, after: dict) -> dict:
 
 
 def cmd_shift(cfg: RunConfig) -> None:
+    window = cfg.window  # the analysis window is the command's, not the model's
     pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
+    cfg.window = window
     raw_train, raw_test = _panel_pair(cfg, ds.x_train, ds.x_test)
     before = shift_report(raw_train, raw_test, bins=cfg.hist_bins)
     after = note = None
@@ -329,14 +348,19 @@ def cmd_ablate(cfg: RunConfig) -> None:
     *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
     rows = []
+    shared = None  # a method without a re-weighting layer: no axis reaches its models
     for cell in itertools.product(*train_axes):
         sub = dataclasses.replace(cfg, **dict(zip(train_names, cell)))
-        per_ema = [[] for _ in emas]
-        for rep in range(cfg.repeats):
-            pipeline, _ = _train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)
-            alpha = sub.alpha if pipeline.tifo is not None else None
-            for metrics, ema in zip(per_ema, emas):
-                metrics.append(_test_metrics(pipeline, ds, cfg, alpha, ema))
+        per_ema = shared
+        if per_ema is None:
+            per_ema = [[] for _ in emas]
+            for rep in range(cfg.repeats):
+                pipeline, _ = _train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)
+                alpha = sub.alpha if pipeline.tifo is not None else None
+                for metrics, ema in zip(per_ema, emas):
+                    metrics.append(_test_metrics(pipeline, ds, cfg, alpha, ema))
+            if pipeline.tifo is None:
+                shared = per_ema
         for ema, metrics in zip(emas, per_ema):
             mses = [m["mse"] for m in metrics]
             maes = [m["mae"] for m in metrics]

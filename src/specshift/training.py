@@ -5,7 +5,10 @@ finite-difference gradient check.
 
 Gradients come from composing explicit per-block VJPs; there is no
 general-purpose tape.  Each block owns its forward and its VJP, and
-``Pipeline.loss_grads`` only chains them.  A pipeline owns two tensor groups:
+``Pipeline.loss_grads`` only chains them.  The baseline blocks (RevIN, SAN,
+FAN) hold their normalize, denormalize and combine arithmetic here and call
+``baselines`` for the statistics and learned nets.  A pipeline owns two
+tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
@@ -72,13 +75,13 @@ class Adam:
     gradients into one vector and updates the group through its vector.
     """
 
-    def __init__(self, group: TensorGroup, lr: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, group: TensorGroup, lr: float):
         self.group = group
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(group.vector)
         self.v = np.zeros_like(self.m)
@@ -175,26 +178,31 @@ class RevinNorm(NormBlock):
     name = "revin"
 
     def __init__(self, cfg, rng):
-        self.params = baselines.revin_init(cfg.backbone.channels)
+        channels = cfg.backbone.channels
+        self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
         self.frozen = {}
 
     def enter(self, x):
+        x = np.asarray(x, dtype=float)
         mu, sigma = baselines.revin_stats(x)
-        return baselines.revin_normalize(x, mu, sigma), (mu, sigma)
+        return (x - mu) / sigma, (mu, sigma)
 
     def leave(self, y_n, ctx):
+        """gamma * (y_n * sigma + mu) + beta, per channel."""
         mu, sigma = ctx
-        return baselines.revin_denormalize(y_n, mu, sigma, self.params["gamma"], self.params["beta"])
+        return self.params["gamma"] * (y_n * sigma + mu) + self.params["beta"]
 
     def leave_vjp(self, upstream, y_n, ctx):
         mu, sigma = ctx
-        g_gamma, g_beta = baselines.revin_denorm_vjp(upstream, y_n, mu, sigma)
-        return upstream * self.params["gamma"] * sigma, {"gamma": g_gamma, "beta": g_beta}
+        grads = {"gamma": (upstream * (y_n * sigma + mu)).sum(axis=(0, 1)), "beta": upstream.sum(axis=(0, 1))}
+        return upstream * self.params["gamma"] * sigma, grads
 
 
 class SanNorm(NormBlock):
     """Patch-statistic normalization; the statistics predictor trains in a
-    first stage (``train_san_predictor``) and stays frozen afterwards."""
+    first stage (``train_san_predictor``) and stays frozen afterwards.
+    ``enter`` hands back the predicted output statistics as the per-step
+    (shift, scale) that ``leave`` applies."""
 
     name = "san"
 
@@ -204,18 +212,26 @@ class SanNorm(NormBlock):
         self.params = {}
         self.frozen = TensorGroup(baselines.san_init(bc.lookback, bc.horizon, self.patch, cfg.san.hidden, rng))
 
+    def steps(self, mu, var):
+        """Per-patch mean and variance as per-step (shift, scale)."""
+        return np.repeat(mu, self.patch, axis=1), np.repeat(np.sqrt(var + baselines.PATCH_EPS), self.patch, axis=1)
+
     def enter(self, x):
         x = np.asarray(x, dtype=float)
         mu_x, var_x = baselines.san_patch_stats(x, self.patch)
         mu_y, var_y, _ = baselines.san_predict(self.frozen, mu_x, var_x)
-        return baselines.san_normalize(x, mu_x, var_x, self.patch), (mu_y, var_y)
+        # one expression, so its temporaries are freed before the output steps
+        # are built (whole splits come through here)
+        p = self.patch
+        x_n = (x - np.repeat(mu_x, p, axis=1)) / np.repeat(np.sqrt(var_x + baselines.PATCH_EPS), p, axis=1)
+        return x_n, self.steps(mu_y, var_y)
 
     def leave(self, y_n, ctx):
-        mu_y, var_y = ctx
-        return baselines.san_denormalize(y_n, mu_y, var_y, self.patch)
+        shift, scale = ctx
+        return y_n * scale + shift
 
     def leave_vjp(self, upstream, y_n, ctx):
-        return upstream * baselines.san_denorm_scale(ctx[1], self.patch), {}
+        return upstream * ctx[1], {}
 
 
 class FanNorm(NormBlock):
@@ -232,8 +248,9 @@ class FanNorm(NormBlock):
             raise ConfigError(
                 f"fan top-k must be in [1, {min(k_in, k_out)}] for this lookback/horizon"
             )
-        self.params = baselines.fan_init(bc.lookback, bc.horizon, bc.channels, cfg.fan, rng)
-        self.frozen = {"combine": self.params.pop("combine")}
+        self.params = baselines.fan_init(bc.lookback, bc.horizon, cfg.fan, rng)
+        # the residual and main forecasts' per-channel weights, fixed at 1
+        self.frozen = {"combine": np.ones((2, bc.channels))}
 
     def enter(self, x):
         x = np.asarray(x, dtype=float)
@@ -242,7 +259,8 @@ class FanNorm(NormBlock):
 
     def leave(self, y_n, ctx):
         y_main, _ = baselines.fan_freq_forward(self.params, *ctx)
-        return baselines.fan_combine(self.frozen, y_n, y_main)
+        w = self.frozen["combine"]
+        return w[0] * y_n + w[1] * y_main
 
     def targets(self, y):
         """Main and residual parts of the forecast windows, stacked on axis 1."""
@@ -382,16 +400,15 @@ class Pipeline:
     def head(self, x_n: np.ndarray, ctx, alpha: float | None = None,
              scores: np.ndarray | None = None) -> np.ndarray:
         """Forecast from a normalized window.  alpha rescales the spectral
-        weights toward identity; scores replaces the stored stability table."""
+        weights toward identity; scores replaces the stored stability table.
+        Both act on the re-weighting layer only (``evaluate`` rejects them
+        for a method without one)."""
         if self.tifo is not None:
             x_n = self.tifo.apply(x_n, alpha, scores)
-        elif alpha is not None or scores is not None:
-            raise ConfigError(f"method {self.method!r} has no spectral weights to scale")
         return self.norm.leave(self.backbone.forward(x_n), ctx)
 
-    def predict(self, x: np.ndarray, alpha: float | None = None,
-                scores: np.ndarray | None = None) -> np.ndarray:
-        return self.head(*self.norm.enter(x), alpha=alpha, scores=scores)
+    def predict(self, x: np.ndarray) -> np.ndarray:
+        return self.head(*self.norm.enter(x))
 
     def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
         """The series the backbone consumes."""
@@ -578,7 +595,6 @@ def train(
     best_epoch = 0
     best_state = vector.copy()
     bad_epochs = 0
-    epochs_run = 0
     for epoch in range(1, cfg.max_epochs + 1):
         perm = rng.permutation(n)
         loss_sum = 0.0
@@ -603,7 +619,6 @@ def train(
                 "rejected": rejected,
             }
         )
-        epochs_run = epoch
         if val["mse"] < best_val:
             best_val = val["mse"]
             best_epoch = epoch
@@ -617,8 +632,8 @@ def train(
     return TrainResult(
         history=history,
         best_epoch=best_epoch,
-        best_val_mse=best_val if epochs_run else init_val["mse"],
-        epochs_run=epochs_run,
+        best_val_mse=best_val,
+        epochs_run=epoch,  # max_epochs >= 1, so the loop ran
     )
 
 

@@ -19,10 +19,6 @@ from specshift.baselines import (
     FanConfig,
     SanConfig,
     main_frequency_split,
-    revin_denormalize,
-    revin_init,
-    revin_normalize,
-    revin_stats,
 )
 from specshift.cli.main import main as cli_main
 from specshift.data import build_dataset, load_csv, shift_benchmark, synthetic_series
@@ -33,6 +29,7 @@ from specshift.stationarity import amplitude_panel, mu_sigma_scores
 from specshift.tifo import TifoConfig
 from specshift.training import (
     PipelineConfig,
+    RevinNorm,
     TrainConfig,
     build_pipeline,
     evaluate,
@@ -274,10 +271,9 @@ def test_criterion_5_numeric_property_suite():
 
     # per-window normalization inverts to the input
     x = rng.normal(size=(5, 12, 2)) * 3.0 + 1.5
-    mu, sigma = revin_stats(x)
-    params = revin_init(2)
-    restored = revin_denormalize(revin_normalize(x, mu, sigma), mu, sigma,
-                                 params["gamma"], params["beta"])
+    revin = RevinNorm(PipelineConfig(method="revin", backbone=BackboneConfig(
+        kind="linear", lookback=12, horizon=12, channels=2)), rng)
+    restored = revin.leave(*revin.enter(x))
     assert float(np.abs(restored - x).max()) <= 1e-6
 
     elapsed = time.perf_counter() - start

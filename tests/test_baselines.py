@@ -3,63 +3,55 @@ import pytest
 
 from specshift.baselines import (
     FanConfig,
-    fan_combine,
+    SanConfig,
     fan_freq_forward,
     fan_init,
     main_frequency_split,
-    revin_denormalize,
-    revin_init,
-    revin_normalize,
-    revin_stats,
-    san_denormalize,
     san_init,
-    san_normalize,
     san_patch_stats,
     san_predict,
     san_predict_vjp,
     softplus,
 )
+from specshift.models import BackboneConfig
+from specshift.training import FanNorm, PipelineConfig, RevinNorm, SanNorm
 
 
 def as_window(values):
     return np.asarray(values, dtype=float).reshape(1, -1, 1)
 
 
+def block(cls, lookback, horizon, channels, **configs):
+    """A normalization block of the pipeline built for this window shape."""
+    cfg = PipelineConfig(method=cls.name, backbone=BackboneConfig(
+        kind="linear", lookback=lookback, horizon=horizon, channels=channels), **configs)
+    return cls(cfg, np.random.default_rng(0))
+
+
 def test_revin_normalize_hand_value():
-    x = as_window([1.0, 2.0, 3.0])
-    mu, sigma = revin_stats(x)
-    out = revin_normalize(x, mu, sigma)
+    out, _ = block(RevinNorm, 3, 1, 1).enter(as_window([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(out[0, :, 0], [-1.2247, 0.0, 1.2247], atol=1e-4)
 
 
 def test_revin_constant_channel_guarded():
-    x = as_window([5.0, 5.0, 5.0])
-    mu, sigma = revin_stats(x)
-    out = revin_normalize(x, mu, sigma)
+    out, (_, sigma) = block(RevinNorm, 3, 1, 1).enter(as_window([5.0, 5.0, 5.0]))
     np.testing.assert_allclose(out, 0.0, atol=1e-6)
     assert np.all(sigma > 0)
 
 
 def test_revin_denormalize_hand_value():
-    y = np.array([[[1.0]]])
-    out = revin_denormalize(
-        y,
-        mu=np.array([[[2.0]]]),
-        sigma=np.array([[[3.0]]]),
-        gamma=np.array([2.0]),
-        beta=np.array([1.0]),
-    )
+    revin = block(RevinNorm, 3, 1, 1)
+    revin.params["gamma"][...] = 2.0
+    revin.params["beta"][...] = 1.0
+    out = revin.leave(np.array([[[1.0]]]), (np.array([[[2.0]]]), np.array([[[3.0]]])))
     np.testing.assert_allclose(out, 11.0)
 
 
 def test_revin_round_trip():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 24, 3)) * 4.0 + 2.0
-    mu, sigma = revin_stats(x)
-    params = revin_init(3)
-    back = revin_denormalize(
-        revin_normalize(x, mu, sigma), mu, sigma, params["gamma"], params["beta"]
-    )
+    revin = block(RevinNorm, 24, 24, 3)
+    back = revin.leave(*revin.enter(x))
     np.testing.assert_allclose(back, x, atol=1e-6)
 
 
@@ -68,7 +60,7 @@ def test_san_patch_stats_hand_value():
     mu, var = san_patch_stats(x, 2)
     assert mu[0, 0, 0] == pytest.approx(2.0)
     assert var[0, 0, 0] == pytest.approx(1.0)  # population variance
-    normalized = san_normalize(x, mu, var, 2)
+    normalized, _ = block(SanNorm, 2, 2, 1, san=SanConfig(patch=2, hidden=4)).enter(x)
     np.testing.assert_allclose(normalized[0, :, 0], [-1.0, 1.0], atol=1e-5)
 
 
@@ -78,10 +70,12 @@ def test_san_patch_stats_requires_divisibility():
 
 
 def test_san_normalize_denormalize_inverse():
+    # leaving with the input's own patch statistics undoes entering
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 12, 2)) * 3.0 + 1.0
-    mu, var = san_patch_stats(x, 4)
-    back = san_denormalize(san_normalize(x, mu, var, 4), mu, var, 4)
+    san = block(SanNorm, 12, 12, 2, san=SanConfig(patch=4, hidden=4))
+    x_n, _ = san.enter(x)
+    back = san.leave(x_n, san.steps(*san_patch_stats(x, 4)))
     np.testing.assert_allclose(back, x, atol=1e-5)
 
 
@@ -192,7 +186,7 @@ def test_fan_split_validates_k():
 
 def test_fan_freq_zero_input_finite():
     rng = np.random.default_rng(5)
-    params = fan_init(lookback=8, horizon=4, channels=2, cfg=FanConfig(topk=2), rng=rng)
+    params = fan_init(lookback=8, horizon=4, cfg=FanConfig(topk=2), rng=rng)
     x = np.zeros((3, 8, 2))
     out, _ = fan_freq_forward(params, x, x)
     assert out.shape == (3, 4, 2)
@@ -201,7 +195,8 @@ def test_fan_freq_zero_input_finite():
 
 def test_fan_combine_initial_weights_sum_paths():
     rng = np.random.default_rng(6)
-    params = fan_init(lookback=8, horizon=4, channels=2, cfg=FanConfig(topk=2), rng=rng)
+    fan = block(FanNorm, 8, 4, 2, fan=FanConfig(topk=2))
+    _, ctx = fan.enter(rng.standard_normal((3, 8, 2)))
     y_res = rng.standard_normal((3, 4, 2))
-    y_main = rng.standard_normal((3, 4, 2))
-    np.testing.assert_allclose(fan_combine(params, y_res, y_main), y_res + y_main, atol=1e-12)
+    y_main, _ = fan_freq_forward(fan.params, *ctx)
+    np.testing.assert_allclose(fan.leave(y_res, ctx), y_res + y_main, atol=1e-12)

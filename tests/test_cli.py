@@ -151,7 +151,33 @@ def test_every_command_writes_its_resolved_config(tmp_path, trained_tifo, comman
     expected = load_config(None, overrides)
     if command == "train":
         expected.channels = 1
+    if command in ("eval", "shift"):
+        trained = config_from_echo(load_checkpoint(str(ck / "model.ckpt"))[0])
+        for key in climain.MODEL_KEYS:
+            if not (command == "shift" and key == "window"):
+                setattr(expected, key, getattr(trained, key))
     assert config_from_echo((tmp_path / "out" / "config.txt").read_text()) == expected
+
+
+def test_eval_and_shift_record_the_checkpoints_model_keys(tmp_path):
+    # the command line leaves every model key at its default, none of which the model has
+    ck = tmp_path / "ck"
+    model = ["backbone=linear", "method=tifo", "lookback=16", "horizon=4", "hidden=8", "alpha=0.5",
+             "keep=5", "window=hann"]
+    assert run("train", *TINY[:3], *model, "max_epochs=1", f"out={ck}") == 0
+    data = [*TINY[:3], f"checkpoint={ck / 'model.ckpt'}"]
+    assert run("eval", *data, f"out={tmp_path / 'ev'}") == 0
+    assert run("shift", *data, "window=rectangular", f"out={tmp_path / 'sh'}") == 0
+    for command, window in (("ev", "hann"), ("sh", "rectangular")):
+        echoed = config_from_echo((tmp_path / command / "config.txt").read_text())
+        assert (echoed.backbone, echoed.method, echoed.lookback, echoed.horizon, echoed.hidden,
+                echoed.alpha, echoed.keep, echoed.channels, echoed.window) == \
+            ("linear", "tifo", 16, 4, 8, 0.5, 5, 1, window)
+    assert json.loads((tmp_path / "ev" / "metrics.json").read_text())["test"][0]["alpha"] == 0.5
+    # the echo reruns the same evaluation
+    again = tmp_path / "again"
+    assert main(["eval", "--config", str(tmp_path / "ev" / "config.txt"), f"out={again}"]) == 0
+    assert (again / "metrics.json").read_bytes() == (tmp_path / "ev" / "metrics.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +423,13 @@ def test_ablate_single_cell_matches_train_eval(tmp_path):
     assert float(cell["mse_std"]) == 0.0
 
 
-def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch):
+@pytest.mark.parametrize("method, emas, trainings", [
+    # training cells x repeats, not x ema values too
+    pytest.param("tifo", [0.0, 0.9], 2 * 2 * 2 * 2, id="tifo"),
+    # no axis reaches a method without a re-weighting layer: one model per repeat
+    pytest.param("revin", [0.0], 2, id="revin"),
+])
+def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch, method, emas, trainings):
     calls = []
     real_train = climain.train
 
@@ -408,16 +440,18 @@ def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch):
     monkeypatch.setattr(climain, "train", counting_train)
     grid = ["ablate_metrics=mu_sigma,correlation", "ablate_keeps=0,4", "ablate_alphas=1.0,0.5"]
     out = tmp_path / "ab"
-    assert run("ablate", *TINY, "method=tifo", "repeats=2", *grid, "ablate_emas=0,0.9", f"out={out}") == 0
-    assert len(calls) == 2 * 2 * 2 * 2  # training cells x repeats, not x ema values too
+    ema_list = ",".join(map(str, emas))
+    assert run("ablate", *TINY, f"method={method}", "repeats=2", *grid, f"ablate_emas={ema_list}",
+               f"out={out}") == 0
+    assert len(calls) == trainings
     rows = [line.split(",") for line in (out / "ablate.csv").read_text().splitlines()[1:]]
-    expected = itertools.product(["mu_sigma", "correlation"], ["rectangular"], [0, 4], [1.0, 0.5], [0.0, 0.9])
+    expected = itertools.product(["mu_sigma", "correlation"], ["rectangular"], [0, 4], [1.0, 0.5], emas)
     assert [(m, w, int(k), float(a), float(e)) for m, w, k, a, e, *_ in rows] == list(expected)
     # each model is shared by the ema values: evaluating them in the other order
     # must not change any row
     swapped = tmp_path / "swapped"
-    assert run("ablate", *TINY, "method=tifo", "repeats=2", *grid, "ablate_emas=0.9,0",
-               f"out={swapped}") == 0
+    assert run("ablate", *TINY, f"method={method}", "repeats=2", *grid,
+               f"ablate_emas={','.join(map(str, reversed(emas)))}", f"out={swapped}") == 0
     rows_swapped = [line.split(",") for line in (swapped / "ablate.csv").read_text().splitlines()[1:]]
     assert sorted(rows_swapped) == sorted(rows)
 
@@ -491,6 +525,13 @@ EXIT_TABLE = [
     (["eval", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
     (["eval", "synth_channels=3", "checkpoint={mu_of_1}"], 5, "scaler.mu"),
     (["eval", "synth_channels=3", "checkpoint={sigma_of_2}"], 5, "scaler.sigma"),
+    (["eval", "synth_channels=3", "checkpoint={mu_nan}"], 5, "scaler.mu"),
+    (["eval", "synth_channels=3", "checkpoint={mu_inf}"], 5, "scaler.mu"),
+    (["eval", "synth_channels=3", "checkpoint={sigma_negative}"], 5, "scaler.sigma"),
+    (["eval", "synth_channels=3", "checkpoint={sigma_zero}"], 5, "scaler.sigma"),
+    (["eval", "synth_channels=3", "checkpoint={sigma_nan}"], 5, "scaler.sigma"),
+    (["eval", "synth_channels=3", "checkpoint={sigma_inf}"], 5, "scaler.sigma"),
+    (["shift", "synth_channels=3", "checkpoint={sigma_zero}"], 5, "scaler.sigma"),
     (["shift", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
     (["stats"], None, "program fault"),
 ]
@@ -500,6 +541,12 @@ SCALER_FAULTS = {
     "no_scaler": {"scaler.mu": None, "scaler.sigma": None},
     "mu_of_1": {"scaler.mu": np.zeros(1)},
     "sigma_of_2": {"scaler.sigma": np.ones(2)},
+    "mu_nan": {"scaler.mu": np.array([0.0, np.nan, 0.0])},
+    "mu_inf": {"scaler.mu": np.array([0.0, 0.0, -np.inf])},
+    "sigma_negative": {"scaler.sigma": -np.ones(3)},
+    "sigma_zero": {"scaler.sigma": np.array([1.0, 0.0, 1.0])},
+    "sigma_nan": {"scaler.sigma": np.array([np.nan, 1.0, 1.0])},
+    "sigma_inf": {"scaler.sigma": np.array([1.0, np.inf, 1.0])},
 }
 
 
