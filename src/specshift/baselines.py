@@ -44,14 +44,18 @@ def revin_stats(x: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndarray, np.n
 
 @dataclass(frozen=True)
 class SanConfig:
+    """SAN's keys; stage one takes its batch and learning rate from the main
+    loop's ``TrainConfig``, and ``PipelineConfig`` checks that ``patch``
+    divides the lookback and horizon."""
+
     patch: int = 12
     hidden: int = 64
     epochs: int = 5
-    lr: float = 1e-3
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigError("san_epochs must be at least 1")
+        for key, value in (("san_patch", self.patch), ("san_hidden", self.hidden), ("san_epochs", self.epochs)):
+            if value < 1:
+                raise ConfigError(f"{key} must be at least 1, got {value}")
 
 
 def san_patch_stats(x: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -65,11 +69,8 @@ def san_patch_stats(x: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def san_init(lookback: int, horizon: int, patch: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Two predictor nets (mean and variance), shared across channels."""
-    if patch < 1 or hidden < 1:
-        raise ConfigError(f"san patch and hidden width must be at least 1, got {patch} and {hidden}")
-    if lookback % patch or horizon % patch:
-        raise ConfigError(f"lookback and horizon must be divisible by san patch length {patch}")
+    """Two predictor nets (mean and variance), shared across channels; patch
+    divides lookback and horizon."""
     d_in = 2 * (lookback // patch)
     d_out = horizon // patch
     params: dict[str, np.ndarray] = {}
@@ -113,9 +114,16 @@ def san_predict_vjp(params, cache, g_mu, g_var) -> dict[str, np.ndarray]:
 
 @dataclass(frozen=True)
 class FanConfig:
+    """FAN's keys; ``PipelineConfig`` checks ``topk`` against the lookback
+    and horizon."""
+
     topk: int = 4
     hidden1: int = 64
     hidden2: int = 128
+
+    def __post_init__(self):
+        if self.topk < 1:
+            raise ConfigError(f"fan_topk must be at least 1, got {self.topk}")
 
 
 def main_frequency_split(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

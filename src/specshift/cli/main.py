@@ -118,9 +118,8 @@ def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Da
     split, or with a checkpoint's scaler, whose model has cfg.channels."""
     series = datamod.load_csv(cfg.data) if cfg.data else datamod.synthetic_series(_synthetic_spec(cfg))
     if scaler is not None and series.shape[1] != cfg.channels:
-        raise CheckpointError(
-            f"checkpoint was trained on {cfg.channels} channels, data has {series.shape[1]}"
-        )
+        source = cfg.data or ("synth_preset" if cfg.synth_preset else "synth_channels")
+        raise CheckpointError(f"checkpoint was trained on {cfg.channels} channels, {source} has {series.shape[1]}")
     return datamod.build_dataset(series, cfg.lookback, cfg.horizon, scaler)
 
 
@@ -152,7 +151,7 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
             score_eps=cfg.score_eps,
             window=cfg.window,
         ),
-        san=SanConfig(patch=cfg.san_patch, hidden=cfg.san_hidden, epochs=cfg.san_epochs, lr=cfg.lr),
+        san=SanConfig(patch=cfg.san_patch, hidden=cfg.san_hidden, epochs=cfg.san_epochs),
         fan=FanConfig(topk=cfg.fan_topk),
     )
 
@@ -176,9 +175,10 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 
 def cmd_stats(cfg: RunConfig) -> None:
+    scoring = TifoConfig(score_metric=cfg.score_metric, score_eps=cfg.score_eps, window=cfg.window)
     ds = _dataset(cfg)
-    panel = amplitude_panel(ds.x_train, cfg.window)
-    table = stability_scores(panel, cfg.score_metric, targets=ds.y_train, eps=cfg.score_eps)
+    panel = amplitude_panel(ds.x_train, scoring.window)
+    table = stability_scores(panel, scoring.score_metric, targets=ds.y_train, eps=scoring.score_eps)
     mu = panel.mean(axis=0)
     sigma = panel.std(axis=0)
     _write_csv(_out_dir(cfg) / "scores.csv", "channel,freq_index,mean,std,score",
@@ -194,11 +194,11 @@ def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     pcfg = _pipeline_config(cfg, ds.channels)
+    tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
     rng = np.random.default_rng(cfg.seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
     if log and pipeline.tifo is not None:
         print(f"fitted {cfg.score_metric} stability scores on the train split")
-    tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
     result = train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
     return pipeline, result
 
@@ -207,6 +207,7 @@ def cmd_train(cfg: RunConfig) -> None:
     ds = _dataset(cfg)
     cfg.channels = ds.channels
     pipeline, result = _train_once(cfg, ds, log=True)
+    test = _test_metrics(pipeline, ds, cfg, None, 0.0)  # a bad eval_batch fails before any artifact is written
     out = _out_dir(cfg)
     tensors = pipeline.tensors()
     tensors["scaler.mu"] = ds.scaler.mu
@@ -215,7 +216,6 @@ def cmd_train(cfg: RunConfig) -> None:
     _write_csv(out / "history.csv", "epoch,train_mse,val_mse,val_mae,lr,rejected",
                ((r["epoch"], r["train_mse"], r["val_mse"], r["val_mae"], cfg.lr, r["rejected"])
                 for r in result.history))
-    test = _test_metrics(pipeline, ds, cfg, None, 0.0)
     print(
         f"trained {cfg.method}/{cfg.backbone}: best val mse {_fmt(result.best_val_mse)} "
         f"(epoch {result.best_epoch}, ran {result.epochs_run})"
@@ -347,10 +347,13 @@ def cmd_ablate(cfg: RunConfig) -> None:
     ds = _dataset(cfg)
     *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
+    cells = list(itertools.product(*train_axes))
+    subs = [dataclasses.replace(cfg, **dict(zip(train_names, cell))) for cell in cells]
+    for sub in subs:  # every cell's keys pass their rules before any cell trains
+        _pipeline_config(sub, ds.channels)
     rows = []
     shared = None  # a method without a re-weighting layer: no axis reaches its models
-    for cell in itertools.product(*train_axes):
-        sub = dataclasses.replace(cfg, **dict(zip(train_names, cell)))
+    for cell, sub in zip(cells, subs):
         per_ema = shared
         if per_ema is None:
             per_ema = [[] for _ in emas]

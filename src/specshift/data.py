@@ -164,6 +164,9 @@ class Condition:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A synthetic series' recipe; each rule's message names the field's
+    ``synth_*`` config key."""
+
     conditions: tuple[Condition, ...]
     samples_per_condition: int = 50
     sample_length: int = 96
@@ -173,18 +176,28 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("samples_per_condition", "sample_length", "channels"):
+        for key, name in (("synth_samples", "samples_per_condition"), ("synth_len", "sample_length"),
+                          ("synth_channels", "channels")):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise ConfigError(f"{key} ({name}) must be at least 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for key, value in (("synth_noise", self.noise), ("synth_jitter", self.amp_jitter)):
+            if not np.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if not self.conditions:
-            raise ConfigError("need at least one condition")
+            raise ConfigError("synth_mix needs at least one condition")
         k = self.sample_length // 2 + 1
-        for cond in self.conditions:
-            for freq, _ in cond.components:
+        for idx, cond in enumerate(self.conditions):
+            if cond.noise is not None and not np.isfinite(cond.noise):
+                raise ConfigError(f"synth_noise_by_condition: condition {idx}'s noise must be finite, "
+                                  f"got {cond.noise}")
+            for freq, amp in cond.components:
                 if not 0 <= freq < k:
-                    raise ConfigError(f"component frequency {freq} out of range for {k} bins")
+                    raise ConfigError(f"synth_mix component frequency {freq} is out of range for "
+                                      f"synth_len {self.sample_length}")
+                if not np.isfinite(amp):
+                    raise ConfigError(f"synth_mix component amplitude must be finite, got {amp}")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:

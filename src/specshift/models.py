@@ -25,15 +25,16 @@ class BackboneConfig:
     horizon: int
     channels: int
     shared: bool = False  # linear only: one weight matrix for every channel
-    kernel: int = 25  # dlinear only: moving-average width, odd
+    kernel: int = 25  # dlinear only: moving-average width, odd (checked for either kind)
 
     def __post_init__(self):
         if self.kind not in ("linear", "dlinear"):
-            raise ConfigError(f"unknown backbone kind: {self.kind!r}")
+            raise ConfigError(f"backbone must be 'linear' or 'dlinear', got {self.kind!r}")
         if min(self.lookback, self.horizon, self.channels) < 1:
-            raise ConfigError("lookback, horizon and channels must be positive")
-        if self.kind == "dlinear" and (self.kernel < 1 or self.kernel % 2 == 0):
-            raise ConfigError(f"moving-average kernel must be a positive odd integer, got {self.kernel}")
+            raise ConfigError(f"lookback {self.lookback}, horizon {self.horizon} and channels {self.channels} "
+                              "must be positive")
+        if self.kernel < 1 or self.kernel % 2 == 0:
+            raise ConfigError(f"dlinear_kernel must be a positive odd integer, got {self.kernel}")
 
 
 def decompose_matrix(length: int, kernel: int) -> np.ndarray:

@@ -28,7 +28,7 @@ def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tu
     if a.size == 0 or b.size == 0:
         raise ValueError("both samples must be non-empty")
     if bins < 1:
-        raise ConfigError(f"histogram bins must be positive, got {bins}")
+        raise ConfigError(f"hist_bins must be positive, got {bins}")
     lo = min(a.min(), b.min())
     hi = max(a.max(), b.max())
     edges = np.linspace(lo, hi, bins + 1)

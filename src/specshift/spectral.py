@@ -22,6 +22,8 @@ import numpy as np
 
 from .errors import ConfigError
 
+WINDOWS = ("rectangular", "hann")
+
 
 def n_bins(length: int) -> int:
     """Number of retained spectrum bins for a real signal of this length."""
@@ -118,7 +120,7 @@ def amplitude(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 
 
 def window_taps(kind: str, length: int) -> np.ndarray:
-    """Taps for a named analysis window ("rectangular" or "hann", symmetric)."""
+    """Taps for a named analysis window (one of ``WINDOWS``; "hann" is symmetric)."""
     if length < 1:
         raise ValueError("length must be positive")
     if kind == "rectangular":
@@ -128,7 +130,7 @@ def window_taps(kind: str, length: int) -> np.ndarray:
             return np.ones(1)
         n = np.arange(length)
         return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / (length - 1)))
-    raise ConfigError(f"unknown window kind: {kind!r}")
+    raise ConfigError(f"window must be one of {WINDOWS}, got {kind!r}")
 
 
 def apply_window(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:

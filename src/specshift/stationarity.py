@@ -102,10 +102,8 @@ def scores(
     targets: np.ndarray | None = None,
     eps: float = 1e-5,
 ) -> np.ndarray:
-    """Dispatch to one of the stability metrics in ``METRICS``; ``eps``
-    (the ``score_eps`` key) must be positive whichever metric is chosen."""
-    if not eps > 0:
-        raise ConfigError(f"score_eps must be positive, got {eps}")
+    """Dispatch to one of the stability metrics in ``METRICS``; ``eps`` is
+    the positive ``score_eps`` guard of "mu_sigma"."""
     if metric == "mu_sigma":
         return mu_sigma_scores(panel, eps=eps)
     if metric == "entropy":
@@ -114,13 +112,12 @@ def scores(
         if targets is None:
             raise ValueError("metric 'correlation' needs target windows")
         return correlation_scores(panel, targets)
-    raise ConfigError(f"unknown stability metric: {metric!r}")
+    raise ConfigError(f"score_metric must be one of {METRICS}, got {metric!r}")
 
 
 def ema_refresh(current: np.ndarray, batch_scores: np.ndarray, decay: float) -> np.ndarray:
-    """Exponential moving average update: decay * current + (1 - decay) * batch."""
-    if not 0.0 < decay < 1.0:
-        raise ConfigError(f"ema decay must lie strictly inside (0, 1), got {decay}")
+    """Exponential moving average update: decay * current + (1 - decay) * batch,
+    for a decay strictly inside (0, 1)."""
     current = np.asarray(current, dtype=float)
     batch_scores = np.asarray(batch_scores, dtype=float)
     if current.shape != batch_scores.shape:

@@ -23,15 +23,20 @@ import numpy as np
 from .errors import ConfigError
 from .models import mlp_forward, mlp_vjp, xavier_uniform
 from .spectral import (
+    WINDOWS,
     dft_forward,
     dft_forward_adjoint,
     dft_inverse,
     hermitian_multiplicity,
 )
+from .stationarity import METRICS
 
 
 @dataclass(frozen=True)
 class TifoConfig:
+    """The re-weighting layer's keys and their rules; ``PipelineConfig``
+    checks ``keep`` against the lookback."""
+
     hidden: int = 128
     alpha: float = 1.0
     keep: int | None = None  # retain the lowest `keep` bins; None keeps all
@@ -39,11 +44,23 @@ class TifoConfig:
     score_eps: float = 1e-5
     window: str = "rectangular"
 
+    def __post_init__(self):
+        if self.hidden < 1:
+            raise ConfigError(f"hidden must be at least 1, got {self.hidden}")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
+        if self.keep is not None and self.keep < 1:
+            raise ConfigError(f"keep must be at least 1, or unset to keep every bin, got {self.keep}")
+        if self.score_metric not in METRICS:
+            raise ConfigError(f"score_metric must be one of {METRICS}, got {self.score_metric!r}")
+        if not self.score_eps > 0:
+            raise ConfigError(f"score_eps must be positive, got {self.score_eps}")
+        if self.window not in WINDOWS:
+            raise ConfigError(f"window must be one of {WINDOWS}, got {self.window!r}")
+
 
 def init_params(bins: int, hidden: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Parameters for the two weighting MLPs; the real net is drawn first."""
-    if bins < 1 or hidden < 1:
-        raise ConfigError(f"bins and hidden width must be positive, got {bins} and {hidden}")
     params: dict[str, np.ndarray] = {}
     for part in ("r", "i"):
         params[f"{part}.w1"] = xavier_uniform(rng, (hidden, bins))
@@ -83,8 +100,6 @@ def alpha_scale(lam: np.ndarray, alpha: float) -> np.ndarray:
 
     alpha = 1 keeps the learned weights, alpha = 0 removes the layer.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
     return 1.0 + alpha * (np.asarray(lam, dtype=float) - 1.0)
 
 

@@ -1,7 +1,6 @@
 """Training pipelines: a normalization block, an optional spectral
 re-weighting layer and a backbone, composed per method by ``COMPOSITION``;
-an Adam optimizer, the early-stopping loop, evaluation, and a
-finite-difference gradient check.
+an Adam optimizer, the early-stopping loop and evaluation.
 
 Gradients come from composing explicit per-block VJPs; there is no
 general-purpose tape.  Each block owns its forward and its VJP, and
@@ -40,16 +39,6 @@ def _paired(pred, target) -> tuple[np.ndarray, np.ndarray]:
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     return pred, target
-
-
-def mse(pred: np.ndarray, target: np.ndarray) -> float:
-    pred, target = _paired(pred, target)
-    return float(np.mean((pred - target) ** 2))
-
-
-def mae(pred: np.ndarray, target: np.ndarray) -> float:
-    pred, target = _paired(pred, target)
-    return float(np.mean(np.abs(pred - target)))
 
 
 class TensorGroup(dict):
@@ -104,6 +93,10 @@ class Adam:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Each block's config checks its own keys; this one adds the rules that
+    tie a block's key to the lookback or horizon, for the blocks the method
+    composes."""
+
     method: str
     backbone: BackboneConfig
     tifo: tifo.TifoConfig = field(default_factory=tifo.TifoConfig)
@@ -113,6 +106,17 @@ class PipelineConfig:
     def __post_init__(self):
         if self.method not in COMPOSITION:
             raise ConfigError(f"unknown method: {self.method!r}")
+        norm_cls, reweight = COMPOSITION[self.method]
+        lookback, horizon = self.backbone.lookback, self.backbone.horizon
+        keep, patch, topk = self.tifo.keep, self.san.patch, self.fan.topk
+        if reweight and keep is not None and keep > n_bins(lookback):
+            raise ConfigError(f"keep must be at most {n_bins(lookback)} for lookback {lookback}, got {keep}")
+        if norm_cls is SanNorm and (lookback % patch or horizon % patch):
+            raise ConfigError(f"san_patch must divide lookback {lookback} and horizon {horizon}, got {patch}")
+        bins = min(n_bins(lookback), n_bins(horizon))
+        if norm_cls is FanNorm and topk > bins:
+            raise ConfigError(f"fan_topk must be at most {bins} for lookback {lookback} and horizon {horizon}, "
+                              f"got {topk}")
 
 
 def _namespace(prefix: str, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -242,12 +246,7 @@ class FanNorm(NormBlock):
 
     def __init__(self, cfg, rng):
         bc = cfg.backbone
-        k_in, k_out = n_bins(bc.lookback), n_bins(bc.horizon)
         self.topk = cfg.fan.topk
-        if not 1 <= self.topk <= min(k_in, k_out):
-            raise ConfigError(
-                f"fan top-k must be in [1, {min(k_in, k_out)}] for this lookback/horizon"
-            )
         self.params = baselines.fan_init(bc.lookback, bc.horizon, cfg.fan, rng)
         # the residual and main forecasts' per-channel weights, fixed at 1
         self.frozen = {"combine": np.ones((2, bc.channels))}
@@ -289,8 +288,6 @@ class TifoLayer:
         bc = cfg.backbone
         bins = n_bins(bc.lookback)
         keep = bins if cfg.tifo.keep is None else cfg.tifo.keep
-        if not 1 <= keep <= bins:
-            raise ConfigError(f"keep must be in [1, {bins}] for lookback {bc.lookback}")
         self.cfg = cfg.tifo
         self.mask = (np.arange(bins) < keep).astype(float)[:, None]
         self.params = tifo.init_params(bins, cfg.tifo.hidden, rng)
@@ -469,14 +466,11 @@ class TrainConfig:
     patience: int = 5
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.batch < 1:
-            raise ConfigError("batch size must be at least 1")
-        if self.max_epochs < 1:
-            raise ConfigError("max_epochs must be at least 1")
-        if self.patience < 1:
-            raise ConfigError("patience must be at least 1")
+        if not 0.0 < self.lr < float("inf"):
+            raise ConfigError(f"lr must be finite and positive, got {self.lr}")
+        for key in ("batch", "max_epochs", "patience"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
 
 
 @dataclass
@@ -491,10 +485,11 @@ def train_san_predictor(
     pipeline: Pipeline,
     x_train: np.ndarray,
     y_train: np.ndarray,
-    batch: int,
+    cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> None:
-    """Stage one: fit the frozen patch-statistic predictor on train windows.
+    """Stage one: fit the frozen patch-statistic predictor on train windows
+    for the ``san_epochs``, at the main loop's batch size and learning rate.
 
     Mean and variance targets are weighted equally.  The predictor tensors
     live in ``pipeline.frozen`` and stay fixed afterwards.
@@ -504,12 +499,12 @@ def train_san_predictor(
     params = pipeline.norm.frozen
     mu_x, var_x = baselines.san_patch_stats(x_train, patch)
     mu_y, var_y = baselines.san_patch_stats(y_train, patch)
-    adam = Adam(params, lr=san_cfg.lr)
+    adam = Adam(params, lr=cfg.lr)
     n = x_train.shape[0]
     for _ in range(san_cfg.epochs):
         perm = rng.permutation(n)
-        for start in range(0, n, batch):
-            sel = perm[start : start + batch]
+        for start in range(0, n, cfg.batch):
+            sel = perm[start : start + cfg.batch]
             mu_hat, var_hat, cache = baselines.san_predict(params, mu_x[sel], var_x[sel])
             g_mu = (2.0 / mu_hat.size) * (mu_hat - mu_y[sel])
             g_var = (2.0 / var_hat.size) * (var_hat - var_y[sel])
@@ -527,16 +522,20 @@ def evaluate(
 ) -> dict[str, float]:
     """Mean MSE/MAE over a split, in fixed batch order.
 
-    alpha rescales the spectral weights toward identity (score-driven methods
-    only).  ema_decay, if set, refreshes the stability scores from each batch
-    of at least two windows before weighting (a one-window batch has no
-    spread to score and keeps the running scores); the pipeline's stored
-    scores are not modified.
+    alpha, in [0, 1], rescales the spectral weights toward identity
+    (score-driven methods only).  ema_decay, if set, strictly inside (0, 1),
+    refreshes the stability scores from each batch of at least two windows
+    before weighting (a one-window batch has no spread to score and keeps the
+    running scores); the pipeline's stored scores are not modified.
     """
     if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
         raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
     if batch < 1:
-        raise ConfigError(f"evaluation batch must be at least 1, got {batch}")
+        raise ConfigError(f"eval_batch must be at least 1, got {batch}")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    if ema_decay is not None and not 0.0 < ema_decay < 1.0:
+        raise ConfigError(f"ema_decay must lie strictly inside (0, 1), got {ema_decay}")
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
     sq_sum = 0.0
     abs_sum = 0.0
@@ -574,7 +573,7 @@ def train(
     in the epoch's ``rejected`` column.
     """
     if isinstance(pipeline.norm, SanNorm):
-        train_san_predictor(pipeline, x_train, y_train, cfg.batch, rng)
+        train_san_predictor(pipeline, x_train, y_train, cfg, rng)
     adam = Adam(pipeline.params, lr=cfg.lr)
     vector = pipeline.params.vector
     targets = pipeline.norm.targets(y_train)
@@ -635,29 +634,3 @@ def train(
         best_val_mse=best_val,
         epochs_run=epoch,  # max_epochs >= 1, so the loop ran
     )
-
-
-def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: float = 1e-5) -> float:
-    """Worst relative disagreement between analytic and central-difference grads.
-
-    The denominator is floored at 1e-3 so exactly-zero analytic gradients are
-    compared absolutely at that scale rather than against roundoff noise.
-    """
-    targets = pipeline.norm.targets(y)
-    _, grads = pipeline.loss_grads(x, targets)
-    worst = 0.0
-    for name in sorted(pipeline.params):
-        arr = pipeline.params[name]
-        g = np.asarray(grads[name], dtype=float).ravel()
-        flat = arr.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = pipeline.loss_grads(x, targets)[0]
-            flat[i] = orig - eps
-            down = pipeline.loss_grads(x, targets)[0]
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(abs(numeric), abs(g[i]), 1e-3)
-            worst = max(worst, abs(numeric - g[i]) / denom)
-    return worst

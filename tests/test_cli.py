@@ -243,6 +243,14 @@ def test_train_artifacts(tmp_path, capsys):
     assert "scaler.mu" in tensors and "tifo.scores" in tensors
 
 
+def test_train_with_a_bad_eval_batch_writes_nothing(tmp_path, capsys):
+    # eval_batch is checked when the test split is evaluated, after training
+    out = tmp_path / "run"
+    assert run("train", *TINY, "eval_batch=0", f"out={out}") == 2
+    assert "eval_batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rerun_identical_bytes(tmp_path):
     # the config echo inside the checkpoint includes the output path, so
     # determinism is rerunning the same command, not two parallel dirs
@@ -533,6 +541,18 @@ EXIT_TABLE = [
     (["eval", "synth_channels=3", "checkpoint={sigma_inf}"], 5, "scaler.sigma"),
     (["shift", "synth_channels=3", "checkpoint={sigma_zero}"], 5, "scaler.sigma"),
     (["shift", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
+    # each key's rule holds whatever the method, and the message names the key
+    (["train", "method=revin", "keep=-3", "score_metric=bogus", "window=boxcar", "alpha=7"], 2, "alpha"),
+    (["ablate", "method=revin", "ablate_metrics=bogus", "ablate_windows=boxcar", "ablate_keeps=-3"], 2, "keep"),
+    (["ablate", "method=revin", "ablate_metrics=mu_sigma,bogus"], 2, "score_metric"),
+    (["train", "lr=nan"], 2, "lr"),
+    (["train", "lr=inf"], 2, "lr"),
+    (["train", "backbone=linear", "dlinear_kernel=4"], 2, "dlinear_kernel"),
+    (["train", "method=none", "san_hidden=0"], 2, "san_hidden"),
+    (["train", "method=none", "fan_topk=0"], 2, "fan_topk"),
+    (["train", "method=fan", "fan_topk=99"], 2, "fan_topk"),
+    (["shift", "hist_bins=0"], 2, "hist_bins"),
+    (["train", "synth_noise=nan"], 2, "synth_noise"),
     (["stats"], None, "program fault"),
 ]
 
@@ -625,6 +645,10 @@ def _assert_reported(code, err):
         assert len(err.splitlines()) == 1 and err.startswith(f"{LABELS[code]} error: "), err
 
 
+# list key -> the scalar key whose rule its values meet
+SWEPT = {"alphas": "alpha", **{key: name for name, key, _ in climain.ABLATE_AXES}}
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=400)
 @given(command=st.sampled_from(["synth", "stats", "train", "eval", "shift", "ablate"]),
        method=st.sampled_from(["tifo", "none", "revin", "san", "fan", "tifo+san"]),
@@ -634,7 +658,13 @@ def test_bad_overrides_exit_with_a_labelled_code(trained_tifo, tmp_path_factory,
     ck_arg = f"checkpoint={ck / 'model.ckpt'}"
     base = [ck_arg] if command in ("eval", "shift") else [f"method={method}", "repeats=1"]
     out = tmp_path_factory.getbasetemp() / "fuzz-out"
-    _assert_reported(*_main_quietly([command, *TINY, "max_epochs=1", *base, *overrides, f"out={out}"]))
+    # TINY's lookback 16 and horizon 4 need a smaller SAN patch and FAN top-k than the defaults
+    code, err = _main_quietly([command, *TINY, "max_epochs=1", "san_patch=4", "fan_topk=2", *base, *overrides,
+                               f"out={out}"])
+    _assert_reported(code, err)
+    keys = [o.split("=", 1)[0].strip() for o in overrides]
+    if code and "" not in keys:  # a key-less token such as "=3" has no key to name
+        assert any(key in err or SWEPT.get(key, key) in err for key in keys), (overrides, err)
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=60)

@@ -149,13 +149,6 @@ def test_ema_refresh_fixed_point():
     np.testing.assert_allclose(ema_refresh(table, table, 0.5), table)
 
 
-def test_ema_refresh_rejects_bad_decay():
-    table = np.ones((2, 1))
-    for decay in (0.0, 1.0, -0.1, 1.5):
-        with pytest.raises(ValueError):
-            ema_refresh(table, table, decay)
-
-
 def test_ema_refresh_two_step_composition():
     rng = np.random.default_rng(9)
     current = rng.uniform(0, 3, size=(6, 2))

@@ -17,12 +17,11 @@ from specshift.training import (
     TrainConfig,
     build_pipeline,
     evaluate,
-    finite_diff_check,
-    mae,
-    mse,
     train,
     train_san_predictor,
 )
+
+from oracles import finite_diff_check, mae, mse
 
 
 def make_pipeline(method, backbone="linear", lookback=8, horizon=4, channels=1,
@@ -237,8 +236,9 @@ def test_params_are_views_of_one_vector(method):
 
 
 def test_train_config_validation():
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr)
     with pytest.raises(ConfigError):
         TrainConfig(patience=0)
     with pytest.raises(ConfigError):
@@ -353,7 +353,7 @@ def test_san_predictor_frozen_during_main_loop():
     rng_stage1 = np.random.default_rng(8)
     cfg = TrainConfig(lr=1e-2, batch=8, max_epochs=3, patience=3)
     train(pipe, x[:16], y[:16], x[16:], y[16:], cfg, rng_full)
-    train_san_predictor(twin, x[:16], y[:16], cfg.batch, rng_stage1)
+    train_san_predictor(twin, x[:16], y[:16], cfg, rng_stage1)
     for name in pipe.frozen:
         np.testing.assert_array_equal(pipe.frozen[name], twin.frozen[name])
     init, _, _ = make_pipeline("san", seed=6, n=20)
@@ -424,6 +424,16 @@ def test_alpha_and_ema_rejected_for_plain_methods():
     rev, x2, y2 = make_pipeline("revin", n=12)
     with pytest.raises(ConfigError):
         evaluate(rev, x2, y2, alpha=1.0)
+
+
+def test_evaluate_rejects_alpha_and_ema_decay_out_of_range():
+    pipe, x, y = make_pipeline("tifo", n=12)
+    for alpha in (1.2, -0.1):
+        with pytest.raises(ConfigError, match="alpha"):
+            evaluate(pipe, x, y, alpha=alpha)
+    for decay in (0.0, 1.0, -0.1, 1.5):
+        with pytest.raises(ConfigError, match="ema_decay"):
+            evaluate(pipe, x, y, ema_decay=decay)
 
 
 def test_ema_decay_near_one_is_no_refresh():
@@ -545,6 +555,16 @@ def test_keep_outside_bins_raises_config_error(method):
     for keep in (0, 6):  # lookback 8: K = 5
         with pytest.raises(ConfigError):
             make_pipeline(method, keep=keep)
+
+
+def test_lookback_rules_hold_only_for_the_blocks_a_method_composes():
+    # lookback 8, horizon 4: K = 5 and 3; patch 3 divides neither
+    bb = BackboneConfig(kind="linear", lookback=8, horizon=4, channels=1)
+    blocks = {"tifo": TifoConfig(keep=6), "san": SanConfig(patch=3), "fan": FanConfig(topk=4)}
+    for method, key in (("tifo", "keep"), ("san", "san_patch"), ("fan", "fan_topk")):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(method=method, backbone=bb, **blocks)
+    PipelineConfig(method="none", backbone=bb, **blocks)
 
 
 # ---------------------------------------------------------------------------
