@@ -41,6 +41,7 @@ from ..training import (
     PipelineConfig,
     TrainConfig,
     build_pipeline,
+    check_eval_settings,
     evaluate,
     train,
 )
@@ -123,12 +124,13 @@ def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Da
     return datamod.build_dataset(series, cfg.lookback, cfg.horizon, scaler)
 
 
-def _test_metrics(pipeline, ds: datamod.Dataset, cfg: RunConfig, alpha: float | None,
-                  ema_decay: float) -> dict:
-    """Test-split MSE/MAE at eval-time settings: alpha None keeps the trained
-    one, ema_decay 0 means no score refresh."""
-    return evaluate(pipeline, ds.x_test, ds.y_test, batch=cfg.eval_batch, alpha=alpha,
-                    ema_decay=None if ema_decay == 0 else ema_decay)
+def _eval_settings(cfg: RunConfig, alpha: float | None, ema_decay: float) -> dict:
+    """``evaluate``'s keyword settings for cfg's model, checked by its rules so
+    that a command can reject them before any training: alpha None keeps the
+    trained one, ema_decay 0 means no score refresh."""
+    settings = {"batch": cfg.eval_batch, "alpha": alpha, "ema_decay": None if ema_decay == 0 else ema_decay}
+    check_eval_settings(cfg.method, **settings)
+    return settings
 
 
 def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
@@ -204,10 +206,11 @@ def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    settings = _eval_settings(cfg, None, 0.0)
     ds = _dataset(cfg)
     cfg.channels = ds.channels
     pipeline, result = _train_once(cfg, ds, log=True)
-    test = _test_metrics(pipeline, ds, cfg, None, 0.0)  # a bad eval_batch fails before any artifact is written
+    test = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
     out = _out_dir(cfg)
     tensors = pipeline.tensors()
     tensors["scaler.mu"] = ds.scaler.mu
@@ -264,11 +267,12 @@ def _rebuild(cfg: RunConfig):
 
 def cmd_eval(cfg: RunConfig) -> None:
     pipeline, _, ds = _rebuild(cfg)
+    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
+    sweep = [_eval_settings(cfg, a, cfg.ema_decay) for a in alphas]  # every point passes before the first runs
     out = _out_dir(cfg)
     results = []
-    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
-    for a in alphas:
-        metrics = _test_metrics(pipeline, ds, cfg, a, cfg.ema_decay)
+    for a, settings in zip(alphas, sweep):
+        metrics = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
         results.append({"alpha": a, "mse": _round6(metrics["mse"]), "mae": _round6(metrics["mae"])})
         tag = "" if a is None else f"alpha {_fmt(a)}: "
         print(f"{tag}test mse {_fmt(metrics['mse'])} mae {_fmt(metrics['mae'])}")
@@ -349,19 +353,21 @@ def cmd_ablate(cfg: RunConfig) -> None:
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
     cells = list(itertools.product(*train_axes))
     subs = [dataclasses.replace(cfg, **dict(zip(train_names, cell))) for cell in cells]
-    for sub in subs:  # every cell's keys pass their rules before any cell trains
+    # every cell's keys, and its eval settings at every ema value, pass their
+    # rules before any cell trains; alpha None evaluates at the cell's own alpha
+    for sub in subs:
         _pipeline_config(sub, ds.channels)
+    settings = [[_eval_settings(sub, None, ema) for ema in emas] for sub in subs]
     rows = []
     shared = None  # a method without a re-weighting layer: no axis reaches its models
-    for cell, sub in zip(cells, subs):
+    for cell, sub, cell_settings in zip(cells, subs, settings):
         per_ema = shared
         if per_ema is None:
             per_ema = [[] for _ in emas]
             for rep in range(cfg.repeats):
                 pipeline, _ = _train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)
-                alpha = sub.alpha if pipeline.tifo is not None else None
-                for metrics, ema in zip(per_ema, emas):
-                    metrics.append(_test_metrics(pipeline, ds, cfg, alpha, ema))
+                for metrics, ema_settings in zip(per_ema, cell_settings):
+                    metrics.append(evaluate(pipeline, ds.x_test, ds.y_test, **ema_settings))
             if pipeline.tifo is None:
                 shared = per_ema
         for ema, metrics in zip(emas, per_ema):

@@ -22,6 +22,7 @@ restores the best state with one copy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,14 +32,6 @@ from .errors import CheckpointError, ConfigError, NumericError
 from .models import Backbone, BackboneConfig
 from .spectral import dft_forward, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
-
-
-def _paired(pred, target) -> tuple[np.ndarray, np.ndarray]:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
-    return pred, target
 
 
 class TensorGroup(dict):
@@ -124,10 +117,11 @@ def _namespace(prefix: str, tensors: dict[str, np.ndarray]) -> dict[str, np.ndar
 
 
 def _mse_upstream(pred, target):
-    pred, target = _paired(pred, target)
+    """(MSE of pred against target, its gradient with respect to pred)."""
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     err = pred - target
-    loss = float(np.mean(err * err))
-    return loss, (2.0 / err.size) * err
+    return float(np.mean(err * err)), (2.0 / err.size) * err
 
 
 # ---------------------------------------------------------------------------
@@ -407,10 +401,10 @@ class Pipeline:
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.head(*self.norm.enter(x))
 
-    def transformed_input(self, x: np.ndarray, alpha: float | None = None) -> np.ndarray:
+    def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
         x_n, _ = self.norm.enter(x)
-        return x_n if self.tifo is None else self.tifo.apply(x_n, alpha)
+        return x_n if self.tifo is None else self.tifo.apply(x_n)
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``
@@ -481,35 +475,71 @@ class TrainResult:
     epochs_run: int
 
 
+def _epoch(adam: Adam, n: int, batch: int, rng: np.random.Generator, step, stage: str) -> tuple[float, int]:
+    """One pass over n windows in one random order, shared by both training
+    stages.  ``step(sel) -> (loss, grads)`` handles the batch of window
+    indices ``sel`` and Adam takes the grads.  Returns the window-weighted
+    mean loss and the number of steps Adam rejected; a non-finite loss
+    raises NumericError naming ``stage`` and the batch."""
+    perm = rng.permutation(n)
+    loss_sum = 0.0
+    rejected = 0
+    for start in range(0, n, batch):
+        sel = perm[start : start + batch]
+        loss, grads = step(sel)
+        if not math.isfinite(loss):
+            raise NumericError(f"non-finite training loss at {stage}, batch {start // batch}")
+        rejected += not adam.step(grads)
+        loss_sum += loss * sel.size
+    return loss_sum / n, rejected
+
+
 def train_san_predictor(
     pipeline: Pipeline,
     x_train: np.ndarray,
     y_train: np.ndarray,
     cfg: TrainConfig,
     rng: np.random.Generator,
-) -> None:
+) -> int:
     """Stage one: fit the frozen patch-statistic predictor on train windows
     for the ``san_epochs``, at the main loop's batch size and learning rate.
+    Returns the number of steps Adam rejected.
 
-    Mean and variance targets are weighted equally.  The predictor tensors
-    live in ``pipeline.frozen`` and stay fixed afterwards.
+    The loss is the mean and variance targets' MSEs, weighted equally.  The
+    predictor tensors live in ``pipeline.frozen`` and stay fixed afterwards.
     """
-    san_cfg = pipeline.cfg.san
-    patch = san_cfg.patch
     params = pipeline.norm.frozen
-    mu_x, var_x = baselines.san_patch_stats(x_train, patch)
-    mu_y, var_y = baselines.san_patch_stats(y_train, patch)
+    mu_x, var_x = baselines.san_patch_stats(x_train, pipeline.norm.patch)
+    mu_y, var_y = baselines.san_patch_stats(y_train, pipeline.norm.patch)
     adam = Adam(params, lr=cfg.lr)
+
+    def step(sel):
+        mu_hat, var_hat, cache = baselines.san_predict(params, mu_x[sel], var_x[sel])
+        err_mu = mu_hat - mu_y[sel]
+        err_var = var_hat - var_y[sel]
+        loss = float(np.vdot(err_mu, err_mu) / err_mu.size + np.vdot(err_var, err_var) / err_var.size)
+        grads = baselines.san_predict_vjp(params, cache, (2.0 / err_mu.size) * err_mu, (2.0 / err_var.size) * err_var)
+        return loss, grads
+
     n = x_train.shape[0]
-    for _ in range(san_cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch):
-            sel = perm[start : start + cfg.batch]
-            mu_hat, var_hat, cache = baselines.san_predict(params, mu_x[sel], var_x[sel])
-            g_mu = (2.0 / mu_hat.size) * (mu_hat - mu_y[sel])
-            g_var = (2.0 / var_hat.size) * (var_hat - var_y[sel])
-            grads = baselines.san_predict_vjp(params, cache, g_mu, g_var)
-            adam.step(grads)
+    return sum(_epoch(adam, n, cfg.batch, rng, step, f"SAN stage one epoch {epoch}")[1]
+               for epoch in range(1, pipeline.cfg.san.epochs + 1))
+
+
+def check_eval_settings(method: str, batch: int, alpha: float | None = None,
+                        ema_decay: float | None = None) -> None:
+    """``evaluate``'s rules for its settings on a model of ``method``, which
+    callers can apply before any training: alpha and ema_decay need the
+    re-weighting layer, batch is at least 1, alpha lies in [0, 1] and
+    ema_decay strictly inside (0, 1)."""
+    if (alpha is not None or ema_decay is not None) and not COMPOSITION[method][1]:
+        raise ConfigError(f"method {method!r} accepts neither alpha nor ema_decay")
+    if batch < 1:
+        raise ConfigError(f"eval_batch must be at least 1, got {batch}")
+    if alpha is not None and not 0.0 <= alpha <= 1.0:
+        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
+    if ema_decay is not None and not 0.0 < ema_decay < 1.0:
+        raise ConfigError(f"ema_decay must lie strictly inside (0, 1), got {ema_decay}")
 
 
 def evaluate(
@@ -528,14 +558,7 @@ def evaluate(
     before weighting (a one-window batch has no spread to score and keeps the
     running scores); the pipeline's stored scores are not modified.
     """
-    if (alpha is not None or ema_decay is not None) and pipeline.tifo is None:
-        raise ConfigError(f"method {pipeline.method!r} accepts neither alpha nor ema_decay")
-    if batch < 1:
-        raise ConfigError(f"eval_batch must be at least 1, got {batch}")
-    if alpha is not None and not 0.0 <= alpha <= 1.0:
-        raise ConfigError(f"alpha must lie in [0, 1], got {alpha}")
-    if ema_decay is not None and not 0.0 < ema_decay < 1.0:
-        raise ConfigError(f"ema_decay must lie strictly inside (0, 1), got {ema_decay}")
+    check_eval_settings(pipeline.method, batch, alpha, ema_decay)
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
     sq_sum = 0.0
     abs_sum = 0.0
@@ -567,27 +590,27 @@ def train(
     """Mini-batch Adam with early stopping on validation MSE.
 
     History row 0 records the untouched initial state (train_mse is NaN
-    there); rows 1..E are full epochs.  The best-validation parameters are
-    restored before returning.  A non-finite training loss aborts with
-    NumericError; non-finite gradients reject the single step and are counted
-    in the epoch's ``rejected`` column.
+    there, and ``rejected`` counts SAN stage one's rejected steps); rows 1..E
+    are full epochs.  The best-validation parameters are restored before
+    returning.  Both stages run through ``_epoch``: a non-finite training loss
+    aborts with NumericError, and non-finite gradients reject the single step
+    and are counted in the row's ``rejected`` column.
     """
-    if isinstance(pipeline.norm, SanNorm):
-        train_san_predictor(pipeline, x_train, y_train, cfg, rng)
+    stage_one = isinstance(pipeline.norm, SanNorm)
+    stage_one_rejected = train_san_predictor(pipeline, x_train, y_train, cfg, rng) if stage_one else 0
     adam = Adam(pipeline.params, lr=cfg.lr)
     vector = pipeline.params.vector
     targets = pipeline.norm.targets(y_train)
-    n = x_train.shape[0]
-    init_val = evaluate(pipeline, x_val, y_val)
-    history = [
-        {
-            "epoch": 0,
-            "train_mse": float("nan"),
-            "val_mse": init_val["mse"],
-            "val_mae": init_val["mae"],
-            "rejected": 0,
-        }
-    ]
+
+    def step(sel):
+        return pipeline.loss_grads(x_train[sel], targets[sel])
+
+    def row(epoch, train_mse, rejected):
+        val = evaluate(pipeline, x_val, y_val)
+        return {"epoch": epoch, "train_mse": train_mse, "val_mse": val["mse"], "val_mae": val["mae"],
+                "rejected": rejected}
+
+    history = [row(0, float("nan"), stage_one_rejected)]
     # Best tracking starts at +inf so the first trained epoch always counts
     # as an improvement; the init row is diagnostic, not a baseline.
     best_val = float("inf")
@@ -595,31 +618,10 @@ def train(
     best_state = vector.copy()
     bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
-        perm = rng.permutation(n)
-        loss_sum = 0.0
-        rejected = 0
-        for start in range(0, n, cfg.batch):
-            sel = perm[start : start + cfg.batch]
-            loss, grads = pipeline.loss_grads(x_train[sel], targets[sel])
-            if not np.isfinite(loss):
-                raise NumericError(
-                    f"non-finite training loss at epoch {epoch}, batch {start // cfg.batch}"
-                )
-            if not adam.step(grads):
-                rejected += 1
-            loss_sum += loss * sel.size
-        val = evaluate(pipeline, x_val, y_val)
-        history.append(
-            {
-                "epoch": epoch,
-                "train_mse": loss_sum / n,
-                "val_mse": val["mse"],
-                "val_mae": val["mae"],
-                "rejected": rejected,
-            }
-        )
-        if val["mse"] < best_val:
-            best_val = val["mse"]
+        history.append(row(epoch, *_epoch(adam, x_train.shape[0], cfg.batch, rng, step, f"epoch {epoch}")))
+        val_mse = history[-1]["val_mse"]
+        if val_mse < best_val:
+            best_val = val_mse
             best_epoch = epoch
             np.copyto(best_state, vector)
             bad_epochs = 0

@@ -244,7 +244,6 @@ def test_train_artifacts(tmp_path, capsys):
 
 
 def test_train_with_a_bad_eval_batch_writes_nothing(tmp_path, capsys):
-    # eval_batch is checked when the test split is evaluated, after training
     out = tmp_path / "run"
     assert run("train", *TINY, "eval_batch=0", f"out={out}") == 2
     assert "eval_batch" in capsys.readouterr().err
@@ -464,6 +463,23 @@ def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch, method, e
     assert sorted(rows_swapped) == sorted(rows)
 
 
+CHECKED_BEFORE_TRAINING = [
+    ["train", "method=tifo", "eval_batch=0"],
+    ["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"],
+    ["ablate", "method=revin", "ablate_emas=0.9", "repeats=1"],
+]
+
+
+@pytest.mark.parametrize("argv", CHECKED_BEFORE_TRAINING, ids=[" ".join(argv) for argv in CHECKED_BEFORE_TRAINING])
+def test_eval_settings_are_checked_before_any_training(tmp_path, monkeypatch, capsys, argv):
+    calls = []
+    monkeypatch.setattr(climain, "train", lambda *args, **kwargs: calls.append(1))
+    command, *overrides = argv
+    assert run(command, *TINY, f"out={tmp_path / 'out'}", *overrides) == 2
+    assert "config error" in capsys.readouterr().err
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------
@@ -553,6 +569,10 @@ EXIT_TABLE = [
     (["train", "method=fan", "fan_topk=99"], 2, "fan_topk"),
     (["shift", "hist_bins=0"], 2, "hist_bins"),
     (["train", "synth_noise=nan"], 2, "synth_noise"),
+    # eval-time values are checked before any training
+    (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
+    (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),
+    (["ablate", "method=revin", "ablate_emas=0.9", "repeats=1"], 2, "ema_decay"),
     (["stats"], None, "program fault"),
 ]
 

@@ -25,7 +25,7 @@ from oracles import finite_diff_check, mae, mse
 
 
 def make_pipeline(method, backbone="linear", lookback=8, horizon=4, channels=1,
-                  seed=0, n=24, keep=None):
+                  seed=0, n=24, keep=None, alpha=1.0):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, lookback, channels))
     y = rng.normal(size=(n, horizon, channels))
@@ -35,7 +35,7 @@ def make_pipeline(method, backbone="linear", lookback=8, horizon=4, channels=1,
             kind=backbone, lookback=lookback, horizon=horizon,
             channels=channels, kernel=3,
         ),
-        tifo=TifoConfig(hidden=6, keep=keep),
+        tifo=TifoConfig(hidden=6, alpha=alpha, keep=keep),
         san=SanConfig(patch=4, hidden=8, epochs=2),
         fan=FanConfig(topk=2, hidden1=8, hidden2=8),
     )
@@ -364,6 +364,34 @@ def test_san_predictor_frozen_during_main_loop():
     assert moved  # stage one actually trained something
 
 
+def test_nonfinite_stage_one_gradients_counted_in_row_zero(monkeypatch):
+    pipe, x, y = make_pipeline("san", seed=6, n=20)
+    real = baselines.san_predict_vjp
+    calls = []
+
+    def poisoned(*args):
+        grads = real(*args)
+        if not calls:
+            grads = {k: np.full_like(v, np.nan) for k, v in grads.items()}
+        calls.append(1)
+        return grads
+
+    monkeypatch.setattr(baselines, "san_predict_vjp", poisoned)
+    cfg = TrainConfig(lr=1e-2, batch=8, max_epochs=2, patience=2)
+    result = train(pipe, x[:16], y[:16], x[16:], y[16:], cfg, np.random.default_rng(8))
+    assert [row["rejected"] for row in result.history] == [1, 0, 0]
+    assert result.epochs_run == 2
+    assert len(calls) == 2 * 2  # two stage-one epochs of two batches
+
+
+def test_nonfinite_stage_one_loss_names_the_stage():
+    pipe, x, y = make_pipeline("san", seed=6, n=20)
+    pipe.norm.frozen["mu.b2"][...] = np.nan
+    cfg = TrainConfig(lr=1e-2, batch=8, max_epochs=2, patience=2)
+    with pytest.raises(NumericError, match="SAN stage one epoch 1, batch 0"):
+        train(pipe, x[:16], y[:16], x[16:], y[16:], cfg, np.random.default_rng(8))
+
+
 def test_fan_splits_training_targets_once(monkeypatch):
     # lookback 8, horizon 4: the target splits are the horizon-length calls
     pipe, x, y = make_pipeline("fan", n=20)
@@ -530,10 +558,10 @@ def test_transformed_input_keep_truncates_high_bins(method):
 
 
 def test_transformed_input_keep_one_is_window_mean():
-    pipe, x, _ = make_pipeline("tifo", channels=2, keep=1)
+    pipe, x, _ = make_pipeline("tifo", channels=2, keep=1, alpha=0.0)
     _perturb_tifo(pipe)
     means = np.broadcast_to(x.mean(axis=1, keepdims=True), x.shape)
-    np.testing.assert_allclose(pipe.transformed_input(x, alpha=0.0), means, atol=1e-12)
+    np.testing.assert_allclose(pipe.transformed_input(x), means, atol=1e-12)
 
 
 def test_full_keep_matches_no_keep():
