@@ -16,7 +16,8 @@ the model keys (``MODEL_KEYS``: lookback, horizon, method, backbone, alpha,
 ...) from the checkpoint, so their ``config.txt`` records the model they ran;
 ``shift`` keeps its own ``window``, the analysis window of the spectra it
 compares.  A checkpoint must carry the scaler its model was trained under,
-with a finite mean and a finite, positive scale per channel.
+with a mean and a positive scale per channel, and every tensor in it must be
+finite.
 """
 
 from __future__ import annotations
@@ -252,11 +253,12 @@ def _rebuild(cfg: RunConfig):
                 f"{cfg.checkpoint}: tensor {name}: shape {tensors[name].shape} does not match "
                 f"expected ({ck_cfg.channels},)"
             )
+    for name, tensor in tensors.items():
+        if not np.isfinite(tensor).all():
+            raise CheckpointError(f"{cfg.checkpoint}: tensor {name} is not finite")
     mu, sigma = tensors["scaler.mu"], tensors["scaler.sigma"]
-    if not np.isfinite(mu).all():
-        raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.mu is not finite")
-    if not (np.isfinite(sigma) & (sigma > 0)).all():
-        raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.sigma is not finite and positive")
+    if not (sigma > 0).all():
+        raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.sigma is not positive")
     for key in MODEL_KEYS:
         setattr(cfg, key, getattr(ck_cfg, key))
     ds = _dataset(cfg, datamod.Scaler(mu=mu, sigma=sigma))

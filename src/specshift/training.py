@@ -138,7 +138,8 @@ class NormBlock:
 
     ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` is the training loss,
     the MSE of ``leave`` against ``targets(y)``, the one form of the forecast
-    windows it takes; ``train`` forms it once per split.
+    windows it takes; ``train`` forms it once per split.  ``normalize(x)`` is
+    ``enter(x)[0]`` alone, for callers that need no ``ctx``.
 
     ``ctx`` belongs to the caller; no forward or loss call changes a block.
     ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
@@ -147,6 +148,10 @@ class NormBlock:
 
     def targets(self, y):
         return y
+
+    def normalize(self, x):
+        """The normalized lookback windows alone, ``enter(x)[0]``."""
+        return self.enter(x)[0]
 
     def loss(self, y_n, ctx, targets):
         loss, upstream = _mse_upstream(self.leave(y_n, ctx), targets)
@@ -214,14 +219,23 @@ class SanNorm(NormBlock):
         """Per-patch mean and variance as per-step (shift, scale)."""
         return np.repeat(mu, self.patch, axis=1), np.repeat(np.sqrt(var + baselines.PATCH_EPS), self.patch, axis=1)
 
-    def enter(self, x):
+    def _normalize(self, x):
+        """(x z-scored per patch, the patch means, the patch variances)."""
         x = np.asarray(x, dtype=float)
         mu_x, var_x = baselines.san_patch_stats(x, self.patch)
-        mu_y, var_y, _ = baselines.san_predict(self.frozen, mu_x, var_x)
-        # one expression, so its temporaries are freed before the output steps
-        # are built (whole splits come through here)
+        # one expression, so its temporaries are freed at once (whole splits
+        # come through here)
         p = self.patch
         x_n = (x - np.repeat(mu_x, p, axis=1)) / np.repeat(np.sqrt(var_x + baselines.PATCH_EPS), p, axis=1)
+        return x_n, mu_x, var_x
+
+    def normalize(self, x):
+        """``enter(x)[0]`` without running the predictor."""
+        return self._normalize(x)[0]
+
+    def enter(self, x):
+        x_n, mu_x, var_x = self._normalize(x)
+        mu_y, var_y, _ = baselines.san_predict(self.frozen, mu_x, var_x)
         return x_n, self.steps(mu_y, var_y)
 
     def leave(self, y_n, ctx):
@@ -403,7 +417,7 @@ class Pipeline:
 
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
-        x_n, _ = self.norm.enter(x)
+        x_n = self.norm.normalize(x)
         return x_n if self.tifo is None else self.tifo.apply(x_n)
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
@@ -427,7 +441,7 @@ def fit_score_table(
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer sees them."""
-    return pipeline.tifo.fit_scores(pipeline.norm.enter(x_train)[0], y_train)
+    return pipeline.tifo.fit_scores(pipeline.norm.normalize(x_train), y_train)
 
 
 def build_pipeline(

@@ -1,5 +1,5 @@
-"""Test-side oracles: the plain MSE/MAE losses and a central-difference
-check of a pipeline's analytic gradients."""
+"""Test-side oracles: the plain MSE/MAE losses, a central-difference
+check of a pipeline's analytic gradients, and the one-cell shift metrics."""
 
 import numpy as np
 
@@ -48,3 +48,61 @@ def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: flo
             denom = max(abs(numeric), abs(g[i]), 1e-3)
             worst = max(worst, abs(numeric - g[i]) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# shift metrics, one (bin, channel) cell at a time
+# ---------------------------------------------------------------------------
+
+
+def paired_histograms_1d(a, b, bins):
+    """Two samples' normalized histograms over their shared range by
+    ``np.histogram``; a range too narrow for ``np.linspace`` to give strictly
+    increasing edges puts all mass in bin 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    lo = min(a.min(), b.min())
+    hi = max(a.max(), b.max())
+    edges = np.linspace(lo, hi, bins + 1)
+    if (edges[:-1] >= edges[1:]).any():
+        p = np.zeros(bins)
+        p[0] = 1.0
+        return p, p.copy()
+    p, _ = np.histogram(a, bins=bins, range=(lo, hi))
+    q, _ = np.histogram(b, bins=bins, range=(lo, hi))
+    return p / a.size, q / b.size
+
+
+def jsd2_1d(p, q):
+    """Base-2 JS divergence of two PMFs: each KL term summed over the
+    entries where its first argument is nonzero."""
+    m = 0.5 * (p + q)
+
+    def kl(u, v):
+        mask = u > 0.0
+        return float((u[mask] * np.log2(u[mask] / v[mask])).sum())
+
+    return 0.5 * kl(p, m) + 0.5 * kl(q, m)
+
+
+def ks_1d(a, b):
+    """sup |ECDF_a - ECDF_b| over the pooled values, by searchsorted."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    grid = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, grid, side="right") / a.size
+    cdf_b = np.searchsorted(b, grid, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+def shift_tables(panel_a, panel_b, bins):
+    """(jsd2, ks) (K, C) tables of two (N, K, C) panels, one cell at a time."""
+    k, c = panel_a.shape[1:]
+    jsd = np.zeros((k, c))
+    ks = np.zeros((k, c))
+    for ki in range(k):
+        for ci in range(c):
+            a, b = panel_a[:, ki, ci], panel_b[:, ki, ci]
+            jsd[ki, ci] = jsd2_1d(*paired_histograms_1d(a, b, bins))
+            ks[ki, ci] = ks_1d(a, b)
+    return jsd, ks

@@ -529,8 +529,9 @@ def bad_csv(kind, row=0, col=0):
 
 # (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
 # is a tifo checkpoint, "{dates}" a CSV with only a date column, "{negck}" a checkpoint
-# whose one tensor has negative sizes, and each SCALER_FAULTS name a copy of a 3-channel
-# tifo checkpoint with that change to its scaler (None drops a tensor); code None: main raises
+# whose one tensor has negative sizes, and each CHECKPOINT_FAULTS name a copy of a 3-channel
+# tifo checkpoint with those tensors changed (None drops a tensor, a float fills it); code
+# None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -557,6 +558,10 @@ EXIT_TABLE = [
     (["eval", "synth_channels=3", "checkpoint={sigma_inf}"], 5, "scaler.sigma"),
     (["shift", "synth_channels=3", "checkpoint={sigma_zero}"], 5, "scaler.sigma"),
     (["shift", "synth_channels=3", "checkpoint={no_scaler}"], 5, "scaler.mu"),
+    # every model tensor must be finite; a finite one may still overflow the panels
+    (["eval", "synth_channels=3", "checkpoint={w1_nan}"], 5, "tensor tifo.r.w1 is not finite"),
+    (["shift", "synth_channels=3", "checkpoint={b2_inf}"], 5, "tensor tifo.i.b2 is not finite"),
+    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "panel_a is not finite at bin"),
     # each key's rule holds whatever the method, and the message names the key
     (["train", "method=revin", "keep=-3", "score_metric=bogus", "window=boxcar", "alpha=7"], 2, "alpha"),
     (["ablate", "method=revin", "ablate_metrics=bogus", "ablate_windows=boxcar", "ablate_keeps=-3"], 2, "keep"),
@@ -577,7 +582,7 @@ EXIT_TABLE = [
 ]
 
 
-SCALER_FAULTS = {
+CHECKPOINT_FAULTS = {
     "no_scaler": {"scaler.mu": None, "scaler.sigma": None},
     "mu_of_1": {"scaler.mu": np.zeros(1)},
     "sigma_of_2": {"scaler.sigma": np.ones(2)},
@@ -587,33 +592,37 @@ SCALER_FAULTS = {
     "sigma_zero": {"scaler.sigma": np.array([1.0, 0.0, 1.0])},
     "sigma_nan": {"scaler.sigma": np.array([np.nan, 1.0, 1.0])},
     "sigma_inf": {"scaler.sigma": np.array([1.0, np.inf, 1.0])},
+    "w1_nan": {"tifo.r.w1": np.nan},
+    "b2_inf": {"tifo.i.b2": np.inf},
+    "b2_huge": {"tifo.r.b2": 1e308},
 }
 
 
 @pytest.fixture(scope="module")
-def scaler_faults(tmp_path_factory):
-    """{SCALER_FAULTS name: path of a 3-channel tifo checkpoint with that fault}"""
+def checkpoint_faults(tmp_path_factory):
+    """{CHECKPOINT_FAULTS name: path of a 3-channel tifo checkpoint with that fault}"""
     out = tmp_path_factory.mktemp("ck3")
     with contextlib.redirect_stdout(io.StringIO()):
         assert run("train", *TINY, "method=tifo", "synth_channels=3", f"out={out / 'run'}") == 0
     echo, tensors = load_checkpoint(str(out / "run" / "model.ckpt"))
     paths = {}
-    for name, changes in SCALER_FAULTS.items():
+    for name, changes in CHECKPOINT_FAULTS.items():
         paths[name] = out / f"{name}.ckpt"
-        changed = {**tensors, **changes}
+        changed = {**tensors, **{k: np.full(tensors[k].shape, v) if isinstance(v, float) else v
+                                 for k, v in changes.items()}}
         save_checkpoint(str(paths[name]), echo, {k: v for k, v in changed.items() if v is not None})
     return paths
 
 
 @pytest.mark.parametrize("argv, code, needle", EXIT_TABLE, ids=[" ".join(row[0]) for row in EXIT_TABLE])
-def test_exit_code_table(tmp_path, trained_tifo, scaler_faults, monkeypatch, capsys, argv, code, needle):
+def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch, capsys, argv, code, needle):
     ck, _ = trained_tifo
     dates = tmp_path / "dates.csv"
     dates.write_text(bad_csv("date column only"))
     negck = tmp_path / "neg.ckpt"
     negck.write_bytes(b"specshift-checkpoint v1\ntensor w -1 -1\nend\n" + bytes(8))
     command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates, negck=negck,
-                                    **scaler_faults) for a in argv]
+                                    **checkpoint_faults) for a in argv]
     args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
     if code is None:
         def fault(*a, **k):

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import oracles
+from specshift import shiftmetrics
+from specshift.errors import NumericError
 from specshift.shiftmetrics import jsd2, ks, paired_histograms, shift_report
 
 
@@ -122,21 +128,161 @@ def test_shift_report_offset_panels_saturate_ks():
     np.testing.assert_allclose(report["ks"], 1.0)
 
 
-def test_shift_report_matches_brute_force():
+def _panel_cases():
+    """name -> (panel_a, panel_b): the cases where a many-cell computation
+    could part from the one-cell one."""
     rng = np.random.default_rng(6)
-    a = rng.uniform(0, 3, size=(9, 3, 2))
-    b = rng.uniform(0, 3, size=(7, 3, 2))
-    report = shift_report(a, b, bins=10)
-    for k in range(3):
-        for c in range(2):
-            p, q = paired_histograms(a[:, k, c], b[:, k, c], bins=10)
-            assert report["jsd2"][k, c] == pytest.approx(jsd2(p, q), abs=1e-12)
-            assert report["ks"][k, c] == pytest.approx(ks(a[:, k, c], b[:, k, c]), abs=1e-12)
-    assert report["aggregate"]["jsd2_mean"] == pytest.approx(report["jsd2"].mean(), abs=1e-12)
-    assert report["aggregate"]["ks_mean"] == pytest.approx(report["ks"].mean(), abs=1e-12)
-    assert report["aggregate"]["ks_p60"] == pytest.approx(
-        float(np.percentile(report["ks"], 60)), abs=1e-12
-    )
+    constant = (rng.standard_normal((8, 3, 2)), rng.standard_normal((5, 3, 2)))
+    for panel in constant:
+        panel[:, 1] = 2.5  # both samples of bin 1 are one value: a range of 0
+    ulp_wide = (np.ones((4, 2, 2)), np.full((3, 2, 2), np.nextafter(1.0, 2.0)))
+    ulp_wide[0][:, 1, 1] = rng.standard_normal(4)  # one ordinary cell beside them
+    # every cell's 7-bin edges in a, their neighbours 1 ulp either side in b:
+    # np.histogram's scaled index misses some of these by one and corrects it
+    lo, hi = np.sort(rng.uniform(-10, 10, size=(2, 5, 6)), axis=0)
+    edges = np.arange(8.0)[:, None, None] * ((hi - lo) / 7) + lo
+    edges[-1] = hi
+    inner = edges[1:-1]
+    on_edges = (edges, np.concatenate([np.nextafter(inner, -np.inf), np.nextafter(inner, np.inf)]))
+    return {
+        "random": (rng.uniform(0, 3, size=(9, 3, 2)), rng.uniform(0, 3, size=(7, 3, 2))),
+        "ties": (rng.integers(0, 3, size=(11, 4, 2)).astype(float), rng.integers(0, 3, size=(6, 4, 2)).astype(float)),
+        "constant cells": constant,
+        "cells 1 ulp wide": ulp_wide,
+        "values on bin edges": on_edges,
+        "one-sample panels": (rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 2))),
+        "subnormal ranges": (rng.integers(0, 4, size=(6, 2, 2)) * 5e-324, rng.integers(0, 4, size=(5, 2, 2)) * 5e-324),
+        "wide magnitudes": (rng.standard_normal((12, 3, 1)) * 1e300, rng.standard_normal((10, 3, 1)) * 1e-300),
+    }
+
+
+PANEL_CASES = _panel_cases()
+
+
+def _assert_matches_oracle(a, b, bins, label=""):
+    report = shift_report(a, b, bins=bins)
+    jsd_table, ks_table = oracles.shift_tables(a, b, bins)
+    assert np.array_equal(report["jsd2"], jsd_table), label
+    assert np.array_equal(report["ks"], ks_table), label
+    return report
+
+
+def test_shift_report_matches_brute_force():
+    """Every cell's values equal the one-cell oracle's bit for bit."""
+    for name, (a, b) in PANEL_CASES.items():
+        for bins in (1, 2, 7, 50):
+            report = _assert_matches_oracle(a, b, bins, f"{name}, bins={bins}")
+            aggregate = report["aggregate"]
+            assert aggregate["jsd2_mean"] == float(report["jsd2"].mean())
+            assert aggregate["ks_mean"] == float(report["ks"].mean())
+            assert aggregate["ks_p60"] == float(np.percentile(report["ks"], 60))
+
+
+# values with ties, 1-ulp steps and subnormals, and arbitrary finite ones
+cell_values = st.sampled_from([0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 3.0]) | st.floats(
+    -1e6, 1e6, allow_nan=False, allow_infinity=False
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_shift_report_matches_oracle_property(data):
+    k, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
+    a = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), k, c), elements=cell_values))
+    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), k, c), elements=cell_values))
+    _assert_matches_oracle(a, b, data.draw(st.sampled_from([1, 2, 7, 50])))
+
+
+@pytest.mark.parametrize("chunk", [1, 40, 10_000])
+def test_shift_report_calls_each_metric_once_per_chunk(monkeypatch, chunk):
+    """A chunk holds at most CHUNK_SAMPLES samples (one cell at the least);
+    the values do not depend on where the chunks split."""
+    a, b = PANEL_CASES["ties"]  # 8 cells of 11 + 6 samples
+    calls = {}
+    for name in ("paired_histograms", "jsd2", "ks"):
+        def counted(*args, _f=getattr(shiftmetrics, name), _name=name, **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(shiftmetrics, name, counted)
+    monkeypatch.setattr(shiftmetrics, "CHUNK_SAMPLES", chunk)
+    _assert_matches_oracle(a, b, 7)
+    chunks = {1: 8, 40: 4, 10_000: 1}[chunk]
+    assert calls == {"paired_histograms": chunks, "jsd2": chunks, "ks": chunks}
+
+
+def test_metrics_take_many_cells_at_once():
+    """Trailing axes index cells; each cell equals its one-dimensional call."""
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 5, size=(9, 2, 3)).astype(float)
+    b = rng.integers(0, 5, size=(4, 2, 3)).astype(float)
+    p, q = paired_histograms(a, b, bins=6)
+    pmfs = jsd2(p, q)
+    stats = ks(a, b)
+    assert p.shape == q.shape == (6, 2, 3) and pmfs.shape == stats.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            p1, q1 = paired_histograms(a[:, i, j], b[:, i, j], bins=6)
+            assert np.array_equal(p[:, i, j], p1) and np.array_equal(q[:, i, j], q1)
+            assert pmfs[i, j] == jsd2(p1, q1)
+            assert stats[i, j] == ks(a[:, i, j], b[:, i, j])
+    assert isinstance(jsd2(p1, q1), float) and isinstance(ks(a[:, 0, 0], b[:, 0, 0]), float)
+
+
+def test_metrics_leave_their_inputs_alone():
+    a = np.array([3.0, 1.0, 2.0])
+    b = np.array([2.5, 0.5])
+    ks(a, b)
+    paired_histograms(a, b, bins=3)
+    shift_report(a.reshape(3, 1, 1), b.reshape(2, 1, 1))
+    assert a.tolist() == [3.0, 1.0, 2.0] and b.tolist() == [2.5, 0.5]
+
+
+def test_metrics_reject_mismatched_cells():
+    with pytest.raises(ValueError, match="cell axes"):
+        paired_histograms(np.ones((3, 2)), np.ones((3, 4)))
+    with pytest.raises(ValueError, match="cell axes"):
+        ks(np.ones((3, 2)), np.ones(3))
+    with pytest.raises(ValueError, match="support axis"):
+        jsd2(np.array(1.0), np.array(1.0))
+
+
+def test_shift_report_working_memory_is_bounded():
+    """Chunking bounds the report's allocations at a diagnose-sized panel pair."""
+    rng = np.random.default_rng(7)
+    a = rng.gamma(2.0, size=(437, 49, 7))
+    b = rng.gamma(2.0, size=(63, 49, 7))
+    shift_report(a[:5], b[:5])  # first calls' one-off allocations stay out of the count
+    tracemalloc.start()
+    try:
+        shift_report(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_shift_report_names_the_first_non_finite_cell(bad):
+    a = np.ones((5, 4, 3))
+    b = np.ones((4, 4, 3))
+    b[2, 3, 0] = bad
+    b[0, 1, 2] = bad
+    with pytest.raises(NumericError, match="panel_b is not finite at bin 1, channel 2"):
+        shift_report(a, b)
+    with pytest.raises(NumericError, match="panel_a is not finite at bin 1, channel 2"):
+        shift_report(b, b)
+
+
+def test_non_finite_samples_raise_numeric_error():
+    with pytest.raises(NumericError):
+        paired_histograms(np.array([0.0, np.inf]), np.array([1.0]))
+    with pytest.raises(NumericError):
+        paired_histograms(np.array([0.0, 1.0]), np.array([np.nan]))
+    with pytest.raises(NumericError):
+        ks(np.array([0.0, np.nan]), np.array([1.0]))
+    a, b = np.array([-np.inf, 0.0, np.inf]), np.array([np.inf, 1.0])
+    assert ks(a, b) == oracles.ks_1d(a, b)
 
 
 def test_shift_report_rejects_mismatched_panels():

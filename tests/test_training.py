@@ -17,6 +17,7 @@ from specshift.training import (
     TrainConfig,
     build_pipeline,
     evaluate,
+    fit_score_table,
     train,
     train_san_predictor,
 )
@@ -555,6 +556,28 @@ def test_transformed_input_keep_truncates_high_bins(method):
     np.testing.assert_allclose(real[:, 2:, :], 0.0, atol=1e-10)
     np.testing.assert_allclose(imag[:, 2:, :], 0.0, atol=1e-10)
     assert np.abs(real[:, :2, :]).max() > 1e-3
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_normalize_is_enter_without_ctx(method):
+    pipe, x, _ = make_pipeline(method, channels=2)
+    assert np.array_equal(pipe.norm.normalize(x), pipe.norm.enter(x)[0])
+
+
+def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
+    """The score fit and the transformed input take SAN's normalized windows
+    alone, with the same bytes as before, and never run its predictor."""
+    pipe, x, y = make_pipeline("tifo+san", channels=2)
+    _perturb_tifo(pipe)
+    x_n = pipe.norm.enter(x)[0]
+    scores, transformed = pipe.tifo.fit_scores(x_n, y), pipe.tifo.apply(x_n)
+
+    def no_predictor(*args, **kwargs):
+        raise AssertionError("san_predict ran")
+
+    monkeypatch.setattr(baselines, "san_predict", no_predictor)
+    assert np.array_equal(fit_score_table(pipe, x, y), scores)
+    assert np.array_equal(pipe.transformed_input(x), transformed)
 
 
 def test_transformed_input_keep_one_is_window_mean():
