@@ -303,7 +303,8 @@ def cmd_shift(cfg: RunConfig) -> None:
     pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
     cfg.window = window
     raw_train, raw_test = _panel_pair(cfg, ds.x_train, ds.x_test)
-    before = shift_report(raw_train, raw_test, bins=cfg.hist_bins)
+    before = shift_report(raw_train, raw_test, bins=cfg.hist_bins,
+                          names=("before train panel", "before test panel"))
     after = note = None
     if pipeline is not None and not pipeline.transforms_input:
         note = f"method {pipeline.method!r} does not transform its input; After omitted"
@@ -311,7 +312,8 @@ def cmd_shift(cfg: RunConfig) -> None:
         t_train = pipeline.transformed_input(ds.x_train)
         t_test = pipeline.transformed_input(ds.x_test)
         tr_panel, te_panel = _panel_pair(cfg, t_train, t_test)
-        after = shift_report(tr_panel, te_panel, bins=cfg.hist_bins)
+        after = shift_report(tr_panel, te_panel, bins=cfg.hist_bins,
+                             names=("after train panel", "after test panel"))
     out = _out_dir(cfg)
     blank = np.full(before["jsd2"].shape, np.nan)
     columns = [before["jsd2"], after["jsd2"] if after else blank, before["ks"], after["ks"] if after else blank]

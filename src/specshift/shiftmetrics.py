@@ -165,13 +165,18 @@ def ks(a: np.ndarray, b: np.ndarray):
     return _per_cell(gap.max(axis=1), cells)
 
 
-def shift_report(panel_a: np.ndarray, panel_b: np.ndarray, bins: int = HIST_BINS) -> dict:
+def shift_report(
+    panel_a: np.ndarray,
+    panel_b: np.ndarray,
+    bins: int = HIST_BINS,
+    names: tuple[str, str] = ("panel_a", "panel_b"),
+) -> dict:
     """Per-(bin, channel) jsd2/ks between two (N, K, C) panels, plus aggregates.
 
     Returns a dict with "jsd2" and "ks" (K, C) arrays and an "aggregate"
     mapping with mean, median and 60th percentile of each metric.  A panel
-    with a non-finite value raises ``NumericError`` naming it and its first
-    such (bin, channel).
+    with a non-finite value raises ``NumericError`` naming it by its entry in
+    ``names`` and giving its first such (bin, channel).
     """
     panel_a = np.asarray(panel_a, dtype=float)
     panel_b = np.asarray(panel_b, dtype=float)
@@ -181,7 +186,7 @@ def shift_report(panel_a: np.ndarray, panel_b: np.ndarray, bins: int = HIST_BINS
         raise ValueError("panels must agree on (K, C)")
     if panel_a.shape[0] == 0 or panel_b.shape[0] == 0:
         raise ValueError("both panels must hold at least one window")
-    for name, panel in (("panel_a", panel_a), ("panel_b", panel_b)):
+    for name, panel in zip(names, (panel_a, panel_b)):
         bad = np.argwhere(~np.isfinite(panel).all(axis=0))
         if bad.size:
             raise NumericError(f"{name} is not finite at bin {bad[0, 0]}, channel {bad[0, 1]}")

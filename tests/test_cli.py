@@ -561,7 +561,7 @@ EXIT_TABLE = [
     # every model tensor must be finite; a finite one may still overflow the panels
     (["eval", "synth_channels=3", "checkpoint={w1_nan}"], 5, "tensor tifo.r.w1 is not finite"),
     (["shift", "synth_channels=3", "checkpoint={b2_inf}"], 5, "tensor tifo.i.b2 is not finite"),
-    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "panel_a is not finite at bin"),
+    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0"),
     # each key's rule holds whatever the method, and the message names the key
     (["train", "method=revin", "keep=-3", "score_metric=bogus", "window=boxcar", "alpha=7"], 2, "alpha"),
     (["ablate", "method=revin", "ablate_metrics=bogus", "ablate_windows=boxcar", "ablate_keeps=-3"], 2, "keep"),

@@ -272,6 +272,8 @@ def test_shift_report_names_the_first_non_finite_cell(bad):
         shift_report(a, b)
     with pytest.raises(NumericError, match="panel_a is not finite at bin 1, channel 2"):
         shift_report(b, b)
+    with pytest.raises(NumericError, match="^test panel is not finite at bin 1, channel 2$"):
+        shift_report(a, b, names=("train panel", "test panel"))
 
 
 def test_non_finite_samples_raise_numeric_error():

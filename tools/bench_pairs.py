@@ -2,11 +2,12 @@
 
     python tools/bench_pairs.py --parent PATH --out BENCH_<n>.json [--pairs 10] [--seconds 45]
 
-For each pair and each workload, runs ``perfbench/run.py --trace 0`` once in
-the parent checkout at PATH and once in the checkout this file sits in, one
-process at a time, at the same seed, alternating which side goes first.
-After each run it reads the record the run wrote to its checkout's
-``perfbench/results/``.  The output JSON holds:
+For each pair and each ``BENCHMARK.json`` workload, runs
+``perfbench/run.py --trace 0`` once in the parent checkout at PATH and once
+in the checkout this file sits in, one process at a time, at the same seed,
+alternating which side goes first.  After each run it reads the record the
+run wrote to its checkout's ``perfbench/results/``; a run that exits other
+than 0 or 1, or writes no record, stops the tool.  The output JSON holds:
 
 - ``environment``: the first record's machine details (nproc, CPU, Python,
   numpy and BLAS versions, thread variables before and after pinning);
@@ -33,6 +34,7 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
+FIRST_SEED = 101  # pair i runs at seed FIRST_SEED + i on both sides
 
 
 def _git(path: Path, *args: str) -> str | None:
@@ -53,11 +55,20 @@ def _provenance(path: Path) -> dict:
 
 
 def _run(path: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in the checkout at path; its record's outcome and metrics."""
+    """One benchmark run in the checkout at path; its record's outcome and metrics.
+
+    Raises ``RuntimeError`` when run.py exits other than 0 (correct) or 1
+    (incorrect), or leaves no record.
+    """
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
+    record_path = path / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json"
+    record_path.unlink(missing_ok=True)  # an earlier run's record must not pass for this one's
     proc = subprocess.run(argv, cwd=path, capture_output=True, text=True, timeout=4 * seconds + 600)
-    record = json.loads((path / "perfbench" / "results" / f"{workload}-seed{seed}-trace0.json").read_text())
+    if proc.returncode not in (0, 1) or not record_path.exists():
+        raise RuntimeError(f"{' '.join(argv[1:])} in {path} exited {proc.returncode} "
+                           f"{'with' if record_path.exists() else 'without'} a record:\n{proc.stderr[-2000:]}")
+    record = json.loads(record_path.read_text())
     return {
         "exit_code": proc.returncode,
         "correct": record["correct"],
@@ -104,16 +115,14 @@ def main() -> int:
     parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=45.0)
-    parser.add_argument("--first-seed", type=int, default=101)
-    parser.add_argument("--workloads", nargs="+", default=None, help="default: every BENCHMARK.json workload")
     args = parser.parse_args()
     bench = json.loads((HERE / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in bench["workloads"]]
+    workloads = [w["name"] for w in bench["workloads"]]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": HERE}
     runs = []
     for i in range(args.pairs):
-        seed = args.first_seed + i
+        seed = FIRST_SEED + i
         for w, workload in enumerate(workloads):
             order = ("parent", "change") if (i + w) % 2 == 0 else ("change", "parent")
             for side in order:
@@ -127,7 +136,7 @@ def main() -> int:
                         if k not in ("seed", "workload", "sizes", "footprint", "git_commit")},
         "commits": {side: _provenance(path) for side, path in sides.items()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "workloads": workloads,
-                     "seeds": [args.first_seed + i for i in range(args.pairs)],
+                     "seeds": [FIRST_SEED + i for i in range(args.pairs)],
                      "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"},
         "runs": [{k: v for k, v in r.items() if k != "environment"} for r in runs],
         "summary": summarize(runs, better),
