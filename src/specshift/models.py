@@ -136,25 +136,26 @@ class Backbone:
                 "seasonal.bias": bs,
             }
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(N, L, C) -> (N, H, C)."""
+    def forward(self, x: np.ndarray):
+        """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): dlinear's
+        (trend, seasonal) parts of x, None for linear."""
         p = self.params
         if self.cfg.kind == "linear":
-            return dense(p["weight"], p["bias"], x)
+            return dense(p["weight"], p["bias"], x), None
         trend, seasonal = moving_average_decompose(x, self.cfg.kernel)
         out = dense(p["trend.weight"], p["trend.bias"], trend)
         out += dense(p["seasonal.weight"], p["seasonal.bias"], seasonal)
-        return out
+        return out, (trend, seasonal)
 
-    def vjp(self, x: np.ndarray, upstream: np.ndarray, input_grad: bool = True):
-        """Returns (param_grads, grad_x) for the forward pass at x; grad_x is
-        None when input_grad is False."""
+    def vjp(self, x: np.ndarray, cache, upstream: np.ndarray, input_grad: bool = True):
+        """Returns (param_grads, grad_x) for the forward pass at x that
+        returned cache; grad_x is None when input_grad is False."""
         cfg = self.cfg
         p = self.params
         if cfg.kind == "linear":
             g_w, g_b, g_x = dense_vjp(p["weight"], x, upstream, input_grad)
             return {"weight": g_w, "bias": g_b}, g_x
-        trend, seasonal = moving_average_decompose(x, cfg.kernel)
+        trend, seasonal = cache
         g_wt, g_bt, g_trend = dense_vjp(p["trend.weight"], trend, upstream, input_grad)
         g_ws, g_bs, g_seasonal = dense_vjp(p["seasonal.weight"], seasonal, upstream, input_grad)
         grads = {

@@ -103,19 +103,15 @@ def alpha_scale(lam: np.ndarray, alpha: float) -> np.ndarray:
     return 1.0 + alpha * (np.asarray(lam, dtype=float) - 1.0)
 
 
-def transform(
-    x: np.ndarray,
-    lam_r: np.ndarray,
-    lam_i: np.ndarray,
-) -> np.ndarray:
+def transform(x: np.ndarray, lam_r: np.ndarray, lam_i: np.ndarray):
     """Re-weight a window (or stack of windows) in the frequency domain.
 
-    x : (..., L, C); weights are (K, C).
+    x : (..., L, C); weights are (K, C).  Returns (re-weighted x, cache), the
+    cache being x's spectrum (real, imag), which ``transform_vjp`` reads.
     """
     x = np.asarray(x, dtype=float)
-    length = x.shape[-2]
     real, imag = dft_forward(x, axis=-2)
-    return weighted_inverse(real, imag, lam_r, lam_i, length)
+    return weighted_inverse(real, imag, lam_r, lam_i, x.shape[-2]), (real, imag)
 
 
 def weighted_inverse(
@@ -137,7 +133,8 @@ def transform_vjp(
     lam_i: np.ndarray,
     length: int,
 ):
-    """VJP of ``weighted_inverse`` w.r.t. the input series and the weights.
+    """VJP of ``transform`` w.r.t. the input series and the weights; real
+    and imag are the cache it returned.
 
     Because the DFT and its inverse are linear, the cotangent of the weighted
     spectrum is just the forward DFT of the upstream gradient scaled by the

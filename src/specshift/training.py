@@ -3,11 +3,11 @@ re-weighting layer and a backbone, composed per method by ``COMPOSITION``;
 an Adam optimizer, the early-stopping loop and evaluation.
 
 Gradients come from composing explicit per-block VJPs; there is no
-general-purpose tape.  Each block owns its forward and its VJP, and
-``Pipeline.loss_grads`` only chains them.  The baseline blocks (RevIN, SAN,
-FAN) hold their normalize, denormalize and combine arithmetic here and call
-``baselines`` for the statistics and learned nets.  A pipeline owns two
-tensor groups:
+general-purpose tape.  Each block owns its forward and its VJP, every
+forward returns the cache its VJP reads, and ``Pipeline.loss_grads`` only
+chains them.  The baseline blocks (RevIN, SAN, FAN) hold their normalize,
+denormalize and combine arithmetic here and call ``baselines`` for the
+statistics and learned nets.  A pipeline owns two tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
@@ -30,7 +30,7 @@ import numpy as np
 from . import baselines, tifo
 from .errors import CheckpointError, ConfigError, NumericError
 from .models import Backbone, BackboneConfig
-from .spectral import dft_forward, n_bins
+from .spectral import dft_forward, n_bins  # noqa: F401 - perfbench/tests/test_tracer.py checks this binding
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
 
 
@@ -130,16 +130,16 @@ def _mse_upstream(pred, target):
 
 
 class NormBlock:
-    """A block wraps the backbone: ``enter(x) -> (x_n, ctx)`` normalizes the
-    lookback window and ``leave(y_n, ctx) -> y`` maps the backbone output
-    back.  ``leave_vjp(upstream, y_n, ctx) -> (g_n, grads)`` takes the
-    cotangent of ``leave``'s output to the backbone output's and the block's
-    own parameter gradients.
+    """A block wraps the backbone.  ``enter(x) -> (x_n, ctx)`` is the
+    parameter-free front end: it normalizes the lookback windows, window by
+    window, so a whole split entered at once gives the bytes of its batches
+    entered one by one.  ``leave(y_n, ctx) -> y`` maps the backbone output
+    back; the block's learned parts run here.
 
     ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` is the training loss,
     the MSE of ``leave`` against ``targets(y)``, the one form of the forecast
-    windows it takes; ``train`` forms it once per split.  ``normalize(x)`` is
-    ``enter(x)[0]`` alone, for callers that need no ``ctx``.
+    windows it takes (``train`` forms it once per split), with the cotangent
+    of the backbone output and the block's own parameter gradients.
 
     ``ctx`` belongs to the caller; no forward or loss call changes a block.
     ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
@@ -148,14 +148,6 @@ class NormBlock:
 
     def targets(self, y):
         return y
-
-    def normalize(self, x):
-        """The normalized lookback windows alone, ``enter(x)[0]``."""
-        return self.enter(x)[0]
-
-    def loss(self, y_n, ctx, targets):
-        loss, upstream = _mse_upstream(self.leave(y_n, ctx), targets)
-        return (loss, *self.leave_vjp(upstream, y_n, ctx))
 
 
 class IdentityNorm(NormBlock):
@@ -171,8 +163,8 @@ class IdentityNorm(NormBlock):
     def leave(self, y_n, ctx):
         return y_n
 
-    def leave_vjp(self, upstream, y_n, ctx):
-        return upstream, {}
+    def loss(self, y_n, ctx, targets):
+        return (*_mse_upstream(y_n, targets), {})
 
 
 class RevinNorm(NormBlock):
@@ -195,17 +187,19 @@ class RevinNorm(NormBlock):
         mu, sigma = ctx
         return self.params["gamma"] * (y_n * sigma + mu) + self.params["beta"]
 
-    def leave_vjp(self, upstream, y_n, ctx):
+    def loss(self, y_n, ctx, targets):
         mu, sigma = ctx
-        grads = {"gamma": (upstream * (y_n * sigma + mu)).sum(axis=(0, 1)), "beta": upstream.sum(axis=(0, 1))}
-        return upstream * self.params["gamma"] * sigma, grads
+        y = y_n * sigma + mu
+        loss, upstream = _mse_upstream(self.params["gamma"] * y + self.params["beta"], targets)
+        grads = {"gamma": (upstream * y).sum(axis=(0, 1)), "beta": upstream.sum(axis=(0, 1))}
+        return loss, upstream * self.params["gamma"] * sigma, grads
 
 
 class SanNorm(NormBlock):
     """Patch-statistic normalization; the statistics predictor trains in a
     first stage (``train_san_predictor``) and stays frozen afterwards.
-    ``enter`` hands back the predicted output statistics as the per-step
-    (shift, scale) that ``leave`` applies."""
+    ``enter`` hands back the input's patch statistics, from which ``leave``
+    and ``loss`` predict the output's per-step (shift, scale)."""
 
     name = "san"
 
@@ -219,31 +213,24 @@ class SanNorm(NormBlock):
         """Per-patch mean and variance as per-step (shift, scale)."""
         return np.repeat(mu, self.patch, axis=1), np.repeat(np.sqrt(var + baselines.PATCH_EPS), self.patch, axis=1)
 
-    def _normalize(self, x):
-        """(x z-scored per patch, the patch means, the patch variances)."""
+    def enter(self, x):
+        """(x z-scored per patch, (the patch means, the patch variances))."""
         x = np.asarray(x, dtype=float)
         mu_x, var_x = baselines.san_patch_stats(x, self.patch)
         # one expression, so its temporaries are freed at once (whole splits
         # come through here)
         p = self.patch
         x_n = (x - np.repeat(mu_x, p, axis=1)) / np.repeat(np.sqrt(var_x + baselines.PATCH_EPS), p, axis=1)
-        return x_n, mu_x, var_x
-
-    def normalize(self, x):
-        """``enter(x)[0]`` without running the predictor."""
-        return self._normalize(x)[0]
-
-    def enter(self, x):
-        x_n, mu_x, var_x = self._normalize(x)
-        mu_y, var_y, _ = baselines.san_predict(self.frozen, mu_x, var_x)
-        return x_n, self.steps(mu_y, var_y)
+        return x_n, (mu_x, var_x)
 
     def leave(self, y_n, ctx):
-        shift, scale = ctx
+        shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
         return y_n * scale + shift
 
-    def leave_vjp(self, upstream, y_n, ctx):
-        return upstream * ctx[1], {}
+    def loss(self, y_n, ctx, targets):
+        shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
+        loss, upstream = _mse_upstream(y_n * scale + shift, targets)
+        return loss, upstream * scale, {}
 
 
 class FanNorm(NormBlock):
@@ -286,8 +273,9 @@ class TifoLayer:
 
     The only holder of the layer's rules: the effective weights are the
     alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins >= keep,
-    ``forward``/``vjp`` are the training pass and its gradients, and
-    ``fit_scores`` turns normalized windows into a score table.
+    ``forward`` is the one re-weighting pass, ``vjp`` its gradients at the
+    configured alpha, and ``fit_scores`` turns normalized windows into a
+    score table.
     """
 
     name = "tifo"
@@ -310,17 +298,11 @@ class TifoLayer:
         a = self.cfg.alpha if alpha is None else alpha
         return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, cache
 
-    def apply(self, x_n: np.ndarray, alpha: float | None = None,
-              scores: np.ndarray | None = None) -> np.ndarray:
-        """Re-weight normalized windows (N, L, C)."""
-        lam_r, lam_i, _ = self.weights(alpha, scores)
-        return tifo.transform(x_n, lam_r, lam_i)
-
-    def forward(self, x_n: np.ndarray):
-        """(re-weighted windows, cache for ``vjp``) at the configured alpha."""
-        lam_r, lam_i, w_cache = self.weights()
-        real, imag = dft_forward(x_n, axis=-2)
-        x_t = tifo.weighted_inverse(real, imag, lam_r, lam_i, x_n.shape[-2])
+    def forward(self, x_n: np.ndarray, alpha: float | None = None, scores: np.ndarray | None = None):
+        """(normalized windows (N, L, C) re-weighted, cache for ``vjp``), at
+        the stored or the given alpha and score table."""
+        lam_r, lam_i, w_cache = self.weights(alpha, scores)
+        x_t, (real, imag) = tifo.transform(x_n, lam_r, lam_i)
         return x_t, (real, imag, lam_r, lam_i, w_cache)
 
     def vjp(self, cache, g_x: np.ndarray) -> dict[str, np.ndarray]:
@@ -409,16 +391,16 @@ class Pipeline:
         Both act on the re-weighting layer only (``evaluate`` rejects them
         for a method without one)."""
         if self.tifo is not None:
-            x_n = self.tifo.apply(x_n, alpha, scores)
-        return self.norm.leave(self.backbone.forward(x_n), ctx)
+            x_n = self.tifo.forward(x_n, alpha, scores)[0]  # drops the cache before the backbone runs
+        return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         return self.head(*self.norm.enter(x))
 
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
-        x_n = self.norm.normalize(x)
-        return x_n if self.tifo is None else self.tifo.apply(x_n)
+        x_n = self.norm.enter(x)[0]
+        return x_n if self.tifo is None else self.tifo.forward(x_n)[0]
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``
@@ -426,8 +408,9 @@ class Pipeline:
         x_t, ctx = self.norm.enter(x)
         if self.tifo is not None:
             x_t, tifo_cache = self.tifo.forward(x_t)
-        loss, upstream, norm_grads = self.norm.loss(self.backbone.forward(x_t), ctx, targets)
-        bb_grads, g_xt = self.backbone.vjp(x_t, upstream, input_grad=self.tifo is not None)
+        y_n, bb_cache = self.backbone.forward(x_t)
+        loss, upstream, norm_grads = self.norm.loss(y_n, ctx, targets)
+        bb_grads, g_xt = self.backbone.vjp(x_t, bb_cache, upstream, input_grad=self.tifo is not None)
         grads = _namespace("backbone", bb_grads)
         grads.update(_namespace(self.norm.name, norm_grads))
         if self.tifo is not None:
@@ -441,7 +424,7 @@ def fit_score_table(
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer sees them."""
-    return pipeline.tifo.fit_scores(pipeline.norm.normalize(x_train), y_train)
+    return pipeline.tifo.fit_scores(pipeline.norm.enter(x_train)[0], y_train)
 
 
 def build_pipeline(
@@ -570,7 +553,8 @@ def evaluate(
     (score-driven methods only).  ema_decay, if set, strictly inside (0, 1),
     refreshes the stability scores from each batch of at least two windows
     before weighting (a one-window batch has no spread to score and keeps the
-    running scores); the pipeline's stored scores are not modified.
+    running scores); the pipeline's stored scores are not modified.  A batch
+    whose squared forecast error is not finite raises NumericError naming it.
     """
     check_eval_settings(pipeline.method, batch, alpha, ema_decay)
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
@@ -586,7 +570,10 @@ def evaluate(
             running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
         pred = pipeline.head(x_n, ctx, alpha, running_scores)
         err = pred - yb
-        sq_sum += float((err * err).sum())
+        sq = float((err * err).sum())
+        if not math.isfinite(sq):
+            raise NumericError(f"non-finite forecast error at evaluation batch {start // batch}")
+        sq_sum += sq
         abs_sum += float(np.abs(err).sum())
         count += err.size
     return {"mse": sq_sum / count, "mae": abs_sum / count}

@@ -184,7 +184,7 @@ def test_criterion_4_alpha_sweep_monotone_ends():
         at = {a: evaluate(model, ds.x_test, ds.y_test, alpha=a)["mse"]
               for a in (1.0, 0.25, 0.0)}
         assert at[1.0] <= at[0.25] <= at[0.0]
-        bare = mse(model.backbone.forward(ds.x_test), ds.y_test)
+        bare = mse(model.backbone.forward(ds.x_test)[0], ds.y_test)
         assert abs(at[0.0] - bare) <= 1e-10
         gaps.append(abs(at[0.0] - bare))
         chains.append((at[1.0], at[0.25], at[0.0]))

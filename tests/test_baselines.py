@@ -70,13 +70,16 @@ def test_san_patch_stats_requires_divisibility():
 
 
 def test_san_normalize_denormalize_inverse():
-    # leaving with the input's own patch statistics undoes entering
+    # de-normalizing with the per-step form of the input's own patch
+    # statistics, which enter hands back, undoes entering
     rng = np.random.default_rng(1)
     x = rng.standard_normal((5, 12, 2)) * 3.0 + 1.0
     san = block(SanNorm, 12, 12, 2, san=SanConfig(patch=4, hidden=4))
-    x_n, _ = san.enter(x)
-    back = san.leave(x_n, san.steps(*san_patch_stats(x, 4)))
-    np.testing.assert_allclose(back, x, atol=1e-5)
+    x_n, ctx = san.enter(x)
+    for got, want in zip(ctx, san_patch_stats(x, 4)):
+        np.testing.assert_array_equal(got, want)
+    shift, scale = san.steps(*ctx)
+    np.testing.assert_allclose(x_n * scale + shift, x, atol=1e-5)
 
 
 def test_san_predict_variance_is_positive():

@@ -54,7 +54,7 @@ def test_linear_forward_hand_value():
     model = Backbone(cfg, np.random.default_rng(0))
     model.params["weight"] = np.array([[1.0, 0.0], [0.0, 2.0]])
     model.params["bias"] = np.array([1.0, 1.0])
-    out = model.forward(np.array([3.0, 4.0]).reshape(1, 2, 1))
+    out, _ = model.forward(np.array([3.0, 4.0]).reshape(1, 2, 1))
     np.testing.assert_allclose(out[0, :, 0], [4.0, 9.0], atol=1e-12)
 
 
@@ -78,7 +78,7 @@ def test_linear_shared_vs_per_channel_shapes():
         if w.ndim == 2:
             w, b = np.broadcast_to(w, (4, 3, 6)), np.broadcast_to(b, (4, 3))
         expected = np.stack([x[:, :, c] @ w[c].T + b[c] for c in range(4)], axis=-1)
-        out = model.forward(x)
+        out, _ = model.forward(x)
         assert out.shape == (5, 3, 4)
         np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
 
@@ -106,7 +106,7 @@ def test_dlinear_forward_composition():
     manual = dense(model.params["trend.weight"], model.params["trend.bias"], trend) + dense(
         model.params["seasonal.weight"], model.params["seasonal.bias"], seasonal
     )
-    np.testing.assert_allclose(model.forward(x), manual, atol=1e-12)
+    np.testing.assert_allclose(model.forward(x)[0], manual, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["linear", "dlinear"])
@@ -119,11 +119,11 @@ def test_vjp_matches_finite_differences(kind, shared):
     target = rng.standard_normal((4, 3, 2))
 
     def loss():
-        return float(np.mean((model.forward(x) - target) ** 2))
+        return float(np.mean((model.forward(x)[0] - target) ** 2))
 
-    out = model.forward(x)
+    out, cache = model.forward(x)
     upstream = 2.0 * (out - target) / out.size
-    grads, grad_x = model.vjp(x, upstream)
+    grads, grad_x = model.vjp(x, cache, upstream)
 
     eps = 1e-6
     for name, g in grads.items():
@@ -160,8 +160,9 @@ def test_vjp_without_input_gradient_keeps_parameter_gradients(kind, shared):
     rng = np.random.default_rng(6)
     x = rng.standard_normal((5, 6, 2))
     upstream = rng.standard_normal((5, 3, 2))
-    full, grad_x = model.vjp(x, upstream)
-    params_only, none = model.vjp(x, upstream, input_grad=False)
+    _, cache = model.forward(x)
+    full, grad_x = model.vjp(x, cache, upstream)
+    params_only, none = model.vjp(x, cache, upstream, input_grad=False)
     assert grad_x.shape == x.shape and none is None
     assert params_only.keys() == full.keys()
     for name in full:

@@ -80,21 +80,21 @@ def test_transform_identity_weights():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((6, 12, 2))
     ones = np.ones((n_bins(12), 2))
-    out = tifo.transform(x, ones, ones)
+    out, _ = tifo.transform(x, ones, ones)
     np.testing.assert_allclose(out, x, atol=1e-10)
 
 
 def test_transform_zero_weights():
     x = np.random.default_rng(1).standard_normal((3, 8, 1))
     zeros = np.zeros((n_bins(8), 1))
-    np.testing.assert_allclose(tifo.transform(x, zeros, zeros), 0.0, atol=1e-12)
+    np.testing.assert_allclose(tifo.transform(x, zeros, zeros)[0], 0.0, atol=1e-12)
 
 
 def test_transform_dc_only_matches_mean():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
     lam = np.zeros((3, 1))
     lam[0] = 1.0
-    out = tifo.transform(x, lam, lam)
+    out, _ = tifo.transform(x, lam, lam)
     np.testing.assert_allclose(out[0, :, 0], [2.5, 2.5, 2.5, 2.5], atol=1e-12)
 
 
@@ -103,8 +103,8 @@ def test_transform_linear_in_x():
     x, y = rng.standard_normal((2, 4, 10, 3))
     lam_r = rng.uniform(0.5, 1.5, size=(n_bins(10), 3))
     lam_i = rng.uniform(0.5, 1.5, size=(n_bins(10), 3))
-    combo = tifo.transform(2.0 * x - 3.0 * y, lam_r, lam_i)
-    parts = 2.0 * tifo.transform(x, lam_r, lam_i) - 3.0 * tifo.transform(y, lam_r, lam_i)
+    combo, _ = tifo.transform(2.0 * x - 3.0 * y, lam_r, lam_i)
+    parts = 2.0 * tifo.transform(x, lam_r, lam_i)[0] - 3.0 * tifo.transform(y, lam_r, lam_i)[0]
     np.testing.assert_allclose(combo, parts, atol=1e-10)
 
 
@@ -120,7 +120,7 @@ def test_alpha_zero_transform_is_identity():
     x = rng.standard_normal((5, 16, 2))
     lam = rng.uniform(-2, 2, size=(n_bins(16), 2))
     neutral = tifo.alpha_scale(lam, 0.0)
-    np.testing.assert_allclose(tifo.transform(x, neutral, neutral), x, atol=1e-10)
+    np.testing.assert_allclose(tifo.transform(x, neutral, neutral)[0], x, atol=1e-10)
 
 
 def test_transform_vjp_zero_upstream():
@@ -159,10 +159,10 @@ def test_transform_vjp_matches_finite_differences(keep):
     target = rng.standard_normal(x.shape)
 
     def loss(x_, lr_, li_):
-        out = tifo.transform(x_, lr_, li_)
+        out, _ = tifo.transform(x_, lr_, li_)
         return float(np.mean((out - target) ** 2))
 
-    base = tifo.transform(x, lam_r, lam_i)
+    base, _ = tifo.transform(x, lam_r, lam_i)
     upstream = 2.0 * (base - target) / base.size
     real, imag = dft_forward(x, axis=1)
     gx, gr, gi = tifo.transform_vjp(upstream, real, imag, lam_r, lam_i, length)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from specshift import baselines
+from specshift import baselines, models
 from specshift.baselines import FanConfig, SanConfig
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
@@ -438,8 +438,8 @@ def test_alpha_zero_equals_bare_backbone():
     pipe, x, y = make_pipeline("tifo", seed=12, n=24)
     _short_train(pipe, x, y)
     ev = evaluate(pipe, x, y, alpha=0.0)
-    assert ev["mse"] == pytest.approx(mse(pipe.backbone.forward(x), y), abs=1e-10)
-    assert ev["mae"] == pytest.approx(mae(pipe.backbone.forward(x), y), abs=1e-10)
+    assert ev["mse"] == pytest.approx(mse(pipe.backbone.forward(x)[0], y), abs=1e-10)
+    assert ev["mae"] == pytest.approx(mae(pipe.backbone.forward(x)[0], y), abs=1e-10)
     # and it differs from the trained weighting at full strength
     assert abs(evaluate(pipe, x, y)["mse"] - ev["mse"]) > 1e-8
 
@@ -559,25 +559,60 @@ def test_transformed_input_keep_truncates_high_bins(method):
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
-def test_normalize_is_enter_without_ctx(method):
-    pipe, x, _ = make_pipeline(method, channels=2)
-    assert np.array_equal(pipe.norm.normalize(x), pipe.norm.enter(x)[0])
+@pytest.mark.parametrize("lookback, channels", [(48, 1), (96, 7)])
+def test_whole_split_enter_equals_per_batch_enter(method, lookback, channels):
+    # enter is the parameter-free front end: a whole split entered at once
+    # gives x_n and every ctx array of its batches of 32 bit for bit.  500
+    # windows is a split size at which SAN's predictor, were it run inside
+    # enter, rounds differently on the whole split than on the batches
+    n, horizon = 500, 24
+    rng = np.random.default_rng(lookback + channels)
+    x = np.cumsum(rng.normal(size=(n, lookback, channels)), axis=1)
+    y = rng.normal(size=(n, horizon, channels))
+    cfg = PipelineConfig(method=method, backbone=BackboneConfig(
+        kind="linear", lookback=lookback, horizon=horizon, channels=channels))
+    pipe = build_pipeline(cfg, np.random.default_rng(0), x, y)
+
+    def arrays(entered):
+        x_n, ctx = entered
+        return [x_n, *(ctx or ())]
+
+    whole = arrays(pipe.norm.enter(x))
+    batches = [arrays(pipe.norm.enter(x[start : start + 32])) for start in range(0, n, 32)]
+    assert len(whole) == len(batches[0])
+    for i, arr in enumerate(whole):
+        assert np.array_equal(arr, np.concatenate([parts[i] for parts in batches])), i
 
 
 def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
-    """The score fit and the transformed input take SAN's normalized windows
-    alone, with the same bytes as before, and never run its predictor."""
+    """SAN's enter, the score fit and the transformed input never run its
+    predictor: it belongs to leave and loss."""
     pipe, x, y = make_pipeline("tifo+san", channels=2)
     _perturb_tifo(pipe)
-    x_n = pipe.norm.enter(x)[0]
-    scores, transformed = pipe.tifo.fit_scores(x_n, y), pipe.tifo.apply(x_n)
 
     def no_predictor(*args, **kwargs):
         raise AssertionError("san_predict ran")
 
     monkeypatch.setattr(baselines, "san_predict", no_predictor)
-    assert np.array_equal(fit_score_table(pipe, x, y), scores)
-    assert np.array_equal(pipe.transformed_input(x), transformed)
+    x_n, _ = pipe.norm.enter(x)
+    assert np.array_equal(fit_score_table(pipe, x, y), pipe.tifo.fit_scores(x_n, y))
+    assert np.array_equal(pipe.transformed_input(x), pipe.tifo.forward(x_n)[0])
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_dlinear_step_decomposes_once(method, monkeypatch):
+    # the backbone's VJP reads the trend and seasonal parts from forward's cache
+    pipe, x, y = make_pipeline(method, backbone="dlinear", channels=2)
+    calls = {"n": 0}
+    real = models.moving_average_decompose
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "moving_average_decompose", counted)
+    pipe.loss_grads(x, pipe.norm.targets(y))
+    assert calls["n"] == 1
 
 
 def test_transformed_input_keep_one_is_window_mean():
