@@ -67,6 +67,8 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 raise CheckpointError(f"{path}: bad tensor line {line!r}") from None
             if any(d < 0 for d in dims):
                 raise CheckpointError(f"{path}: negative size in tensor line {line!r}")
+            if any(name == seen for seen, _ in shapes):
+                raise CheckpointError(f"{path}: tensor {name} is listed twice")
             shapes.append((name, dims))
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")

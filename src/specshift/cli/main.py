@@ -242,9 +242,13 @@ def _rebuild(cfg: RunConfig):
     if not cfg.checkpoint:
         raise ConfigError("this command needs checkpoint=<path>")
     echo, tensors = load_checkpoint(cfg.checkpoint)
-    ck_cfg = config_from_echo(echo)
-    if ck_cfg.channels < 1:
-        raise CheckpointError(f"{cfg.checkpoint}: header lacks a channel count")
+    try:  # a bad header value is the checkpoint's fault, not the command line's
+        ck_cfg = config_from_echo(echo)
+        if ck_cfg.channels < 1:
+            raise CheckpointError(f"{cfg.checkpoint}: header lacks a channel count")
+        pipeline_cfg = _pipeline_config(ck_cfg, ck_cfg.channels)
+    except ConfigError as exc:
+        raise CheckpointError(f"{cfg.checkpoint}: {exc}") from None
     for name in ("scaler.mu", "scaler.sigma"):
         if name not in tensors:
             raise CheckpointError(f"{cfg.checkpoint}: checkpoint lacks tensor {name}")
@@ -262,7 +266,7 @@ def _rebuild(cfg: RunConfig):
     for key in MODEL_KEYS:
         setattr(cfg, key, getattr(ck_cfg, key))
     ds = _dataset(cfg, datamod.Scaler(mu=mu, sigma=sigma))
-    pipeline = build_pipeline(_pipeline_config(ck_cfg, ck_cfg.channels), np.random.default_rng(ck_cfg.seed))
+    pipeline = build_pipeline(pipeline_cfg, np.random.default_rng(ck_cfg.seed))
     pipeline.load_tensors(tensors)
     return pipeline, ck_cfg, ds
 

@@ -24,7 +24,7 @@ class BackboneConfig:
     lookback: int
     horizon: int
     channels: int
-    shared: bool = False  # linear only: one weight matrix for every channel
+    shared: bool = False  # either kind: each head has one weight matrix for every channel
     kernel: int = 25  # dlinear only: moving-average width, odd (checked for either kind)
 
     def __post_init__(self):
@@ -113,59 +113,48 @@ def mlp_vjp(params: dict[str, np.ndarray], prefix: str, cache,
     return {f"{prefix}.w1": g_w1, f"{prefix}.b1": g_b1, f"{prefix}.w2": g_w2, f"{prefix}.b2": g_b2}
 
 
-def _affine_init(cfg: BackboneConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    shape = (cfg.horizon, cfg.lookback) if cfg.shared else (cfg.channels, cfg.horizon, cfg.lookback)
-    return xavier_uniform(rng, shape), np.zeros(shape[:-1])
-
-
 class Backbone:
-    """Parameter container plus explicit forward/VJP for one backbone kind."""
+    """Parameter container plus explicit forward/VJP: a sum of affine heads,
+    each on one part of the input.
+
+    ``heads`` are the parameter-name prefixes: ``("",)`` for linear, whose
+    one part is x, and ``("trend.", "seasonal.")`` for dlinear, whose parts
+    are ``moving_average_decompose(x, kernel)``.
+    """
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         self.cfg = cfg
-        if cfg.kind == "linear":
-            w, b = _affine_init(cfg, rng)
-            self.params = {"weight": w, "bias": b}
-        else:
-            wt, bt = _affine_init(cfg, rng)
-            ws, bs = _affine_init(cfg, rng)
-            self.params = {
-                "trend.weight": wt,
-                "trend.bias": bt,
-                "seasonal.weight": ws,
-                "seasonal.bias": bs,
-            }
+        self.heads = ("",) if cfg.kind == "linear" else ("trend.", "seasonal.")
+        shape = (cfg.horizon, cfg.lookback) if cfg.shared else (cfg.channels, cfg.horizon, cfg.lookback)
+        self.params = {}
+        for h in self.heads:
+            self.params[f"{h}weight"] = xavier_uniform(rng, shape)
+            self.params[f"{h}bias"] = np.zeros(shape[:-1])
+
+    def parts(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The input of each head, in ``heads`` order."""
+        return (x,) if self.cfg.kind == "linear" else moving_average_decompose(x, self.cfg.kernel)
 
     def forward(self, x: np.ndarray):
-        """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): dlinear's
-        (trend, seasonal) parts of x, None for linear."""
-        p = self.params
-        if self.cfg.kind == "linear":
-            return dense(p["weight"], p["bias"], x), None
-        trend, seasonal = moving_average_decompose(x, self.cfg.kernel)
-        out = dense(p["trend.weight"], p["trend.bias"], trend)
-        out += dense(p["seasonal.weight"], p["seasonal.bias"], seasonal)
-        return out, (trend, seasonal)
+        """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): the parts of x."""
+        parts = self.parts(x)
+        out, *rest = [dense(self.params[f"{h}weight"], self.params[f"{h}bias"], part)
+                      for h, part in zip(self.heads, parts)]
+        for more in rest:
+            out += more
+        return out, parts
 
     def vjp(self, x: np.ndarray, cache, upstream: np.ndarray, input_grad: bool = True):
         """Returns (param_grads, grad_x) for the forward pass at x that
         returned cache; grad_x is None when input_grad is False."""
-        cfg = self.cfg
-        p = self.params
-        if cfg.kind == "linear":
-            g_w, g_b, g_x = dense_vjp(p["weight"], x, upstream, input_grad)
-            return {"weight": g_w, "bias": g_b}, g_x
-        trend, seasonal = cache
-        g_wt, g_bt, g_trend = dense_vjp(p["trend.weight"], trend, upstream, input_grad)
-        g_ws, g_bs, g_seasonal = dense_vjp(p["seasonal.weight"], seasonal, upstream, input_grad)
-        grads = {
-            "trend.weight": g_wt,
-            "trend.bias": g_bt,
-            "seasonal.weight": g_ws,
-            "seasonal.bias": g_bs,
-        }
-        if not input_grad:
-            return grads, None
-        m = decompose_matrix(cfg.lookback, cfg.kernel)
+        grads, g_parts = {}, []
+        for h, part in zip(self.heads, cache):
+            w = self.params[f"{h}weight"]
+            grads[f"{h}weight"], grads[f"{h}bias"], g_part = dense_vjp(w, part, upstream, input_grad)
+            g_parts.append(g_part)
+        if not input_grad or self.cfg.kind == "linear":
+            return grads, g_parts[0]  # None without input_grad
+        g_trend, g_seasonal = g_parts
+        m = decompose_matrix(self.cfg.lookback, self.cfg.kernel)
         # x feeds trend through M and seasonal through (I - M)
         return grads, m.T @ (g_trend - g_seasonal) + g_seasonal

@@ -529,9 +529,10 @@ def bad_csv(kind, row=0, col=0):
 
 # (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
 # is a tifo checkpoint, "{dates}" a CSV with only a date column, "{negck}" a checkpoint
-# whose one tensor has negative sizes, and each CHECKPOINT_FAULTS name a copy of a 3-channel
-# tifo checkpoint with those tensors changed (None drops a tensor, a float fills it); code
-# None: main raises
+# whose one tensor has negative sizes, each CHECKPOINT_FAULTS name a copy of a 3-channel
+# tifo checkpoint with those tensors changed (None drops a tensor, a float fills it), each
+# HEADER_FAULTS name a copy with that config value in its header, and "{bias_twice}" a copy
+# that lists backbone.bias twice; code None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -563,6 +564,12 @@ EXIT_TABLE = [
     (["shift", "synth_channels=3", "checkpoint={b2_inf}"], 5, "tensor tifo.i.b2 is not finite"),
     (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0"),
     (["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4, "non-finite forecast error at evaluation batch 0"),
+    # a bad header is the checkpoint's fault, whatever the command line says
+    (["eval", "synth_channels=3", "checkpoint={method_bogus}"], 5, "method"),
+    (["eval", "synth_channels=3", "checkpoint={lookback_abc}"], 5, "lookback"),
+    (["eval", "synth_channels=3", "checkpoint={keep_999}"], 5, "keep"),
+    (["eval", "synth_channels=3", "checkpoint={alpha_7}"], 5, "alpha"),
+    (["eval", "synth_channels=3", "checkpoint={bias_twice}"], 5, "tensor backbone.bias is listed twice"),
     # each key's rule holds whatever the method, and the message names the key
     (["train", "method=revin", "keep=-3", "score_metric=bogus", "window=boxcar", "alpha=7"], 2, "alpha"),
     (["ablate", "method=revin", "ablate_metrics=bogus", "ablate_windows=boxcar", "ablate_keeps=-3"], 2, "keep"),
@@ -598,6 +605,13 @@ CHECKPOINT_FAULTS = {
     "b2_huge": {"tifo.r.b2": 1e308},
 }
 
+HEADER_FAULTS = {
+    "method_bogus": ("method", "bogus"),
+    "lookback_abc": ("lookback", "abc"),
+    "keep_999": ("keep", "999"),
+    "alpha_7": ("alpha", "7.0"),
+}
+
 
 @pytest.fixture(scope="module")
 def checkpoint_faults(tmp_path_factory):
@@ -612,6 +626,17 @@ def checkpoint_faults(tmp_path_factory):
         changed = {**tensors, **{k: np.full(tensors[k].shape, v) if isinstance(v, float) else v
                                  for k, v in changes.items()}}
         save_checkpoint(str(paths[name]), echo, {k: v for k, v in changed.items() if v is not None})
+    for name, (key, value) in HEADER_FAULTS.items():
+        lines = [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in echo.splitlines()]
+        assert lines != echo.splitlines()
+        paths[name] = out / f"{name}.ckpt"
+        save_checkpoint(str(paths[name]), "\n".join(lines), tensors)
+    # save_checkpoint writes each name once: append a second backbone.bias line and its payload
+    bias = tensors["backbone.bias"]
+    line = f"tensor backbone.bias {' '.join(map(str, bias.shape))}\n".encode()
+    blob = (out / "run" / "model.ckpt").read_bytes().replace(b"\nend\n", b"\n" + line + b"end\n", 1)
+    paths["bias_twice"] = out / "bias_twice.ckpt"
+    paths["bias_twice"].write_bytes(blob + bias.astype("<f8").tobytes())
     return paths
 
 

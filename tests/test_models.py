@@ -96,6 +96,26 @@ def test_dlinear_param_names():
     ]
 
 
+@pytest.mark.parametrize("kind, names", [
+    ("linear", ["weight", "bias"]),
+    ("dlinear", ["trend.weight", "trend.bias", "seasonal.weight", "seasonal.bias"]),
+], ids=["linear", "dlinear"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_init_draws_xavier_weights_in_order_with_zero_biases(kind, names, shared):
+    # the names' order fixes the flat parameter vector and the checkpoint bytes
+    cfg = BackboneConfig(kind=kind, lookback=8, horizon=4, channels=3, shared=shared, kernel=3)
+    model = Backbone(cfg, np.random.default_rng(11))
+    assert list(model.params) == names
+    shape = (4, 8) if shared else (3, 4, 8)
+    a = np.sqrt(6.0 / (8 + 4))
+    rng = np.random.default_rng(11)
+    for name in names:
+        if name.endswith("weight"):
+            np.testing.assert_array_equal(model.params[name], rng.uniform(-a, a, size=shape))
+        else:
+            np.testing.assert_array_equal(model.params[name], np.zeros(shape[:-1]))
+
+
 def test_dlinear_forward_composition():
     cfg = BackboneConfig(kind="dlinear", lookback=8, horizon=4, channels=2, kernel=3)
     model = Backbone(cfg, np.random.default_rng(2))

@@ -13,11 +13,15 @@ than 0 or 1, or writes no record, stops the tool.  The output JSON holds:
   numpy and BLAS versions, thread variables before and after pinning);
 - ``commits``: each side's git HEAD, whether its tree differs from HEAD, and
   a sha256 over its ``src/`` files, which names the code that ran;
-- ``runs``: every run's side, workload, seed, correctness, failed operations
-  and end-to-end metrics;
+- ``runs``: every run's side, workload, seed, correctness, failed operations,
+  end-to-end metrics and ``train_s``, its record's median seconds per
+  ``train_s.<method>`` sample (one training of that method);
 - ``summary``: per workload and metric, each side's median, quartiles and
   count, the ratio of the medians, and the pairs the change won (it was
-  strictly better in the direction ``BENCHMARK.json`` gives).
+  strictly better in the direction ``BENCHMARK.json`` gives);
+- ``train_s``: per workload and side, the median over runs of each method's
+  ``train_s``, and the cost ratios ``tifo/san``, ``tifo/fan`` and
+  ``tifo+san/san`` of those medians where the workload trains both methods.
 
 Nothing here feeds a gate.
 """
@@ -35,6 +39,7 @@ import numpy as np
 
 HERE = Path(__file__).resolve().parents[1]
 FIRST_SEED = 101  # pair i runs at seed FIRST_SEED + i on both sides
+COST_RATIOS = (("tifo", "san"), ("tifo", "fan"), ("tifo+san", "san"))
 
 
 def _git(path: Path, *args: str) -> str | None:
@@ -75,6 +80,8 @@ def _run(path: Path, workload: str, seed: int, seconds: float) -> dict:
         "attempted": record["attempted"],
         "failed": record["failed"],
         "metrics": {name: spec["value"] for name, spec in record["metrics"].items()},
+        "train_s": {name.removeprefix("train_s."): spec["median"] for name, spec in record["samples"].items()
+                    if name.startswith("train_s.")},
         "environment": record["environment"],
     }
 
@@ -109,6 +116,22 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     return summary
 
 
+def train_costs(runs: list[dict]) -> dict:
+    """{workload: {side: {"median_s": {method: seconds}, "ratios": {"a/b": ratio}}}}:
+    each method's median ``train_s`` over a side's runs, and COST_RATIOS of them."""
+    seconds: dict = {}
+    for r in runs:
+        for method, s in r["train_s"].items():
+            seconds.setdefault(r["workload"], {}).setdefault(r["side"], {}).setdefault(method, []).append(s)
+    costs: dict = {}
+    for workload, sides in seconds.items():
+        for side, per_method in sides.items():
+            medians = {method: float(np.median(s)) for method, s in per_method.items()}
+            ratios = {f"{a}/{b}": medians[a] / medians[b] for a, b in COST_RATIOS if a in medians and b in medians}
+            costs.setdefault(workload, {})[side] = {"median_s": medians, "ratios": ratios}
+    return costs
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -140,12 +163,17 @@ def main() -> int:
                      "command": "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"},
         "runs": [{k: v for k, v in r.items() if k != "environment"} for r in runs],
         "summary": summarize(runs, better),
+        "train_s": train_costs(runs),
     }
     args.out.write_text(json.dumps(out, indent=1) + "\n")
     for workload, metrics in out["summary"].items():
         for metric, s in metrics.items():
             print(f"{workload} {metric}: parent {s['parent']['median']:.6g} change {s['change']['median']:.6g} "
                   f"(x{s['change_over_parent']:.3f}), change better in {s['wins']}/{s['pairs']} pairs")
+    for workload, sides in out["train_s"].items():
+        for side, cost in sides.items():
+            shown = ", ".join(f"{k} {v:.3f}" for k, v in cost["ratios"].items()) or "no cost ratio"
+            print(f"{workload} {side} train_s: {shown}")
     return 0
 
 
