@@ -3,6 +3,8 @@ and a condition-based synthetic generator.
 
 A raw series is a (T, C) float array, rows in time order.  Windowing is
 stride-1: window i covers rows [i, i+L) with target rows [i+L, i+L+H).
+Windows are read-only views into the series they are cut from, so a dataset
+holds one z-scored copy of its series and no per-window copies.
 """
 
 from __future__ import annotations
@@ -61,7 +63,10 @@ def _is_number(cell: str) -> bool:
 
 
 def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stride-1 windowing into inputs (N, L, C) and targets (N, H, C)."""
+    """Stride-1 windowing into inputs (N, L, C) and targets (N, H, C).
+
+    Both are read-only views into ``series`` (as float); no window is copied.
+    """
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise DataError("series must be (T, C)")
@@ -71,11 +76,9 @@ def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.nd
     n = t - lookback - horizon + 1
     if n < 1:
         raise DataError(f"series length {t} too short for lookback {lookback} + horizon {horizon}")
-    # (N, C, L + H) view of every stride-1 span; the copies are (N, L|H, C)
+    # (N, C, L + H) view of every stride-1 span, returned as (N, L|H, C)
     spans = np.lib.stride_tricks.sliding_window_view(series, lookback + horizon, axis=0)
-    x = spans[:, :, :lookback].transpose(0, 2, 1).copy()
-    y = spans[:, :, lookback:].transpose(0, 2, 1).copy()
-    return x, y
+    return spans[:, :, :lookback].transpose(0, 2, 1), spans[:, :, lookback:].transpose(0, 2, 1)
 
 
 def chronological_split(n: int) -> tuple[slice, slice, slice]:
@@ -105,7 +108,10 @@ def fit_scaler(train_inputs: np.ndarray, eps: float = ZSCORE_EPS) -> Scaler:
 
 @dataclass
 class Dataset:
-    """Windowed, split, z-scored forecasting dataset."""
+    """Windowed, split, z-scored forecasting dataset.
+
+    The six window fields are read-only views of one z-scored series.
+    """
 
     x_train: np.ndarray
     y_train: np.ndarray
@@ -123,26 +129,23 @@ class Dataset:
 def build_dataset(series: np.ndarray, lookback: int, horizon: int, scaler: Scaler | None = None) -> Dataset:
     """Window, split chronologically, and z-score with train-split statistics.
 
+    The scaler is fit on the raw training windows; the series is then
+    z-scored once and every field is a window view of that one array.
     A pre-fit scaler (e.g. from a checkpoint) can be supplied to reproduce
     the exact training-time normalization.  A series that is not finite once
     z-scored (non-finite values, or values so large the statistics overflow)
     raises DataError.
     """
-    x, y = make_windows(series, lookback, horizon)
+    series = np.asarray(series, dtype=float)
+    x, _ = make_windows(series, lookback, horizon)
     tr, va, te = chronological_split(x.shape[0])
     if scaler is None:
         scaler = fit_scaler(x[tr])
-    if not np.isfinite(scaler.apply(np.asarray(series, dtype=float))).all():
+    z = scaler.apply(series)
+    if not np.isfinite(z).all():
         raise DataError("series is not finite once z-scored (non-finite or overflowing values)")
-    return Dataset(
-        x_train=scaler.apply(x[tr]),
-        y_train=scaler.apply(y[tr]),
-        x_val=scaler.apply(x[va]),
-        y_val=scaler.apply(y[va]),
-        x_test=scaler.apply(x[te]),
-        y_test=scaler.apply(y[te]),
-        scaler=scaler,
-    )
+    x, y = make_windows(z, lookback, horizon)
+    return Dataset(x[tr], y[tr], x[va], y[va], x[te], y[te], scaler)
 
 
 # ---------------------------------------------------------------------------

@@ -57,10 +57,11 @@ def dft_forward(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    (real, imag) arrays with K = floor(L/2) + 1 bins along `axis`.
+    (real, imag) arrays with K = floor(L/2) + 1 bins along `axis`: views of
+    one complex ``rfft`` buffer, not copies.
     """
     spec = np.fft.rfft(np.asarray(x, dtype=float), axis=axis)
-    return np.ascontiguousarray(spec.real), np.ascontiguousarray(spec.imag)
+    return spec.real, spec.imag
 
 
 def dft_inverse(real: np.ndarray, imag: np.ndarray, length: int, axis: int = 0) -> np.ndarray:

@@ -562,8 +562,10 @@ def evaluate(
     abs_sum = 0.0
     count = 0
     for start in range(0, x.shape[0], batch):
-        xb = x[start : start + batch]
-        yb = y[start : start + batch]
+        # a window view's batch is copied to the layout of a slice of owned
+        # windows, so the backbone's matmul runs the same BLAS kernel on both
+        xb = np.ascontiguousarray(x[start : start + batch])
+        yb = np.ascontiguousarray(y[start : start + batch])
         x_n, ctx = pipeline.norm.enter(xb)
         if running_scores is not None and xb.shape[0] >= 2:
             batch_scores = pipeline.tifo.fit_scores(x_n, yb)

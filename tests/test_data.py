@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,11 +95,11 @@ def test_make_windows_matches_explicit_slices():
     for i in range(11):
         np.testing.assert_array_equal(x[i], series[i : i + 6])
         np.testing.assert_array_equal(y[i], series[i + 6 : i + 10])
-    # owned, writable, C-ordered copies, not views into the series
+    # read-only views into the series, not copies
     for arr in (x, y):
         assert arr.dtype == np.float64
-        assert arr.flags.c_contiguous and arr.flags.writeable
-        assert not np.shares_memory(arr, series)
+        assert not arr.flags.writeable
+        assert np.shares_memory(arr, series)
 
 
 def test_make_windows_single_window():
@@ -165,6 +167,46 @@ def test_build_dataset_split_shapes():
     assert ds.y_test.shape[1:] == (6, 3)
     total = ds.x_train.shape[0] + ds.x_val.shape[0] + ds.x_test.shape[0]
     assert total == n
+
+
+def test_build_dataset_fields_are_views_of_one_buffer():
+    series = np.random.default_rng(5).normal(3.0, 2.0, size=(120, 3))
+    lookback, horizon = 12, 6
+    ds = build_dataset(series, lookback, horizon)
+    fields = [ds.x_train, ds.y_train, ds.x_val, ds.y_val, ds.x_test, ds.y_test]
+    # train and test windows cover disjoint rows, so the check is one common
+    # base buffer, a (T, C) array apart from the raw series, under every field
+    buffer = _base_buffer(ds.x_train)
+    assert buffer.shape == series.shape and not np.shares_memory(buffer, series)
+    for arr in fields:
+        assert not arr.flags.writeable
+        assert _base_buffer(arr) is buffer and np.shares_memory(arr, buffer)
+    # each field is the scaler applied to the matching explicit raw slice, bit for bit
+    n = len(series) - lookback - horizon + 1
+    starts = [np.arange(n)[part] for part in chronological_split(n)]
+    for (x, y), idx in zip(zip(fields[::2], fields[1::2]), starts):
+        raw_x = np.stack([series[i : i + lookback] for i in idx])
+        raw_y = np.stack([series[i + lookback : i + lookback + horizon] for i in idx])
+        assert np.array_equal(x, ds.scaler.apply(raw_x))
+        assert np.array_equal(y, ds.scaler.apply(raw_y))
+
+
+def _base_buffer(arr):
+    while getattr(arr, "base", None) is not None:
+        arr = arr.base
+    return arr
+
+
+def test_build_dataset_holds_one_scaled_series():
+    series = np.random.default_rng(6).standard_normal((4000, 7))
+    tracemalloc.start()
+    try:
+        ds = build_dataset(series, 96, 96)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.x_train.shape == (2666, 96, 7)
+    assert held <= 2 * series.nbytes, f"build_dataset holds {held} bytes for a {series.nbytes}-byte series"
 
 
 def test_build_dataset_targets_share_scaler():

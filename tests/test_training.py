@@ -5,10 +5,11 @@ import pytest
 
 from specshift import baselines, models
 from specshift.baselines import FanConfig, SanConfig
+from specshift.data import build_dataset
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
 from specshift.spectral import dft_forward
-from specshift.stationarity import ema_refresh
+from specshift.stationarity import amplitude_panel, ema_refresh
 from specshift.tifo import TifoConfig
 from specshift.training import (
     Adam,
@@ -582,6 +583,40 @@ def test_whole_split_enter_equals_per_batch_enter(method, lookback, channels):
     assert len(whole) == len(batches[0])
     for i, arr in enumerate(whole):
         assert np.array_equal(arr, np.concatenate([parts[i] for parts in batches])), i
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+@pytest.mark.parametrize("lookback, horizon, channels, backbone", [(48, 24, 1, "linear"), (96, 48, 7, "dlinear")])
+def test_dataset_views_compute_like_their_copies(method, lookback, horizon, channels, backbone):
+    # the dataset's fields are strided, read-only window views; every
+    # whole-split and batched caller gives the same bits on them as on
+    # owned C-ordered copies
+    rng = np.random.default_rng(lookback + channels)
+    t = np.arange(lookback * 8)[:, None]
+    series = np.sin(2 * np.pi * t / 12 + rng.uniform(0, 6, channels)) + np.cumsum(
+        rng.normal(scale=0.1, size=(t.size, channels)), axis=0)
+    ds = build_dataset(series, lookback, horizon)
+    views = (ds.x_train, ds.y_train, ds.x_val, ds.y_val, ds.x_test, ds.y_test)
+    copies = tuple(arr.copy() for arr in views)
+    cfg = PipelineConfig(method=method, backbone=BackboneConfig(
+        kind=backbone, lookback=lookback, horizon=horizon, channels=channels, kernel=5),
+        san=SanConfig(patch=12, hidden=16, epochs=1), tifo=TifoConfig(hidden=16))
+    ema = 0.9 if method.startswith("tifo") else None
+
+    def run(x_train, y_train, x_val, y_val, x_test, y_test):
+        pipe = build_pipeline(cfg, np.random.default_rng(3), x_train, y_train)
+        out = [amplitude_panel(x_train), amplitude_panel(x_test, "hann"), pipe.transformed_input(x_test)]
+        if pipe.tifo is not None:
+            out.append(fit_score_table(pipe, x_train, y_train))
+        out.append(evaluate(pipe, x_test, y_test, batch=7, ema_decay=ema))
+        train(pipe, x_train, y_train, x_val, y_val, TrainConfig(max_epochs=1), np.random.default_rng(4))
+        return out + [pipe.params.vector.copy(), evaluate(pipe, x_val, y_val, batch=7, ema_decay=ema)]
+
+    for got, want in zip(run(*views), run(*copies), strict=True):
+        if isinstance(got, dict):
+            assert got == want
+        else:
+            assert np.array_equal(got, want)
 
 
 def test_whole_split_steps_skip_the_san_predictor(monkeypatch):

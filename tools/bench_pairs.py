@@ -10,7 +10,10 @@ run wrote to its checkout's ``perfbench/results/``; a run that exits other
 than 0 or 1, or writes no record, stops the tool.  The output JSON holds:
 
 - ``environment``: the first record's machine details (nproc, CPU, Python,
-  numpy and BLAS versions, thread variables before and after pinning);
+  numpy and BLAS versions, thread variables before and after pinning), plus
+  this tool's C library (``platform.libc_ver()``) and every ``MALLOC_*`` and
+  ``GLIBC_TUNABLES`` variable the runs inherit: glibc's malloc thresholds
+  move with earlier large allocations, and timings move with them;
 - ``commits``: each side's git HEAD, whether its tree differs from HEAD, and
   a sha256 over its ``src/`` files, which names the code that ran;
 - ``runs``: every run's side, workload, seed, correctness, failed operations,
@@ -31,6 +34,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -156,7 +161,10 @@ def main() -> int:
                       f"failed {run['failed']} {shown}", flush=True)
     out = {
         "environment": {k: v for k, v in runs[0]["environment"].items()
-                        if k not in ("seed", "workload", "sizes", "footprint", "git_commit")},
+                        if k not in ("seed", "workload", "sizes", "footprint", "git_commit")}
+        | {"libc": "-".join(filter(None, platform.libc_ver())) or "unknown",
+           "allocator_env": {k: v for k, v in sorted(os.environ.items())
+                             if k.startswith("MALLOC_") or k == "GLIBC_TUNABLES"}},
         "commits": {side: _provenance(path) for side, path in sides.items()},
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "workloads": workloads,
                      "seeds": [FIRST_SEED + i for i in range(args.pairs)],
