@@ -6,8 +6,15 @@ A window is re-weighted by transforming it to the frequency domain, scaling
 coefficient (k, c) by the corresponding weight, and inverting back.  The
 score table is a constant of the layer: gradients flow to the MLP parameters
 and to the input series, never into the scores.  The functions here take
-the weights as given; ``training.TifoLayer`` forms them (alpha scaling and
-the ``keep`` truncation, a 0/1 factor on the weights).
+the weights as given; ``training.TifoLayer.weights`` forms the one (K, C)
+table every caller uses (alpha scaling and the ``keep`` truncation, a 0/1
+factor on the weights).
+
+Scaling the real and imaginary parts apart is not a complex scale: the
+transform commutes with circular shifts of the window (is shift-invariant,
+a diagonal operator in the DFT basis) only where lambda_r = lambda_i.  With
+lambda_r != lambda_i at a bin k, a shift by s whose 2ks is not a multiple of
+L moves the output by a gap proportional to |lambda_r - lambda_i|.
 
 Initialization makes the layer an exact identity: hidden weights are
 Xavier-uniform, output weights start at zero, and the output bias starts at

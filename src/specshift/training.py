@@ -271,11 +271,11 @@ class TifoLayer:
     """Stability-score-driven spectral re-weighting between a normalization
     block and the backbone.  ``scores`` is the fitted (K, C) table.
 
-    The only holder of the layer's rules: the effective weights are the
-    alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins >= keep,
-    ``forward`` is the one re-weighting pass, ``vjp`` its gradients at the
-    configured alpha, and ``fit_scores`` turns normalized windows into a
-    score table.
+    The only holder of the layer's rules: ``weights`` forms the one weight
+    table, the alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins
+    >= keep; ``forward`` is the one re-weighting pass with a given table,
+    ``vjp`` its gradients at that table's alpha, and ``fit_scores`` turns
+    normalized windows into a score table.
     """
 
     name = "tifo"
@@ -291,27 +291,29 @@ class TifoLayer:
         self.frozen = {"scores": self.scores}
 
     def weights(self, alpha: float | None = None, scores: np.ndarray | None = None):
-        """(lambda_r, lambda_i, cache): the effective weights for the stored
-        or the given score table."""
+        """The weight table ``(lambda_r, lambda_i, cache)`` at the configured
+        or the given alpha, for the stored or the given score table.  The
+        cache holds the MLP caches and the table's chain-rule factor
+        ``alpha * mask``, as the effective weights are
+        ``mask * (1 + alpha * (raw - 1))``."""
         table = self.scores if scores is None else scores
-        lam_r, lam_i, cache = tifo.weights_forward(self.params, table)
+        lam_r, lam_i, mlp_cache = tifo.weights_forward(self.params, table)
         a = self.cfg.alpha if alpha is None else alpha
-        return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, cache
+        return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, (mlp_cache, a * self.mask)
 
-    def forward(self, x_n: np.ndarray, alpha: float | None = None, scores: np.ndarray | None = None):
-        """(normalized windows (N, L, C) re-weighted, cache for ``vjp``), at
-        the stored or the given alpha and score table."""
-        lam_r, lam_i, w_cache = self.weights(alpha, scores)
+    def forward(self, x_n: np.ndarray, weights):
+        """(normalized windows (N, L, C) re-weighted by the table ``weights``
+        from ``weights()``, cache for ``vjp``)."""
+        lam_r, lam_i, w_cache = weights
         x_t, (real, imag) = tifo.transform(x_n, lam_r, lam_i)
         return x_t, (real, imag, lam_r, lam_i, w_cache)
 
     def vjp(self, cache, g_x: np.ndarray) -> dict[str, np.ndarray]:
-        """MLP parameter gradients from the cotangent of ``forward``'s output."""
-        real, imag, lam_r, lam_i, w_cache = cache
+        """MLP parameter gradients from the cotangent of ``forward``'s output,
+        through the chain-rule factor of the table ``forward`` was given."""
+        real, imag, lam_r, lam_i, (mlp_cache, scale) = cache
         _, g_lam_r, g_lam_i = tifo.transform_vjp(g_x, real, imag, lam_r, lam_i, g_x.shape[-2])
-        # the effective weights are mask * (1 + alpha * (raw - 1))
-        scale = self.cfg.alpha * self.mask
-        return tifo.weights_vjp(self.params, w_cache, scale * g_lam_r, scale * g_lam_i)
+        return tifo.weights_vjp(self.params, mlp_cache, scale * g_lam_r, scale * g_lam_i)
 
     def fit_scores(self, x_n: np.ndarray, y: np.ndarray) -> np.ndarray:
         """(K, C) stability scores of normalized windows and their targets."""
@@ -384,14 +386,12 @@ class Pipeline:
 
     # -- forward passes -----------------------------------------------------
 
-    def head(self, x_n: np.ndarray, ctx, alpha: float | None = None,
-             scores: np.ndarray | None = None) -> np.ndarray:
-        """Forecast from a normalized window.  alpha rescales the spectral
-        weights toward identity; scores replaces the stored stability table.
-        Both act on the re-weighting layer only (``evaluate`` rejects them
-        for a method without one)."""
+    def head(self, x_n: np.ndarray, ctx, weights=None) -> np.ndarray:
+        """Forecast from a normalized window.  ``weights`` is a table from
+        ``tifo.weights()`` (None: the stored table at the configured alpha);
+        a method without the re-weighting layer ignores it."""
         if self.tifo is not None:
-            x_n = self.tifo.forward(x_n, alpha, scores)[0]  # drops the cache before the backbone runs
+            x_n = self.tifo.forward(x_n, weights or self.tifo.weights())[0]  # drops the cache before the backbone runs
         return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -400,14 +400,14 @@ class Pipeline:
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
         x_n = self.norm.enter(x)[0]
-        return x_n if self.tifo is None else self.tifo.forward(x_n)[0]
+        return x_n if self.tifo is None else self.tifo.forward(x_n, self.tifo.weights())[0]
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``
         of the forecast windows."""
         x_t, ctx = self.norm.enter(x)
         if self.tifo is not None:
-            x_t, tifo_cache = self.tifo.forward(x_t)
+            x_t, tifo_cache = self.tifo.forward(x_t, self.tifo.weights())
         y_n, bb_cache = self.backbone.forward(x_t)
         loss, upstream, norm_grads = self.norm.loss(y_n, ctx, targets)
         bb_grads, g_xt = self.backbone.vjp(x_t, bb_cache, upstream, input_grad=self.tifo is not None)
@@ -553,14 +553,16 @@ def evaluate(
     (score-driven methods only).  ema_decay, if set, strictly inside (0, 1),
     refreshes the stability scores from each batch of at least two windows
     before weighting (a one-window batch has no spread to score and keeps the
-    running scores); the pipeline's stored scores are not modified.  A batch
-    whose squared forecast error is not finite raises NumericError naming it.
+    running scores); the pipeline's stored scores are not modified.  The
+    weight table is formed once per score table: once for the split without
+    ema_decay, once per refreshing batch with it.  A batch whose squared
+    forecast error is not finite raises NumericError naming it.
     """
     check_eval_settings(pipeline.method, batch, alpha, ema_decay)
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
+    weights = None
     sq_sum = 0.0
     abs_sum = 0.0
-    count = 0
     for start in range(0, x.shape[0], batch):
         # a window view's batch is copied to the layout of a slice of owned
         # windows, so the backbone's matmul runs the same BLAS kernel on both
@@ -568,17 +570,18 @@ def evaluate(
         yb = np.ascontiguousarray(y[start : start + batch])
         x_n, ctx = pipeline.norm.enter(xb)
         if running_scores is not None and xb.shape[0] >= 2:
-            batch_scores = pipeline.tifo.fit_scores(x_n, yb)
-            running_scores = ema_refresh(running_scores, batch_scores, ema_decay)
-        pred = pipeline.head(x_n, ctx, alpha, running_scores)
+            running_scores = ema_refresh(running_scores, pipeline.tifo.fit_scores(x_n, yb), ema_decay)
+            weights = None
+        if weights is None and pipeline.tifo is not None:
+            weights = pipeline.tifo.weights(alpha, running_scores)
+        pred = pipeline.head(x_n, ctx, weights)
         err = pred - yb
         sq = float((err * err).sum())
         if not math.isfinite(sq):
             raise NumericError(f"non-finite forecast error at evaluation batch {start // batch}")
         sq_sum += sq
         abs_sum += float(np.abs(err).sum())
-        count += err.size
-    return {"mse": sq_sum / count, "mae": abs_sum / count}
+    return {"mse": sq_sum / y.size, "mae": abs_sum / y.size}
 
 
 def train(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specshift import tifo
 from specshift.models import BackboneConfig
@@ -121,6 +123,53 @@ def test_alpha_zero_transform_is_identity():
     lam = rng.uniform(-2, 2, size=(n_bins(16), 2))
     neutral = tifo.alpha_scale(lam, 0.0)
     np.testing.assert_allclose(tifo.transform(x, neutral, neutral)[0], x, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(2, 64), channels=st.integers(1, 3), shift=st.integers(-64, 64),
+       seed=st.integers(0, 2**32 - 1))
+def test_tied_weights_commute_with_circular_shifts(length, channels, shift, seed):
+    # lambda_r == lambda_i scales each complex coefficient by a real number,
+    # a diagonal operator in the DFT basis, so it commutes with every shift
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((2, length, channels))
+    lam = rng.uniform(-2, 2, size=(n_bins(length), channels))
+    shifted = tifo.transform(np.roll(x, shift, axis=-2), lam, lam)[0]
+    np.testing.assert_allclose(shifted, np.roll(tifo.transform(x, lam, lam)[0], shift, axis=-2), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(3, 64), data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_untied_weights_break_shift_commutation(length, data, seed):
+    # with lambda_r = m + d and lambda_i = m - d at bin k, a shift by s moves
+    # the gap's bin-k coefficient to 2 |d| |X_k| |sin(2 pi k s / L)|, so the
+    # gap's norm is at least sqrt(2 / L) |lambda_r - lambda_i| |X_k| |sin|,
+    # which is not zero unless 2ks is a multiple of L
+    k = data.draw(st.integers(1, (length - 1) // 2), label="bin")
+    shift = data.draw(st.integers(1, length - 1).filter(lambda s: 2 * k * s % length), label="shift")
+    rng = np.random.default_rng(seed)
+    t = np.arange(length)[:, None]
+    x = np.cos(2 * np.pi * k * t / length + rng.uniform(0, 2 * np.pi, 2)) + 0.1 * rng.standard_normal((length, 2))
+    lam_r = rng.uniform(-2, 2, size=(n_bins(length), 2))
+    lam_i = lam_r.copy()
+    lam_i[k] += rng.choice([-1.0, 1.0], 2) * rng.uniform(0.5, 2.0, 2)
+    gap = tifo.transform(np.roll(x, shift, axis=-2), lam_r, lam_i)[0] - np.roll(
+        tifo.transform(x, lam_r, lam_i)[0], shift, axis=-2)
+    real, imag = dft_forward(x, axis=-2)
+    bound = (np.sqrt(2 / length) * np.abs(lam_r[k] - lam_i[k]) * np.hypot(real[k], imag[k])
+             * abs(np.sin(2 * np.pi * k * shift / length)))
+    assert (bound > 0.05).all()
+    assert (np.linalg.norm(gap, axis=0) >= bound * (1 - 1e-9)).all()
+
+
+def test_half_period_shift_commutes_with_untied_weights():
+    # 2ks is a multiple of L at s = L / 2 for every k: the shift flips the
+    # sign of each odd bin and keeps each even one, a real factor
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((3, 48, 2))
+    lam_r, lam_i = rng.uniform(-2, 2, size=(2, n_bins(48), 2))
+    shifted = tifo.transform(np.roll(x, 24, axis=-2), lam_r, lam_i)[0]
+    np.testing.assert_allclose(shifted, np.roll(tifo.transform(x, lam_r, lam_i)[0], 24, axis=-2), rtol=0, atol=1e-12)
 
 
 def test_transform_vjp_zero_upstream():

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from specshift import baselines, models
+from specshift import baselines, models, tifo
 from specshift.baselines import FanConfig, SanConfig
 from specshift.data import build_dataset
 from specshift.errors import ConfigError, NumericError
@@ -490,7 +492,7 @@ def test_ema_evaluate_one_window_tail_keeps_running_scores(method):
         x_n, ctx = pipe.norm.enter(x[start : start + 8])
         if start < 24:
             running = ema_refresh(running, pipe.tifo.fit_scores(x_n, y[start : start + 8]), 0.9)
-        err = pipe.head(x_n, ctx, scores=running) - y[start : start + 8]
+        err = pipe.head(x_n, ctx, pipe.tifo.weights(None, running)) - y[start : start + 8]
         sq += float((err * err).sum())
         ab += float(np.abs(err).sum())
     assert got["mse"] == sq / y.size
@@ -526,6 +528,52 @@ def test_ema_evaluate_normalizes_each_batch_once(monkeypatch):
     monkeypatch.setattr(baselines, "san_patch_stats", counted)
     evaluate(pipe, x, y, batch=7, ema_decay=0.9)
     assert calls["n"] == 4  # one per batch of 7 over 24 windows
+
+
+@pytest.mark.parametrize("n, ema_decay, tables", [(24, None, 1), (24, 0.9, 4), (22, 0.9, 3)])
+def test_evaluate_forms_one_table_per_score_table(monkeypatch, n, ema_decay, tables):
+    # batches of 7: without EMA the split has one score table; with it each
+    # batch of at least two windows refreshes it, and a one-window tail
+    # (22 = 3 * 7 + 1) reuses the last table
+    pipe, x, y = make_pipeline("tifo", n=n)
+    calls = {"n": 0}
+    real = tifo.weights_forward
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tifo, "weights_forward", counted)
+    evaluate(pipe, x, y, batch=7, ema_decay=ema_decay)
+    assert calls["n"] == tables
+
+
+@pytest.mark.parametrize("alpha, keep", [(0.5, None), (0.25, 3), (1.0, 3)])
+def test_tifo_vjp_follows_the_alpha_of_its_table(alpha, keep):
+    # the layer is configured at alpha 1.0; forward runs with a table at
+    # another alpha, and vjp must differentiate that table, not the config
+    pipe, x, _ = make_pipeline("tifo", channels=2, keep=keep)
+    _perturb_tifo(pipe)
+    layer = pipe.tifo
+    g = np.random.default_rng(5).normal(size=x.shape)
+
+    def objective():
+        return float(np.vdot(g, layer.forward(x, layer.weights(alpha))[0]))
+
+    grads = layer.vjp(layer.forward(x, layer.weights(alpha))[1], g)
+    eps = 1e-6
+    for name, arr in layer.params.items():
+        flat = arr.ravel()
+        numeric = np.empty(flat.size)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = objective()
+            flat[i] = orig - eps
+            down = objective()
+            flat[i] = orig
+            numeric[i] = (up - down) / (2.0 * eps)
+        np.testing.assert_allclose(grads[name].ravel(), numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
 def test_evaluate_batch_size_invariant():
@@ -586,6 +634,33 @@ def test_whole_split_enter_equals_per_batch_enter(method, lookback, channels):
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 300), batch=st.integers(1, 80), patches=st.integers(1, 24), channels=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_whole_split_enter_is_its_batches_for_any_sizes(method, n, batch, patches, channels, seed):
+    # the same bit-equality over drawn split and batch sizes and (L, C), L a
+    # multiple of SAN's patch of 4: a split size that happens to round alike
+    # on the whole split and on its batches proves nothing on its own
+    lookback, horizon = 4 * patches, 8
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.normal(size=(n, lookback, channels)), axis=1)
+    cfg = PipelineConfig(method=method, backbone=BackboneConfig(
+        kind="linear", lookback=lookback, horizon=horizon, channels=channels),
+        san=SanConfig(patch=4, hidden=8, epochs=1), fan=FanConfig(topk=2, hidden1=8, hidden2=8),
+        tifo=TifoConfig(hidden=4))
+    pipe = build_pipeline(cfg, np.random.default_rng(0))
+
+    def arrays(entered):
+        x_n, ctx = entered
+        return [x_n, *(ctx or ())]
+
+    whole = arrays(pipe.norm.enter(x))
+    batches = [arrays(pipe.norm.enter(x[start : start + batch])) for start in range(0, n, batch)]
+    for i, arr in enumerate(whole):
+        assert np.array_equal(arr, np.concatenate([parts[i] for parts in batches])), i
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
 @pytest.mark.parametrize("lookback, horizon, channels, backbone", [(48, 24, 1, "linear"), (96, 48, 7, "dlinear")])
 def test_dataset_views_compute_like_their_copies(method, lookback, horizon, channels, backbone):
     # the dataset's fields are strided, read-only window views; every
@@ -631,7 +706,7 @@ def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
     monkeypatch.setattr(baselines, "san_predict", no_predictor)
     x_n, _ = pipe.norm.enter(x)
     assert np.array_equal(fit_score_table(pipe, x, y), pipe.tifo.fit_scores(x_n, y))
-    assert np.array_equal(pipe.transformed_input(x), pipe.tifo.forward(x_n)[0])
+    assert np.array_equal(pipe.transformed_input(x), pipe.tifo.forward(x_n, pipe.tifo.weights())[0])
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
