@@ -144,6 +144,17 @@ class Backbone:
             out += more
         return out, parts
 
+    def fold(self, basis: np.ndarray):
+        """``(matrix, bias)`` of the forecast of ``basis @ z``: the heads
+        composed with the (L, M) linear map basis in front of them, so that
+        ``forward(basis @ z)`` equals ``dense(matrix, bias, z)`` for (N, M, C)
+        z, up to rounding.  matrix is ``sum_h W_h P_h basis``, P_h the linear
+        map forming part h, with each head's weight layout: (H, M) shared or
+        (C, H, M) per channel."""
+        parts = self.parts(basis)
+        matrix = sum(self.params[f"{h}weight"] @ part for h, part in zip(self.heads, parts))
+        return matrix, sum(self.params[f"{h}bias"] for h in self.heads)
+
     def vjp(self, x: np.ndarray, cache, upstream: np.ndarray, input_grad: bool = True):
         """Returns (param_grads, grad_x) for the forward pass at x that
         returned cache; grad_x is None when input_grad is False."""

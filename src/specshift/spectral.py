@@ -90,7 +90,8 @@ def dft_forward_adjoint(g_real: np.ndarray, g_imag: np.ndarray, length: int, axi
 
 
 def _spectrum(real, imag, length: int, axis: int) -> np.ndarray:
-    """real + 1j * imag, checked to hold the K bins of `length` along `axis`."""
+    """The complex spectrum real + 1j * imag, built in one buffer and checked
+    to hold the K bins of `length` along `axis`."""
     real = np.asarray(real, dtype=float)
     imag = np.asarray(imag, dtype=float)
     k = n_bins(length)
@@ -98,7 +99,28 @@ def _spectrum(real, imag, length: int, axis: int) -> np.ndarray:
         raise ValueError(
             f"expected {k} bins for length {length} on axis {axis}, got shapes {real.shape} and {imag.shape}"
         )
-    return real + 1j * imag
+    z = np.empty(real.shape, dtype=complex)
+    z.real = real
+    z.imag = imag
+    return z
+
+
+def inverse_dft_matrix(length: int) -> np.ndarray:
+    """The inverse transform as a real (L, 2K) matrix F with
+    ``dft_inverse(real, imag, L) == F @ [real; imag]`` for (K,) real and imag.
+
+    Column k is ``m_k cos(2 pi k n / L) / L`` and column K + k is
+    ``-m_k sin(2 pi k n / L) / L``, m the Hermitian multiplicity; the sine
+    columns of the self-conjugate bins are zero, as their imaginary parts
+    are ignored.  Angles are reduced modulo L in integers first.
+    """
+    k = np.arange(n_bins(length))
+    angle = (2.0 * np.pi / length) * (np.outer(np.arange(length), k) % length)
+    scale = hermitian_multiplicity(length) / length
+    sine = -np.sin(angle) * scale
+    if length % 2 == 0:
+        sine[:, -1] = 0.0  # sin(pi) rounds to 1.2e-16; bin 0's angles are all 0
+    return np.concatenate([np.cos(angle) * scale, sine], axis=1)
 
 
 def dft_direct(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:

@@ -10,6 +10,13 @@ the weights as given; ``training.TifoLayer.weights`` forms the one (K, C)
 table every caller uses (alpha scaling and the ``keep`` truncation, a 0/1
 factor on the weights).
 
+For a fixed table the layer is linear and diagonal on the spectrum, so a
+backbone's forecast of its output is one linear map of the weighted
+spectrum ``[lambda_r * Re X; lambda_i * Im X]``: the backbone composed with
+the real inverse DFT (``spectral.inverse_dft_matrix``).  Forecasts without
+gradients (``training.Pipeline.head``) are read off the spectrum that way;
+training and ``transform`` keep the FFT path, which stays its oracle.
+
 Scaling the real and imaginary parts apart is not a complex scale: the
 transform commutes with circular shifts of the window (is shift-invariant,
 a diagonal operator in the DFT basis) only where lambda_r = lambda_i.  With

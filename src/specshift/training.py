@@ -18,6 +18,12 @@ contiguous float64 vector, and each block's own ``params`` dict holds the
 same views.  The patch predictor that stage one trains is a second group.
 ``Adam`` updates its group with one vector operation, and ``train`` keeps and
 restores the best state with one copy.
+
+Training runs the re-weighting layer on the FFT path (DFT, weights, inverse
+DFT, backbone).  Forecasts without gradients (``Pipeline.head``, behind
+``predict`` and ``evaluate``) use that the composition is linear for a fixed
+weight table: a forecast is one linear map of the weighted spectrum, the
+backbone folded with the inverse DFT over the kept bins.
 """
 
 from __future__ import annotations
@@ -29,8 +35,8 @@ import numpy as np
 
 from . import baselines, tifo
 from .errors import CheckpointError, ConfigError, NumericError
-from .models import Backbone, BackboneConfig
-from .spectral import dft_forward, n_bins  # noqa: F401 - perfbench/tests/test_tracer.py checks this binding
+from .models import Backbone, BackboneConfig, dense
+from .spectral import amplitude, dft_forward, inverse_dft_matrix, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
 
 
@@ -276,6 +282,10 @@ class TifoLayer:
     >= keep; ``forward`` is the one re-weighting pass with a given table,
     ``vjp`` its gradients at that table's alpha, and ``fit_scores`` turns
     normalized windows into a score table.
+
+    The layer is diagonal on the spectrum, so its output is
+    ``basis @ weighted_spectrum(...)``: ``basis`` is the (L, 2 keep) real
+    inverse DFT over the kept bins, a constant of the layer.
     """
 
     name = "tifo"
@@ -285,7 +295,10 @@ class TifoLayer:
         bins = n_bins(bc.lookback)
         keep = bins if cfg.tifo.keep is None else cfg.tifo.keep
         self.cfg = cfg.tifo
+        self.keep = keep
         self.mask = (np.arange(bins) < keep).astype(float)[:, None]
+        basis = inverse_dft_matrix(bc.lookback)
+        self.basis = np.concatenate([basis[:, :keep], basis[:, bins : bins + keep]], axis=1)
         self.params = tifo.init_params(bins, cfg.tifo.hidden, rng)
         self.scores = np.zeros((bins, bc.channels))
         self.frozen = {"scores": self.scores}
@@ -308,6 +321,13 @@ class TifoLayer:
         x_t, (real, imag) = tifo.transform(x_n, lam_r, lam_i)
         return x_t, (real, imag, lam_r, lam_i, w_cache)
 
+    def weighted_spectrum(self, spectrum, weights) -> np.ndarray:
+        """``[lambda_r * real; lambda_i * imag]`` over the kept bins, (N, 2 keep, C),
+        for the (real, imag) ``spectrum`` of (N, L, C) windows and a table
+        from ``weights()``; ``basis`` maps it to ``forward``'s output."""
+        (real, imag), (lam_r, lam_i, _), k = spectrum, weights, self.keep
+        return np.concatenate([real[:, :k] * lam_r[:k], imag[:, :k] * lam_i[:k]], axis=1)
+
     def vjp(self, cache, g_x: np.ndarray) -> dict[str, np.ndarray]:
         """MLP parameter gradients from the cotangent of ``forward``'s output,
         through the chain-rule factor of the table ``forward`` was given."""
@@ -315,9 +335,14 @@ class TifoLayer:
         _, g_lam_r, g_lam_i = tifo.transform_vjp(g_x, real, imag, lam_r, lam_i, g_x.shape[-2])
         return tifo.weights_vjp(self.params, mlp_cache, scale * g_lam_r, scale * g_lam_i)
 
-    def fit_scores(self, x_n: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """(K, C) stability scores of normalized windows and their targets."""
-        panel = amplitude_panel(x_n, self.cfg.window)
+    def fit_scores(self, x_n: np.ndarray, y: np.ndarray, spectrum=None) -> np.ndarray:
+        """(K, C) stability scores of normalized windows and their targets.
+        Under the rectangular window the panel is the amplitude of x_n's
+        (real, imag) ``spectrum`` from ``dft_forward``, when one is given."""
+        if spectrum is not None and self.cfg.window == "rectangular":
+            panel = amplitude(*spectrum)
+        else:
+            panel = amplitude_panel(x_n, self.cfg.window)
         return stability_scores(panel, self.cfg.score_metric, targets=y, eps=self.cfg.score_eps)
 
 
@@ -386,16 +411,37 @@ class Pipeline:
 
     # -- forward passes -----------------------------------------------------
 
-    def head(self, x_n: np.ndarray, ctx, weights=None) -> np.ndarray:
-        """Forecast from a normalized window.  ``weights`` is a table from
-        ``tifo.weights()`` (None: the stored table at the configured alpha);
-        a method without the re-weighting layer ignores it."""
-        if self.tifo is not None:
-            x_n = self.tifo.forward(x_n, weights or self.tifo.weights())[0]  # drops the cache before the backbone runs
-        return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
+    def spectral_head(self):
+        """The backbone folded with the re-weighting layer's inverse DFT,
+        ``(matrix, bias)``: one (H, 2 keep) matrix per channel, or one for a
+        shared backbone.  It holds no weight table, so it serves every table
+        until the backbone's parameters change."""
+        return self.backbone.fold(self.tifo.basis)
+
+    def head(self, x_n: np.ndarray, ctx, weights=None, fold=None, spectrum=None) -> np.ndarray:
+        """Forecast from normalized windows, the one forward-only path.
+
+        With the re-weighting layer the forecast is a linear map of the
+        weighted spectrum: ``dense(matrix, bias, weighted_spectrum)`` with
+        ``fold = (matrix, bias)`` from ``spectral_head()``, on x_n's
+        ``spectrum`` scaled by the table ``weights`` from ``tifo.weights()``.
+        Each of the three is formed here when None (the table: the stored
+        one at the configured alpha).  It agrees with the FFT composition
+        ``backbone.forward(tifo.forward(x_n, weights)[0])`` to rounding.  A
+        method without the layer ignores all three.
+        """
+        if self.tifo is None:
+            return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
+        matrix, bias = fold or self.spectral_head()
+        if spectrum is None:
+            spectrum = dft_forward(x_n, axis=1)
+        z = self.tifo.weighted_spectrum(spectrum, weights or self.tifo.weights())
+        return self.norm.leave(dense(matrix, bias, z), ctx)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self.head(*self.norm.enter(x))
+        # a window view is copied, as evaluate copies its batches: the
+        # backbone's matmul then runs the same BLAS kernel on views and copies
+        return self.head(*self.norm.enter(np.ascontiguousarray(x)))
 
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
@@ -553,14 +599,20 @@ def evaluate(
     (score-driven methods only).  ema_decay, if set, strictly inside (0, 1),
     refreshes the stability scores from each batch of at least two windows
     before weighting (a one-window batch has no spread to score and keeps the
-    running scores); the pipeline's stored scores are not modified.  The
-    weight table is formed once per score table: once for the split without
-    ema_decay, once per refreshing batch with it.  A batch whose squared
-    forecast error is not finite raises NumericError naming it.
+    running scores); the pipeline's stored scores are not modified.  A batch
+    whose squared forecast error is not finite raises NumericError naming it.
+
+    With the re-weighting layer, forecasts are read off the spectrum (see
+    ``Pipeline.head``): each batch takes one forward DFT, which also gives
+    the refresh's amplitude panel under the rectangular window, and no
+    inverse one.  The folded head is formed once per call, and the weight
+    table once per score table: once for the split without ema_decay, once
+    per refreshing batch with it.
     """
     check_eval_settings(pipeline.method, batch, alpha, ema_decay)
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
-    weights = None
+    fold = None if pipeline.tifo is None else pipeline.spectral_head()
+    weights = spectrum = None
     sq_sum = 0.0
     abs_sum = 0.0
     for start in range(0, x.shape[0], batch):
@@ -569,12 +621,14 @@ def evaluate(
         xb = np.ascontiguousarray(x[start : start + batch])
         yb = np.ascontiguousarray(y[start : start + batch])
         x_n, ctx = pipeline.norm.enter(xb)
-        if running_scores is not None and xb.shape[0] >= 2:
-            running_scores = ema_refresh(running_scores, pipeline.tifo.fit_scores(x_n, yb), ema_decay)
-            weights = None
-        if weights is None and pipeline.tifo is not None:
-            weights = pipeline.tifo.weights(alpha, running_scores)
-        pred = pipeline.head(x_n, ctx, weights)
+        if pipeline.tifo is not None:
+            spectrum = dft_forward(x_n, axis=1)
+            if running_scores is not None and xb.shape[0] >= 2:
+                running_scores = ema_refresh(running_scores, pipeline.tifo.fit_scores(x_n, yb, spectrum), ema_decay)
+                weights = None
+            if weights is None:
+                weights = pipeline.tifo.weights(alpha, running_scores)
+        pred = pipeline.head(x_n, ctx, weights, fold, spectrum)
         err = pred - yb
         sq = float((err * err).sum())
         if not math.isfinite(sq):

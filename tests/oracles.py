@@ -1,8 +1,10 @@
 """Test-side oracles: the plain MSE/MAE losses, a central-difference
-check of a pipeline's analytic gradients, and the one-cell shift metrics."""
+check of a pipeline's analytic gradients, the inverse-type transforms on a
+spectrum summed as ``real + 1j * imag``, and the one-cell shift metrics."""
 
 import numpy as np
 
+from specshift.spectral import hermitian_multiplicity
 from specshift.training import Pipeline
 
 
@@ -48,6 +50,24 @@ def finite_diff_check(pipeline: Pipeline, x: np.ndarray, y: np.ndarray, eps: flo
             denom = max(abs(numeric), abs(g[i]), 1e-3)
             worst = max(worst, abs(numeric - g[i]) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# inverse-type transforms on the summed complex spectrum
+# ---------------------------------------------------------------------------
+
+
+def dft_inverse_summed(real, imag, length, axis=0):
+    """``spectral.dft_inverse`` with the spectrum formed as ``real + 1j * imag``."""
+    return np.fft.irfft(real + 1j * imag, n=length, axis=axis)
+
+
+def dft_forward_adjoint_summed(g_real, g_imag, length, axis=0):
+    """``spectral.dft_forward_adjoint`` with the spectrum formed as ``g_real + 1j * g_imag``."""
+    shape = [1] * np.ndim(g_real)
+    shape[axis] = -1
+    z = (g_real + 1j * g_imag) / hermitian_multiplicity(length).reshape(shape)
+    return length * np.fft.irfft(z, n=length, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from specshift.models import (
     Backbone,
     BackboneConfig,
     decompose_matrix,
+    dense,
     moving_average_decompose,
 )
 
@@ -121,12 +122,29 @@ def test_dlinear_forward_composition():
     model = Backbone(cfg, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((6, 8, 2))
     trend, seasonal = moving_average_decompose(x, 3)
-    from specshift.models import dense
-
     manual = dense(model.params["trend.weight"], model.params["trend.bias"], trend) + dense(
         model.params["seasonal.weight"], model.params["seasonal.bias"], seasonal
     )
     np.testing.assert_allclose(model.forward(x)[0], manual, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["linear", "dlinear"])
+@pytest.mark.parametrize("shared", [False, True])
+def test_fold_composes_the_heads_with_a_basis(kind, shared):
+    # forward(basis @ z) == dense(*fold(basis), z) for any (L, M) basis, with
+    # random biases so that the folded bias is checked too
+    cfg = BackboneConfig(kind=kind, lookback=9, horizon=4, channels=3, shared=shared, kernel=5)
+    model = Backbone(cfg, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    for name, arr in model.params.items():
+        if name.endswith("bias"):
+            arr[...] = rng.normal(size=arr.shape)
+    basis = rng.normal(size=(9, 4))
+    z = rng.normal(size=(5, 4, 3))
+    matrix, bias = model.fold(basis)
+    assert matrix.shape == ((4, 4) if shared else (3, 4, 4))
+    want = model.forward(basis @ z)[0]
+    np.testing.assert_allclose(dense(matrix, bias, z), want, rtol=0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("kind", ["linear", "dlinear"])

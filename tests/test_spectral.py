@@ -12,11 +12,14 @@ from specshift.spectral import (
     dft_forward_adjoint,
     dft_inverse,
     hermitian_multiplicity,
+    inverse_dft_matrix,
     n_bins,
     window_taps,
 )
 from specshift.tifo import TifoConfig
 from specshift.training import PipelineConfig, TifoLayer
+
+from oracles import dft_forward_adjoint_summed, dft_inverse_summed
 
 
 def test_forward_known_values():
@@ -187,3 +190,41 @@ def test_constant_signal_is_pure_dc(length, seed):
     np.testing.assert_allclose(real[0], c * length, atol=1e-9)
     np.testing.assert_allclose(real[1:], 0.0, atol=1e-9)
     np.testing.assert_allclose(imag, 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 12, 47, 48, 96, 97])
+def test_spectrum_in_one_buffer_gives_the_summed_spectrum_bits(length):
+    # the complex spectrum is built in one buffer, not as real + 1j * imag:
+    # both inverse-type transforms keep the bytes of the summed form on
+    # random finite spectra whose high bins are zeroed, as a keep mask
+    # leaves them (zeroing negative values gives -0.0)
+    k = n_bins(length)
+    rng = np.random.default_rng(length)
+    for keep in sorted({1, (k + 1) // 2, k}):
+        real = rng.normal(size=(6, k, 3)) * 10.0 ** rng.integers(-3, 4, size=(6, 1, 3))
+        imag = rng.normal(size=(6, k, 3))
+        real[:, keep:] *= 0.0
+        imag[:, keep:] *= 0.0
+        for axis, r, i in ((1, real, imag), (0, real[0], imag[0])):
+            got = dft_inverse(r, i, length, axis=axis)
+            assert got.tobytes() == dft_inverse_summed(r, i, length, axis=axis).tobytes()
+            got = dft_forward_adjoint(r, i, length, axis=axis)
+            assert got.tobytes() == dft_forward_adjoint_summed(r, i, length, axis=axis).tobytes()
+
+
+@pytest.mark.parametrize("length", list(range(1, 65)))
+def test_inverse_dft_matrix_is_the_inverse_transform(length):
+    # F @ [real; imag] is dft_inverse, and F is the basis that dft_direct's
+    # forward transform of the identity gives: cosines from its real part,
+    # minus sines (its imaginary part) at the self-conjugate bins zeroed,
+    # each bin scaled by its Hermitian multiplicity over L
+    k = n_bins(length)
+    basis = inverse_dft_matrix(length)
+    assert basis.shape == (length, 2 * k)
+    rng = np.random.default_rng(length)
+    real, imag = rng.normal(size=(2, k, 5))
+    np.testing.assert_allclose(basis @ np.concatenate([real, imag]), dft_inverse(real, imag, length),
+                               rtol=0, atol=1e-12)
+    fr, fi = dft_direct(np.eye(length), axis=0)  # (K, L): row k holds bin k of each unit impulse
+    scale = np.tile(hermitian_multiplicity(length) / length, 2)
+    np.testing.assert_allclose(basis, np.concatenate([fr.T, fi.T], axis=1) * scale, rtol=0, atol=1e-12)

@@ -1,5 +1,8 @@
 """Training loop, optimizer semantics, evaluation, and gradient verification."""
 
+import collections
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from specshift.baselines import FanConfig, SanConfig
 from specshift.data import build_dataset
 from specshift.errors import ConfigError, NumericError
 from specshift.models import BackboneConfig
-from specshift.spectral import dft_forward
+from specshift.spectral import dft_forward, dft_forward_adjoint, dft_inverse, n_bins
 from specshift.stationarity import amplitude_panel, ema_refresh
 from specshift.tifo import TifoConfig
 from specshift.training import (
@@ -576,6 +579,63 @@ def test_tifo_vjp_follows_the_alpha_of_its_table(alpha, keep):
         np.testing.assert_allclose(grads[name].ravel(), numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
+@settings(max_examples=60, deadline=None)
+@given(method=st.sampled_from(["tifo", "tifo+san"]), kind=st.sampled_from(["linear", "dlinear"]),
+       shared=st.booleans(), kernel=st.sampled_from([1, 3, 5, 25]), patch=st.integers(1, 3),
+       patches=st.integers(1, 24), horizon_patches=st.integers(1, 6), channels=st.integers(1, 4),
+       keep=st.integers(0, 40), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_head_is_the_fft_composition_read_off_the_spectrum(method, kind, shared, kernel, patch, patches,
+                                                           horizon_patches, channels, keep, alpha, seed):
+    # Pipeline.head forecasts with one folded matrix on the weighted
+    # spectrum; it agrees with the FFT path (re-weight, inverse DFT, then
+    # the backbone's heads) to 1e-12 of the forecasts' scale, with random
+    # weights, scores and biases; keep 0 stands for no keep
+    lookback, horizon = patch * patches, patch * horizon_patches
+    cfg = PipelineConfig(
+        method=method,
+        backbone=BackboneConfig(kind=kind, lookback=lookback, horizon=horizon, channels=channels,
+                                shared=shared, kernel=kernel),
+        tifo=TifoConfig(hidden=6, keep=min(keep, n_bins(lookback)) or None),
+        san=SanConfig(patch=patch, hidden=8, epochs=1))
+    pipe = build_pipeline(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    pipe.tifo.scores[...] = rng.uniform(0.0, 5.0, size=pipe.tifo.scores.shape)
+    for name, arr in pipe.params.items():
+        if name.endswith(("w2", "bias")):
+            arr[...] = rng.normal(scale=0.5, size=arr.shape)
+    x = np.cumsum(rng.normal(size=(5, lookback, channels)), axis=1)
+    x_n, ctx = pipe.norm.enter(x)
+    weights = pipe.tifo.weights(alpha)
+    want = pipe.norm.leave(pipe.backbone.forward(pipe.tifo.forward(x_n, weights)[0])[0], ctx)
+    got = pipe.head(x_n, ctx, weights)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("method", ["tifo", "tifo+san"])
+@pytest.mark.parametrize("ema_decay", [None, 0.9])
+def test_evaluate_reads_one_forward_dft_per_batch(monkeypatch, method, ema_decay):
+    # forecasts are read off the spectrum: each batch of 7 of 24 windows
+    # takes one forward DFT, which also gives the EMA refresh its panel, and
+    # no inverse one; the backbone is folded once per call
+    pipe, x, y = make_pipeline(method, backbone="dlinear", channels=2, n=24)
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in (dft_forward, dft_inverse, dft_forward_adjoint):
+        for module in [m for name, m in sys.modules.items() if name.startswith("specshift")]:
+            if getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted(fn.__name__, fn))
+    monkeypatch.setattr(models.Backbone, "fold", counted("fold", models.Backbone.fold))
+    evaluate(pipe, x, y, batch=7, ema_decay=ema_decay)
+    assert calls == {"dft_forward": 4, "fold": 1}
+
+
 def test_evaluate_batch_size_invariant():
     pipe, x, y = make_pipeline("tifo", seed=12, n=24)
     _short_train(pipe, x, y)
@@ -680,7 +740,8 @@ def test_dataset_views_compute_like_their_copies(method, lookback, horizon, chan
 
     def run(x_train, y_train, x_val, y_val, x_test, y_test):
         pipe = build_pipeline(cfg, np.random.default_rng(3), x_train, y_train)
-        out = [amplitude_panel(x_train), amplitude_panel(x_test, "hann"), pipe.transformed_input(x_test)]
+        out = [amplitude_panel(x_train), amplitude_panel(x_test, "hann"), pipe.transformed_input(x_test),
+               pipe.predict(x_test)]
         if pipe.tifo is not None:
             out.append(fit_score_table(pipe, x_train, y_train))
         out.append(evaluate(pipe, x_test, y_test, batch=7, ema_decay=ema))
