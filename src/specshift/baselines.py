@@ -29,11 +29,11 @@ PATCH_EPS = 1e-5
 # ---------------------------------------------------------------------------
 
 
-def revin_stats(x: np.ndarray, eps: float = REVIN_EPS) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window, per-channel mean and sqrt(population variance + eps)."""
+def revin_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window, per-channel mean and sqrt(population variance + REVIN_EPS)."""
     x = np.asarray(x, dtype=float)
     mu = x.mean(axis=-2, keepdims=True)
-    sigma = np.sqrt(x.var(axis=-2, keepdims=True) + eps)
+    sigma = np.sqrt(x.var(axis=-2, keepdims=True) + REVIN_EPS)
     return mu, sigma
 
 

@@ -193,15 +193,13 @@ def cmd_stats(cfg: RunConfig) -> None:
         print(f"channel {c} ({cfg.score_metric}): most stable {desc}")
 
 
-def _train_once(cfg: RunConfig, ds: datamod.Dataset, log: bool = False):
+def _train_once(cfg: RunConfig, ds: datamod.Dataset):
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
     pcfg = _pipeline_config(cfg, ds.channels)
     tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
     rng = np.random.default_rng(cfg.seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
-    if log and pipeline.tifo is not None:
-        print(f"fitted {cfg.score_metric} stability scores on the train split")
     result = train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
     return pipeline, result
 
@@ -210,7 +208,9 @@ def cmd_train(cfg: RunConfig) -> None:
     settings = _eval_settings(cfg, None, 0.0)
     ds = _dataset(cfg)
     cfg.channels = ds.channels
-    pipeline, result = _train_once(cfg, ds, log=True)
+    pipeline, result = _train_once(cfg, ds)
+    if pipeline.tifo is not None:
+        print(f"fitted {cfg.score_metric} stability scores on the train split")
     test = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
     out = _out_dir(cfg)
     tensors = pipeline.tensors()

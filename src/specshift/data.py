@@ -99,11 +99,12 @@ class Scaler:
         return (arr - self.mu) / self.sigma
 
 
-def fit_scaler(train_inputs: np.ndarray, eps: float = ZSCORE_EPS) -> Scaler:
-    """Per-channel z-score statistics over the training windows' values."""
+def fit_scaler(train_inputs: np.ndarray) -> Scaler:
+    """Per-channel z-score statistics over the training windows' values; the
+    scale is the population standard deviation plus ``ZSCORE_EPS``."""
     vals = np.asarray(train_inputs, dtype=float)
     flat = vals.reshape(-1, vals.shape[-1])
-    return Scaler(mu=flat.mean(axis=0), sigma=flat.std(axis=0) + eps)
+    return Scaler(mu=flat.mean(axis=0), sigma=flat.std(axis=0) + ZSCORE_EPS)
 
 
 @dataclass

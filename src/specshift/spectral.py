@@ -154,13 +154,3 @@ def window_taps(kind: str, length: int) -> np.ndarray:
         n = np.arange(length)
         return 0.5 * (1.0 - np.cos(2.0 * np.pi * n / (length - 1)))
     raise ConfigError(f"window must be one of {WINDOWS}, got {kind!r}")
-
-
-def apply_window(x: np.ndarray, taps: np.ndarray, axis: int = 0) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    taps = np.asarray(taps, dtype=float)
-    if taps.ndim != 1 or taps.shape[0] != x.shape[axis]:
-        raise ValueError("taps length must match the time axis")
-    shape = [1] * x.ndim
-    shape[axis] = taps.shape[0]
-    return x * taps.reshape(shape)

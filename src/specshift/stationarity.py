@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .spectral import amplitude, apply_window, dft_forward, window_taps
+from .spectral import amplitude, dft_forward, window_taps
 
 METRICS = ("mu_sigma", "entropy", "correlation")
 
@@ -32,7 +32,7 @@ def amplitude_panel(windows: np.ndarray, window: str = "rectangular") -> np.ndar
     if windows.ndim != 3:
         raise ValueError("expected a (N, L, C) window stack")
     if window != "rectangular":
-        windows = apply_window(windows, window_taps(window, windows.shape[1]), axis=1)
+        windows = windows * window_taps(window, windows.shape[1])[:, None]
     real, imag = dft_forward(windows, axis=1)
     return amplitude(real, imag)
 

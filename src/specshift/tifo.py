@@ -8,7 +8,8 @@ score table is a constant of the layer: gradients flow to the MLP parameters
 and to the input series, never into the scores.  The functions here take
 the weights as given; ``training.TifoLayer.weights`` forms the one (K, C)
 table every caller uses (alpha scaling and the ``keep`` truncation, a 0/1
-factor on the weights).
+factor on the weights).  The training pipeline calls ``transform`` with that
+table, and ``TifoLayer.vjp`` reads the spectrum it returns.
 
 For a fixed table the layer is linear and diagonal on the spectrum, so a
 backbone's forecast of its output is one linear map of the weighted

@@ -5,9 +5,12 @@ an Adam optimizer, the early-stopping loop and evaluation.
 Gradients come from composing explicit per-block VJPs; there is no
 general-purpose tape.  Each block owns its forward and its VJP, every
 forward returns the cache its VJP reads, and ``Pipeline.loss_grads`` only
-chains them.  The baseline blocks (RevIN, SAN, FAN) hold their normalize,
-denormalize and combine arithmetic here and call ``baselines`` for the
-statistics and learned nets.  A pipeline owns two tensor groups:
+chains them.  The re-weighting layer's forward is ``tifo.transform`` with
+the table ``TifoLayer.weights`` forms; ``TifoLayer.vjp`` reads the spectrum
+it returns and that table.  The baseline blocks (RevIN, SAN, FAN) hold
+their normalize, denormalize and combine arithmetic here and call
+``baselines`` for the statistics and learned nets.  A pipeline owns two
+tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, tifo
-from .errors import CheckpointError, ConfigError, NumericError
+from .errors import CheckpointError, ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
 from .spectral import amplitude, dft_forward, inverse_dft_matrix, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
@@ -127,7 +130,8 @@ def _mse_upstream(pred, target):
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch: {pred.shape} vs {target.shape}")
     err = pred - target
-    return float(np.mean(err * err)), (2.0 / err.size) * err
+    # the bits of np.mean(err * err), at a third of its per-call cost
+    return float((err * err).sum()) / err.size, (2.0 / err.size) * err
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +140,8 @@ def _mse_upstream(pred, target):
 
 
 class NormBlock:
-    """A block wraps the backbone.  ``enter(x) -> (x_n, ctx)`` is the
+    """A block wraps the backbone; this base class is the identity, the
+    block of ``none`` and ``tifo``.  ``enter(x) -> (x_n, ctx)`` is the
     parameter-free front end: it normalizes the lookback windows, window by
     window, so a whole split entered at once gives the bytes of its batches
     entered one by one.  ``leave(y_n, ctx) -> y`` maps the backbone output
@@ -152,11 +157,6 @@ class NormBlock:
     are the pipeline's own, registered there under ``<name>.``.
     """
 
-    def targets(self, y):
-        return y
-
-
-class IdentityNorm(NormBlock):
     name = "identity"
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
@@ -168,6 +168,9 @@ class IdentityNorm(NormBlock):
 
     def leave(self, y_n, ctx):
         return y_n
+
+    def targets(self, y):
+        return y
 
     def loss(self, y_n, ctx, targets):
         return (*_mse_upstream(y_n, targets), {})
@@ -279,9 +282,9 @@ class TifoLayer:
 
     The only holder of the layer's rules: ``weights`` forms the one weight
     table, the alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins
-    >= keep; ``forward`` is the one re-weighting pass with a given table,
-    ``vjp`` its gradients at that table's alpha, and ``fit_scores`` turns
-    normalized windows into a score table.
+    >= keep, which ``tifo.transform`` applies; ``vjp`` gives the gradients
+    at that table's alpha, and ``fit_scores`` turns normalized windows into
+    a score table.
 
     The layer is diagonal on the spectrum, so its output is
     ``basis @ weighted_spectrum(...)``: ``basis`` is the (L, 2 keep) real
@@ -314,24 +317,19 @@ class TifoLayer:
         a = self.cfg.alpha if alpha is None else alpha
         return tifo.alpha_scale(lam_r, a) * self.mask, tifo.alpha_scale(lam_i, a) * self.mask, (mlp_cache, a * self.mask)
 
-    def forward(self, x_n: np.ndarray, weights):
-        """(normalized windows (N, L, C) re-weighted by the table ``weights``
-        from ``weights()``, cache for ``vjp``)."""
-        lam_r, lam_i, w_cache = weights
-        x_t, (real, imag) = tifo.transform(x_n, lam_r, lam_i)
-        return x_t, (real, imag, lam_r, lam_i, w_cache)
-
     def weighted_spectrum(self, spectrum, weights) -> np.ndarray:
         """``[lambda_r * real; lambda_i * imag]`` over the kept bins, (N, 2 keep, C),
         for the (real, imag) ``spectrum`` of (N, L, C) windows and a table
-        from ``weights()``; ``basis`` maps it to ``forward``'s output."""
+        from ``weights()``; ``basis`` maps it to ``tifo.transform``'s output."""
         (real, imag), (lam_r, lam_i, _), k = spectrum, weights, self.keep
         return np.concatenate([real[:, :k] * lam_r[:k], imag[:, :k] * lam_i[:k]], axis=1)
 
-    def vjp(self, cache, g_x: np.ndarray) -> dict[str, np.ndarray]:
-        """MLP parameter gradients from the cotangent of ``forward``'s output,
-        through the chain-rule factor of the table ``forward`` was given."""
-        real, imag, lam_r, lam_i, (mlp_cache, scale) = cache
+    def vjp(self, spectrum, weights, g_x: np.ndarray) -> dict[str, np.ndarray]:
+        """MLP parameter gradients from the cotangent ``g_x`` of
+        ``tifo.transform(x_n, lambda_r, lambda_i)``'s output, for the table
+        ``weights`` from ``weights()`` and the (real, imag) ``spectrum`` that
+        call returned, through that table's chain-rule factor."""
+        (real, imag), (lam_r, lam_i, (mlp_cache, scale)) = spectrum, weights
         _, g_lam_r, g_lam_i = tifo.transform_vjp(g_x, real, imag, lam_r, lam_i, g_x.shape[-2])
         return tifo.weights_vjp(self.params, mlp_cache, scale * g_lam_r, scale * g_lam_i)
 
@@ -348,11 +346,11 @@ class TifoLayer:
 
 # method -> (normalization block, whether the re-weighting layer sits inside it)
 COMPOSITION = {
-    "none": (IdentityNorm, False),
+    "none": (NormBlock, False),
     "revin": (RevinNorm, False),
     "san": (SanNorm, False),
     "fan": (FanNorm, False),
-    "tifo": (IdentityNorm, True),
+    "tifo": (NormBlock, True),
     "tifo+san": (SanNorm, True),
 }
 
@@ -387,7 +385,7 @@ class Pipeline:
     @property
     def transforms_input(self) -> bool:
         """True when the backbone sees a reshaped series."""
-        return self.tifo is not None or not isinstance(self.norm, IdentityNorm)
+        return self.tifo is not None or type(self.norm) is not NormBlock
 
     # -- checkpoint support -------------------------------------------------
 
@@ -411,28 +409,23 @@ class Pipeline:
 
     # -- forward passes -----------------------------------------------------
 
-    def spectral_head(self):
-        """The backbone folded with the re-weighting layer's inverse DFT,
-        ``(matrix, bias)``: one (H, 2 keep) matrix per channel, or one for a
-        shared backbone.  It holds no weight table, so it serves every table
-        until the backbone's parameters change."""
-        return self.backbone.fold(self.tifo.basis)
-
     def head(self, x_n: np.ndarray, ctx, weights=None, fold=None, spectrum=None) -> np.ndarray:
         """Forecast from normalized windows, the one forward-only path.
 
         With the re-weighting layer the forecast is a linear map of the
         weighted spectrum: ``dense(matrix, bias, weighted_spectrum)`` with
-        ``fold = (matrix, bias)`` from ``spectral_head()``, on x_n's
+        ``fold = (matrix, bias)`` from ``backbone.fold(tifo.basis)``, on x_n's
         ``spectrum`` scaled by the table ``weights`` from ``tifo.weights()``.
         Each of the three is formed here when None (the table: the stored
-        one at the configured alpha).  It agrees with the FFT composition
-        ``backbone.forward(tifo.forward(x_n, weights)[0])`` to rounding.  A
-        method without the layer ignores all three.
+        one at the configured alpha).  The fold holds no weight table, so it
+        serves every table until the backbone's parameters change.  The
+        forecast agrees with the FFT composition, ``backbone.forward`` of
+        ``tifo.transform``'s output, to rounding.  A method without the layer
+        ignores all three.
         """
         if self.tifo is None:
             return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
-        matrix, bias = fold or self.spectral_head()
+        matrix, bias = fold or self.backbone.fold(self.tifo.basis)
         if spectrum is None:
             spectrum = dft_forward(x_n, axis=1)
         z = self.tifo.weighted_spectrum(spectrum, weights or self.tifo.weights())
@@ -446,21 +439,22 @@ class Pipeline:
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
         x_n = self.norm.enter(x)[0]
-        return x_n if self.tifo is None else self.tifo.forward(x_n, self.tifo.weights())[0]
+        return x_n if self.tifo is None else tifo.transform(x_n, *self.tifo.weights()[:2])[0]
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``
         of the forecast windows."""
         x_t, ctx = self.norm.enter(x)
         if self.tifo is not None:
-            x_t, tifo_cache = self.tifo.forward(x_t, self.tifo.weights())
+            weights = self.tifo.weights()
+            x_t, spectrum = tifo.transform(x_t, *weights[:2])
         y_n, bb_cache = self.backbone.forward(x_t)
         loss, upstream, norm_grads = self.norm.loss(y_n, ctx, targets)
         bb_grads, g_xt = self.backbone.vjp(x_t, bb_cache, upstream, input_grad=self.tifo is not None)
         grads = _namespace("backbone", bb_grads)
         grads.update(_namespace(self.norm.name, norm_grads))
         if self.tifo is not None:
-            grads.update(_namespace("tifo", self.tifo.vjp(tifo_cache, g_xt)))
+            grads.update(_namespace("tifo", self.tifo.vjp(spectrum, weights, g_xt)))
         return loss, grads
 
 
@@ -558,15 +552,21 @@ def train_san_predictor(
 
     def step(sel):
         mu_hat, var_hat, cache = baselines.san_predict(params, mu_x[sel], var_x[sel])
-        err_mu = mu_hat - mu_y[sel]
-        err_var = var_hat - var_y[sel]
-        loss = float(np.vdot(err_mu, err_mu) / err_mu.size + np.vdot(err_var, err_var) / err_var.size)
-        grads = baselines.san_predict_vjp(params, cache, (2.0 / err_mu.size) * err_mu, (2.0 / err_var.size) * err_var)
-        return loss, grads
+        loss_mu, g_mu = _mse_upstream(mu_hat, mu_y[sel])
+        loss_var, g_var = _mse_upstream(var_hat, var_y[sel])
+        return loss_mu + loss_var, baselines.san_predict_vjp(params, cache, g_mu, g_var)
 
     n = x_train.shape[0]
     return sum(_epoch(adam, n, cfg.batch, rng, step, f"SAN stage one epoch {epoch}")[1]
                for epoch in range(1, pipeline.cfg.san.epochs + 1))
+
+
+def _check_split(x, y, x_name: str, y_name: str) -> None:
+    """Reject a split whose input and target windows differ in number, or
+    that holds no window."""
+    if len(x) != len(y) or len(x) == 0:
+        raise DataError(f"{x_name} has {len(x)} windows and {y_name} has {len(y)}: a split needs one "
+                        f"forecast window per lookback window, and at least one")
 
 
 def check_eval_settings(method: str, batch: int, alpha: float | None = None,
@@ -600,7 +600,8 @@ def evaluate(
     refreshes the stability scores from each batch of at least two windows
     before weighting (a one-window batch has no spread to score and keeps the
     running scores); the pipeline's stored scores are not modified.  A batch
-    whose squared forecast error is not finite raises NumericError naming it.
+    whose squared forecast error is not finite raises NumericError naming it;
+    x and y holding different numbers of windows, or none, raise DataError.
 
     With the re-weighting layer, forecasts are read off the spectrum (see
     ``Pipeline.head``): each batch takes one forward DFT, which also gives
@@ -610,8 +611,9 @@ def evaluate(
     per refreshing batch with it.
     """
     check_eval_settings(pipeline.method, batch, alpha, ema_decay)
+    _check_split(x, y, "x", "y")
     running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
-    fold = None if pipeline.tifo is None else pipeline.spectral_head()
+    fold = None if pipeline.tifo is None else pipeline.backbone.fold(pipeline.tifo.basis)
     weights = spectrum = None
     sq_sum = 0.0
     abs_sum = 0.0
@@ -654,8 +656,11 @@ def train(
     are full epochs.  The best-validation parameters are restored before
     returning.  Both stages run through ``_epoch``: a non-finite training loss
     aborts with NumericError, and non-finite gradients reject the single step
-    and are counted in the row's ``rejected`` column.
+    and are counted in the row's ``rejected`` column.  A split whose x and y
+    differ in window count, or hold none, raises DataError before any step.
     """
+    _check_split(x_train, y_train, "x_train", "y_train")
+    _check_split(x_val, y_val, "x_val", "y_val")
     stage_one = isinstance(pipeline.norm, SanNorm)
     stage_one_rejected = train_san_predictor(pipeline, x_train, y_train, cfg, rng) if stage_one else 0
     adam = Adam(pipeline.params, lr=cfg.lr)

@@ -562,8 +562,12 @@ EXIT_TABLE = [
     # every model tensor must be finite; a finite one may still overflow the panels
     (["eval", "synth_channels=3", "checkpoint={w1_nan}"], 5, "tensor tifo.r.w1 is not finite"),
     (["shift", "synth_channels=3", "checkpoint={b2_inf}"], 5, "tensor tifo.i.b2 is not finite"),
-    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0"),
-    (["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4, "non-finite forecast error at evaluation batch 0"),
+    # (these two overflow on purpose, so their RuntimeWarnings are expected)
+    pytest.param(["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    pytest.param(["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4,
+                 "non-finite forecast error at evaluation batch 0",
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
     # a bad header is the checkpoint's fault, whatever the command line says
     (["eval", "synth_channels=3", "checkpoint={method_bogus}"], 5, "method"),
     (["eval", "synth_channels=3", "checkpoint={lookback_abc}"], 5, "lookback"),
@@ -640,7 +644,8 @@ def checkpoint_faults(tmp_path_factory):
     return paths
 
 
-@pytest.mark.parametrize("argv, code, needle", EXIT_TABLE, ids=[" ".join(row[0]) for row in EXIT_TABLE])
+@pytest.mark.parametrize("argv, code, needle", EXIT_TABLE,
+                         ids=[" ".join(getattr(row, "values", row)[0]) for row in EXIT_TABLE])
 def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch, capsys, argv, code, needle):
     ck, _ = trained_tifo
     dates = tmp_path / "dates.csv"

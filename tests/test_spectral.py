@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from specshift.models import BackboneConfig
 from specshift.spectral import (
     amplitude,
-    apply_window,
     dft_direct,
     dft_forward,
     dft_forward_adjoint,
@@ -117,14 +116,6 @@ def test_window_taps_hann():
 def test_window_taps_rejects_unknown():
     with pytest.raises(ValueError):
         window_taps("blackman", 8)
-
-
-def test_apply_window_scales_rows():
-    x = np.ones((4, 2))
-    taps = window_taps("hann", 4)
-    out = apply_window(x, taps)
-    np.testing.assert_allclose(out[:, 0], taps)
-    np.testing.assert_allclose(out[:, 1], taps)
 
 
 def test_truncate_validates_keep():

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specshift import baselines, models, tifo
+from specshift import baselines, models, tifo, training
 from specshift.baselines import FanConfig, SanConfig
 from specshift.data import build_dataset
-from specshift.errors import ConfigError, NumericError
+from specshift.errors import ConfigError, DataError, NumericError
 from specshift.models import BackboneConfig
 from specshift.spectral import dft_forward, dft_forward_adjoint, dft_inverse, n_bins
 from specshift.stationarity import amplitude_panel, ema_refresh
 from specshift.tifo import TifoConfig
 from specshift.training import (
+    COMPOSITION,
     Adam,
     PipelineConfig,
     TensorGroup,
@@ -63,6 +64,15 @@ def test_mse_zero_when_equal():
 
 def test_mse_hand_value():
     assert mse(np.array([1.0, 2.0]), np.array([0.0, 0.0])) == pytest.approx(2.5)
+
+
+def test_training_loss_is_the_mean_bit_for_bit():
+    # history.csv prints this loss; its form may change, its bits may not
+    rng = np.random.default_rng(8)
+    for shape in [(1,), (3, 5), (32, 6, 1), (32, 24, 7), (7, 2, 48, 3)]:
+        pred, target = rng.normal(size=(2, *shape)) * 10.0 ** rng.integers(-4, 5)
+        err = pred - target
+        assert training._mse_upstream(pred, target)[0] == float(np.mean(err * err)), shape
 
 
 def test_mae_hand_value():
@@ -305,6 +315,32 @@ def test_best_restore_matches_history_minimum():
     assert evaluate(pipe, x[24:], y[24:])["mse"] == pytest.approx(best, abs=1e-12)
 
 
+@pytest.mark.parametrize("split, message", [
+    (lambda x, y: (x[:4], y[:8]), "x has 4 windows and y has 8"),
+    (lambda x, y: (x[:0], y[:0]), "x has 0 windows and y has 0"),
+], ids=["mismatched", "empty"])
+def test_evaluate_rejects_a_bad_split(split, message):
+    pipe, x, y = make_pipeline("none")
+    with pytest.raises(DataError, match=message):
+        evaluate(pipe, *split(x, y), batch=2)
+
+
+@pytest.mark.parametrize("splits, message", [
+    (lambda x, y: (x[:12], y, x[12:], y[12:]), "x_train has 12 windows and y_train has 24"),
+    (lambda x, y: (x, y[:12], x[12:], y[12:]), "x_train has 24 windows and y_train has 12"),
+    (lambda x, y: (x[:12], y[:12], x[12:], y[12:20]), "x_val has 12 windows and y_val has 8"),
+    (lambda x, y: (x[:12], y[:12], x[:0], y[:0]), "x_val has 0 windows and y_val has 0"),
+], ids=["surplus y_train", "short y_train", "short y_val", "empty val"])
+def test_train_rejects_a_bad_split(splits, message):
+    pipe, x, y = make_pipeline("san")
+    before = {name: arr.copy() for name, arr in pipe.tensors().items()}
+    cfg = TrainConfig(max_epochs=1, patience=1)
+    with pytest.raises(DataError, match=message):
+        train(pipe, *splits(x, y), cfg, np.random.default_rng(0))
+    assert all(np.array_equal(arr, before[name]) for name, arr in pipe.tensors().items())
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the infinite weight makes NaN on purpose
 def test_nan_loss_aborts():
     pipe, x, y = make_pipeline("none", n=12)
     next(iter(pipe.params.values()))[...] = np.inf
@@ -561,9 +597,10 @@ def test_tifo_vjp_follows_the_alpha_of_its_table(alpha, keep):
     g = np.random.default_rng(5).normal(size=x.shape)
 
     def objective():
-        return float(np.vdot(g, layer.forward(x, layer.weights(alpha))[0]))
+        return float(np.vdot(g, tifo.transform(x, *layer.weights(alpha)[:2])[0]))
 
-    grads = layer.vjp(layer.forward(x, layer.weights(alpha))[1], g)
+    weights = layer.weights(alpha)
+    grads = layer.vjp(tifo.transform(x, *weights[:2])[1], weights, g)
     eps = 1e-6
     for name, arr in layer.params.items():
         flat = arr.ravel()
@@ -606,7 +643,7 @@ def test_head_is_the_fft_composition_read_off_the_spectrum(method, kind, shared,
     x = np.cumsum(rng.normal(size=(5, lookback, channels)), axis=1)
     x_n, ctx = pipe.norm.enter(x)
     weights = pipe.tifo.weights(alpha)
-    want = pipe.norm.leave(pipe.backbone.forward(pipe.tifo.forward(x_n, weights)[0])[0], ctx)
+    want = pipe.norm.leave(pipe.backbone.forward(tifo.transform(x_n, *weights[:2])[0])[0], ctx)
     got = pipe.head(x_n, ctx, weights)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -655,6 +692,12 @@ def _perturb_tifo(pipe, seed=31):
     rng = np.random.default_rng(seed)
     for name in ("tifo.r.w2", "tifo.i.w2"):
         pipe.params[name][...] = rng.normal(scale=0.5, size=pipe.params[name].shape)
+
+
+def test_only_none_leaves_its_input_as_it_is():
+    # tifo shares none's identity block, yet transforms its input
+    for method in COMPOSITION:
+        assert make_pipeline(method)[0].transforms_input == (method != "none"), method
 
 
 @pytest.mark.parametrize("method", ["tifo", "tifo+san"])
@@ -767,7 +810,7 @@ def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
     monkeypatch.setattr(baselines, "san_predict", no_predictor)
     x_n, _ = pipe.norm.enter(x)
     assert np.array_equal(fit_score_table(pipe, x, y), pipe.tifo.fit_scores(x_n, y))
-    assert np.array_equal(pipe.transformed_input(x), pipe.tifo.forward(x_n, pipe.tifo.weights())[0])
+    assert np.array_equal(pipe.transformed_input(x), tifo.transform(x_n, *pipe.tifo.weights()[:2])[0])
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
