@@ -16,8 +16,11 @@ the model keys (``MODEL_KEYS``: lookback, horizon, method, backbone, alpha,
 ...) from the checkpoint, so their ``config.txt`` records the model they ran;
 ``shift`` keeps its own ``window``, the analysis window of the spectra it
 compares.  A checkpoint must carry the scaler its model was trained under,
-with a mean and a positive scale per channel, and every tensor in it must be
-finite.
+with a mean and a positive scale per channel, and every tensor its model
+takes; one check per tensor asks that it be present, of its shape and finite,
+and names the checkpoint and the tensor when it is not.  Tensors the model
+does not take are ignored.  The header's ``seed`` is not read: the rebuilt
+model's initial draws are all overwritten, so it is built from seed 0.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from ..shiftmetrics import shift_report
 from ..stationarity import amplitude_panel, scores as stability_scores
 from ..tifo import TifoConfig
 from ..training import (
+    COMPOSITION,
     PipelineConfig,
     TrainConfig,
     build_pipeline,
@@ -238,7 +242,10 @@ MODEL_KEYS = (
 
 def _rebuild(cfg: RunConfig):
     """(pipeline, training-time config, dataset) from cfg.checkpoint and cfg's
-    data.  cfg takes the checkpoint's ``MODEL_KEYS``."""
+    data.  cfg takes the checkpoint's ``MODEL_KEYS``.  The scaler and every
+    tensor the model takes must be present, of their shapes and finite, and
+    are copied in over a pipeline drawn from seed 0: the header's seed is not
+    read.  Tensors the model does not take are ignored."""
     if not cfg.checkpoint:
         raise ConfigError("this command needs checkpoint=<path>")
     echo, tensors = load_checkpoint(cfg.checkpoint)
@@ -249,25 +256,28 @@ def _rebuild(cfg: RunConfig):
         pipeline_cfg = _pipeline_config(ck_cfg, ck_cfg.channels)
     except ConfigError as exc:
         raise CheckpointError(f"{cfg.checkpoint}: {exc}") from None
-    for name in ("scaler.mu", "scaler.sigma"):
-        if name not in tensors:
+
+    def checked(name: str, shape: tuple) -> np.ndarray:
+        tensor = tensors.get(name)
+        if tensor is None:
             raise CheckpointError(f"{cfg.checkpoint}: checkpoint lacks tensor {name}")
-        if tensors[name].shape != (ck_cfg.channels,):
-            raise CheckpointError(
-                f"{cfg.checkpoint}: tensor {name}: shape {tensors[name].shape} does not match "
-                f"expected ({ck_cfg.channels},)"
-            )
-    for name, tensor in tensors.items():
+        if tensor.shape != shape:
+            raise CheckpointError(f"{cfg.checkpoint}: tensor {name}: shape {tensor.shape} "
+                                  f"does not match expected {shape}")
         if not np.isfinite(tensor).all():
             raise CheckpointError(f"{cfg.checkpoint}: tensor {name} is not finite")
-    mu, sigma = tensors["scaler.mu"], tensors["scaler.sigma"]
+        return tensor
+
+    # the scaler is checked before any model is built, so a huge channel count allocates nothing
+    mu, sigma = (checked(name, (ck_cfg.channels,)) for name in ("scaler.mu", "scaler.sigma"))
     if not (sigma > 0).all():
         raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.sigma is not positive")
     for key in MODEL_KEYS:
         setattr(cfg, key, getattr(ck_cfg, key))
     ds = _dataset(cfg, datamod.Scaler(mu=mu, sigma=sigma))
-    pipeline = build_pipeline(pipeline_cfg, np.random.default_rng(ck_cfg.seed))
-    pipeline.load_tensors(tensors)
+    pipeline = build_pipeline(pipeline_cfg, np.random.default_rng(0))  # every draw is overwritten below
+    for name, own in pipeline.tensors().items():
+        own[...] = checked(name, own.shape)
     return pipeline, ck_cfg, ds
 
 
@@ -283,10 +293,6 @@ def cmd_eval(cfg: RunConfig) -> None:
         tag = "" if a is None else f"alpha {_fmt(a)}: "
         print(f"{tag}test mse {_fmt(metrics['mse'])} mae {_fmt(metrics['mae'])}")
     _write_json(out / "metrics.json", {"test": results})
-
-
-def _panel_pair(cfg: RunConfig, x_train, x_test):
-    return amplitude_panel(x_train, cfg.window), amplitude_panel(x_test, cfg.window)
 
 
 def _aggregate(report: dict) -> dict:
@@ -306,21 +312,20 @@ def cmd_shift(cfg: RunConfig) -> None:
     window = cfg.window  # the analysis window is the command's, not the model's
     pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
     cfg.window = window
-    raw_train, raw_test = _panel_pair(cfg, ds.x_train, ds.x_test)
-    before = shift_report(raw_train, raw_test, bins=cfg.hist_bins,
-                          names=("before train panel", "before test panel"))
+
+    def report(stage: str, x_train, x_test) -> dict:
+        return shift_report(amplitude_panel(x_train, window), amplitude_panel(x_test, window), bins=cfg.hist_bins,
+                            names=(f"{stage} train panel", f"{stage} test panel"))
+
+    before = report("before", ds.x_train, ds.x_test)
     after = note = None
     if pipeline is not None and not pipeline.transforms_input:
         note = f"method {pipeline.method!r} does not transform its input; After omitted"
     elif pipeline is not None:
-        t_train = pipeline.transformed_input(ds.x_train)
-        t_test = pipeline.transformed_input(ds.x_test)
-        tr_panel, te_panel = _panel_pair(cfg, t_train, t_test)
-        after = shift_report(tr_panel, te_panel, bins=cfg.hist_bins,
-                             names=("after train panel", "after test panel"))
+        after = report("after", pipeline.transformed_input(ds.x_train), pipeline.transformed_input(ds.x_test))
     out = _out_dir(cfg)
     blank = np.full(before["jsd2"].shape, np.nan)
-    columns = [before["jsd2"], after["jsd2"] if after else blank, before["ks"], after["ks"] if after else blank]
+    columns = [r[metric] if r else blank for metric in ("jsd2", "ks") for r in (before, after)]
     k, c = before["jsd2"].shape
     _write_csv(out / "shift.csv", "channel,freq_index,jsd2_before,jsd2_after,ks_before,ks_after",
                ((ci, ki, *(col[ki, ci] for col in columns)) for ci in range(c) for ki in range(k)))
@@ -366,19 +371,18 @@ def cmd_ablate(cfg: RunConfig) -> None:
     for sub in subs:
         _pipeline_config(sub, ds.channels)
     settings = [[_eval_settings(sub, None, ema) for ema in emas] for sub in subs]
+    # per training cell, or () for all of a method without a re-weighting layer (no axis
+    # reaches its models): each repeat's metrics at every ema value
+    results = {}
     rows = []
-    shared = None  # a method without a re-weighting layer: no axis reaches its models
     for cell, sub, cell_settings in zip(cells, subs, settings):
-        per_ema = shared
-        if per_ema is None:
-            per_ema = [[] for _ in emas]
-            for rep in range(cfg.repeats):
-                pipeline, _ = _train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)
-                for metrics, ema_settings in zip(per_ema, cell_settings):
-                    metrics.append(evaluate(pipeline, ds.x_test, ds.y_test, **ema_settings))
-            if pipeline.tifo is None:
-                shared = per_ema
-        for ema, metrics in zip(emas, per_ema):
+        key = cell if COMPOSITION[cfg.method][1] else ()
+        if key not in results:
+            models = (_train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)[0]
+                      for rep in range(cfg.repeats))  # trained one at a time, as the list below draws them
+            results[key] = [[evaluate(model, ds.x_test, ds.y_test, **s) for s in cell_settings]
+                            for model in models]
+        for ema, metrics in zip(emas, zip(*results[key])):
             mses = [m["mse"] for m in metrics]
             maes = [m["mae"] for m in metrics]
             rows.append((*cell, ema, cfg.repeats, np.mean(mses), np.std(mses), np.mean(maes), np.std(maes)))

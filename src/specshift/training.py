@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import baselines, tifo
-from .errors import CheckpointError, ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
 from .spectral import amplitude, dft_forward, inverse_dft_matrix, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
@@ -390,22 +390,11 @@ class Pipeline:
     # -- checkpoint support -------------------------------------------------
 
     def tensors(self) -> dict[str, np.ndarray]:
+        """Every tensor by checkpoint name; the arrays are the pipeline's own,
+        so a checkpoint is loaded by copying into them."""
         out = dict(self.params)
         out.update(self.frozen)
         return out
-
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        own = self.tensors()
-        missing = sorted(set(own) - set(tensors))
-        if missing:
-            raise CheckpointError(f"checkpoint lacks tensors: {', '.join(missing)}")
-        for name, arr in own.items():
-            incoming = tensors[name]
-            if incoming.shape != arr.shape:
-                raise CheckpointError(
-                    f"tensor {name}: shape {incoming.shape} does not match expected {arr.shape}"
-                )
-            arr[...] = incoming
 
     # -- forward passes -----------------------------------------------------
 

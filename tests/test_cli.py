@@ -463,6 +463,17 @@ def test_ablate_trains_once_for_every_ema_value(tmp_path, monkeypatch, method, e
     assert sorted(rows_swapped) == sorted(rows)
 
 
+def test_ablate_shares_one_model_across_cells_without_a_reweighting_layer(tmp_path):
+    # keep and alpha reach only the re-weighting layer, so every revin cell reports the same models
+    out = tmp_path / "ab"
+    assert run("ablate", *TINY, "method=revin", "repeats=2", "ablate_keeps=0,4", "ablate_alphas=1.0,0.5",
+               f"out={out}") == 0
+    header, *rows = [line.split(",") for line in (out / "ablate.csv").read_text().splitlines()]
+    metrics = [tuple(row[header.index("repeats"):]) for row in rows]
+    assert len(rows) == 4 and len(set(metrics)) == 1, metrics
+    assert float(dict(zip(header, rows[0]))["mse_std"]) > 0  # the two repeats are two models
+
+
 CHECKED_BEFORE_TRAINING = [
     ["train", "method=tifo", "eval_batch=0"],
     ["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"],
@@ -532,7 +543,7 @@ def bad_csv(kind, row=0, col=0):
 # whose one tensor has negative sizes, each CHECKPOINT_FAULTS name a copy of a 3-channel
 # tifo checkpoint with those tensors changed (None drops a tensor, a float fills it), each
 # HEADER_FAULTS name a copy with that config value in its header, and "{bias_twice}" a copy
-# that lists backbone.bias twice; code None: main raises
+# that lists backbone.bias twice; the needle is filled in the same way; code None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -562,6 +573,10 @@ EXIT_TABLE = [
     # every model tensor must be finite; a finite one may still overflow the panels
     (["eval", "synth_channels=3", "checkpoint={w1_nan}"], 5, "tensor tifo.r.w1 is not finite"),
     (["shift", "synth_channels=3", "checkpoint={b2_inf}"], 5, "tensor tifo.i.b2 is not finite"),
+    # every model tensor must be present in its shape, and the message names the checkpoint
+    (["eval", "synth_channels=3", "checkpoint={w1_missing}"], 5, "{w1_missing}: checkpoint lacks tensor tifo.r.w1"),
+    (["eval", "synth_channels=3", "checkpoint={w1_of_3x3}"], 5,
+     "{w1_of_3x3}: tensor tifo.r.w1: shape (3, 3) does not match expected"),
     # (these two overflow on purpose, so their RuntimeWarnings are expected)
     pytest.param(["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0",
                  marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
@@ -607,6 +622,8 @@ CHECKPOINT_FAULTS = {
     "w1_nan": {"tifo.r.w1": np.nan},
     "b2_inf": {"tifo.i.b2": np.inf},
     "b2_huge": {"tifo.r.b2": 1e308},
+    "w1_missing": {"tifo.r.w1": None},
+    "w1_of_3x3": {"tifo.r.w1": np.zeros((3, 3))},
 }
 
 HEADER_FAULTS = {
@@ -614,6 +631,7 @@ HEADER_FAULTS = {
     "lookback_abc": ("lookback", "abc"),
     "keep_999": ("keep", "999"),
     "alpha_7": ("alpha", "7.0"),
+    "seed_negative": ("seed", "-1"),  # not a fault: the rebuild reads no seed
 }
 
 
@@ -652,8 +670,8 @@ def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch,
     dates.write_text(bad_csv("date column only"))
     negck = tmp_path / "neg.ckpt"
     negck.write_bytes(b"specshift-checkpoint v1\ntensor w -1 -1\nend\n" + bytes(8))
-    command, *overrides = [a.format(ck=f"checkpoint={ck / 'model.ckpt'}", dates=dates, negck=negck,
-                                    **checkpoint_faults) for a in argv]
+    fill = {"ck": f"checkpoint={ck / 'model.ckpt'}", "dates": dates, "negck": negck, **checkpoint_faults}
+    command, *overrides = [a.format(**fill) for a in argv]
     args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
     if code is None:
         def fault(*a, **k):
@@ -665,7 +683,18 @@ def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch,
         return
     assert run(*args) == code
     err = capsys.readouterr().err
-    assert needle in err, err
+    assert needle.format(**fill) in err, err
+
+
+@pytest.mark.parametrize("command, artifacts", [("eval", ["metrics.json"]), ("shift", ["summary.json", "shift.csv"])])
+def test_the_header_seed_is_not_read(tmp_path, checkpoint_faults, command, artifacts):
+    # every initial draw of a rebuilt pipeline is overwritten by the checkpoint's
+    # tensors, so a seed no rng would take runs like the untouched checkpoint
+    faulty = checkpoint_faults["seed_negative"]
+    for name, ck in (("faulty", faulty), ("untouched", faulty.parent / "run" / "model.ckpt")):
+        assert run(command, *TINY, "synth_channels=3", f"checkpoint={ck}", f"out={tmp_path / name}") == 0
+    for artifact in artifacts:
+        assert (tmp_path / "faulty" / artifact).read_bytes() == (tmp_path / "untouched" / artifact).read_bytes()
 
 
 LABELS = {2: "config", 3: "data", 4: "numeric", 5: "checkpoint"}

@@ -238,7 +238,8 @@ def test_params_are_views_of_one_vector(method):
     pipe, x, y = make_pipeline(method, backbone="dlinear", channels=2, n=16)
     _assert_views_of_one_vector(pipe)
     twin, _, _ = make_pipeline(method, backbone="dlinear", channels=2, seed=3, n=16)
-    twin.load_tensors(pipe.tensors())
+    for name, own in twin.tensors().items():
+        own[...] = pipe.tensors()[name]
     _assert_views_of_one_vector(twin)
     np.testing.assert_array_equal(twin.params.vector, pipe.params.vector)
     cfg = TrainConfig(lr=0.05, batch=4, max_epochs=4, patience=4)
