@@ -14,6 +14,8 @@ reproduces the file byte for byte.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import CheckpointError
@@ -55,7 +57,8 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
     header = blob[newline + 1 : end].decode("utf-8", "replace")
     payload = blob[end + len(end_marker) :]
     config_lines: list[str] = []
-    shapes: list[tuple[str, tuple[int, ...]]] = []
+    layout: dict[str, tuple[slice, tuple[int, ...]]] = {}  # name -> (its span of the values, dims)
+    total = 0
     for line in header.splitlines():
         if line.startswith("config "):
             config_lines.append(line[len("config ") :])
@@ -67,21 +70,17 @@ def load_checkpoint(path: str) -> tuple[str, dict[str, np.ndarray]]:
                 raise CheckpointError(f"{path}: bad tensor line {line!r}") from None
             if any(d < 0 for d in dims):
                 raise CheckpointError(f"{path}: negative size in tensor line {line!r}")
-            if any(name == seen for seen, _ in shapes):
+            if name in layout:
                 raise CheckpointError(f"{path}: tensor {name} is listed twice")
-            shapes.append((name, dims))
+            size = math.prod(dims)  # a Python int: a huge header size cannot wrap
+            layout[name] = (slice(total, total + size), dims)
+            total += size
         else:
             raise CheckpointError(f"{path}: unexpected header line {line!r}")
-    total = sum(int(np.prod(dims, dtype=np.int64)) for _, dims in shapes)
     if len(payload) != total * 8:
         raise CheckpointError(
             f"{path}: payload holds {len(payload)} bytes, header expects {total * 8}"
         )
-    tensors: dict[str, np.ndarray] = {}
-    offset = 0
-    for name, dims in shapes:
-        size = int(np.prod(dims, dtype=np.int64))
-        flat = np.frombuffer(payload, dtype="<f8", count=size, offset=offset * 8)
-        tensors[name] = flat.reshape(dims).astype(float)
-        offset += size
+    values = np.frombuffer(payload, dtype="<f8")
+    tensors = {name: values[span].reshape(dims).astype(float) for name, (span, dims) in layout.items()}
     return "\n".join(config_lines) + ("\n" if config_lines else ""), tensors

@@ -209,7 +209,8 @@ def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:
 
     Sample s of a condition is sum_j a_j * sin(2 pi f_j n / L + phi_j) plus
     Gaussian noise; the phase phi_j is drawn once per (condition, component,
-    channel) so a condition's spectrum is stable across its samples.
+    channel) so a condition's spectrum is stable across its samples.  A block
+    that overflows to a non-finite value raises ConfigError.
     """
     rng = np.random.default_rng(spec.seed)
     length = spec.sample_length
@@ -219,14 +220,18 @@ def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:
         sigma = spec.noise if cond.noise is None else cond.noise
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(cond.components), spec.channels))
         block = np.zeros((spec.samples_per_condition, length, spec.channels))
-        for s in range(spec.samples_per_condition):
-            for j, (freq, amp) in enumerate(cond.components):
-                if spec.amp_jitter:
-                    amp = amp * (1.0 + spec.amp_jitter * rng.uniform(-1.0, 1.0))
-                # per-channel phase offsets on the same component
-                for c in range(spec.channels):
-                    block[s, :, c] += amp * np.sin((2.0 * np.pi * freq / length) * n + phases[j, c])
-            block[s] += sigma * rng.standard_normal((length, spec.channels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(spec.samples_per_condition):
+                for j, (freq, amp) in enumerate(cond.components):
+                    if spec.amp_jitter:
+                        amp = amp * (1.0 + spec.amp_jitter * rng.uniform(-1.0, 1.0))
+                    # per-channel phase offsets on the same component
+                    for c in range(spec.channels):
+                        block[s, :, c] += amp * np.sin((2.0 * np.pi * freq / length) * n + phases[j, c])
+                block[s] += sigma * rng.standard_normal((length, spec.channels))
+        if not np.isfinite(block).all():
+            raise ConfigError(f"synthetic condition {len(blocks)} is not finite: lower its synth_mix "
+                              "amplitudes, synth_noise or synth_jitter")
         blocks.append(block.reshape(-1, spec.channels))
     return blocks
 

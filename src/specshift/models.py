@@ -15,9 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-_DECOMP: dict[tuple[int, int], np.ndarray] = {}
-
-
 @dataclass(frozen=True)
 class BackboneConfig:
     kind: str  # "linear" or "dlinear"
@@ -38,28 +35,21 @@ class BackboneConfig:
 
 
 def decompose_matrix(length: int, kernel: int) -> np.ndarray:
-    """(L, L) matrix M with (M x)[n] the edge-replicated moving average of x.
-
-    The matrix is cached per (L, kernel) and shared by every caller, so it is
-    read-only.
-    """
-    key = (length, kernel)
-    m = _DECOMP.get(key)
-    if m is None:
-        half = kernel // 2
-        m = np.zeros((length, length))
-        for n in range(length):
-            for j in range(n - half, n + half + 1):
-                m[n, min(max(j, 0), length - 1)] += 1.0 / kernel
-        m.flags.writeable = False
-        _DECOMP[key] = m
+    """(L, L) matrix M with (M x)[n] the edge-replicated moving average of x:
+    row n adds 1 / kernel at each of the columns n - kernel // 2 .. n +
+    kernel // 2, clipped to [0, L - 1], in that order."""
+    rows = np.arange(length)[:, None]
+    cols = np.clip(rows + np.arange(-(kernel // 2), kernel // 2 + 1), 0, length - 1)
+    m = np.zeros((length, length))
+    np.add.at(m, (rows, cols), 1.0 / kernel)
     return m
 
 
-def moving_average_decompose(x: np.ndarray, kernel: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split (..., L, C) into (trend, seasonal) with trend + seasonal == x exactly."""
+def moving_average_decompose(x: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split (..., L, C) into (trend, seasonal) with trend + seasonal == x
+    exactly, the trend being ``matrix @ x`` for a ``decompose_matrix``."""
     x = np.asarray(x, dtype=float)
-    trend = decompose_matrix(x.shape[-2], kernel) @ x
+    trend = matrix @ x
     return trend, x - trend
 
 
@@ -119,12 +109,14 @@ class Backbone:
 
     ``heads`` are the parameter-name prefixes: ``("",)`` for linear, whose
     one part is x, and ``("trend.", "seasonal.")`` for dlinear, whose parts
-    are ``moving_average_decompose(x, kernel)``.
+    are ``moving_average_decompose(x, decomp)``; ``decomp`` is the
+    backbone's own moving-average matrix, None for linear.
     """
 
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.heads = ("",) if cfg.kind == "linear" else ("trend.", "seasonal.")
+        self.decomp = None if cfg.kind == "linear" else decompose_matrix(cfg.lookback, cfg.kernel)
         shape = (cfg.horizon, cfg.lookback) if cfg.shared else (cfg.channels, cfg.horizon, cfg.lookback)
         self.params = {}
         for h in self.heads:
@@ -133,7 +125,7 @@ class Backbone:
 
     def parts(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
         """The input of each head, in ``heads`` order."""
-        return (x,) if self.cfg.kind == "linear" else moving_average_decompose(x, self.cfg.kernel)
+        return (x,) if self.decomp is None else moving_average_decompose(x, self.decomp)
 
     def forward(self, x: np.ndarray):
         """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): the parts of x."""
@@ -163,9 +155,8 @@ class Backbone:
             w = self.params[f"{h}weight"]
             grads[f"{h}weight"], grads[f"{h}bias"], g_part = dense_vjp(w, part, upstream, input_grad)
             g_parts.append(g_part)
-        if not input_grad or self.cfg.kind == "linear":
+        if not input_grad or self.decomp is None:
             return grads, g_parts[0]  # None without input_grad
         g_trend, g_seasonal = g_parts
-        m = decompose_matrix(self.cfg.lookback, self.cfg.kernel)
         # x feeds trend through M and seasonal through (I - M)
-        return grads, m.T @ (g_trend - g_seasonal) + g_seasonal
+        return grads, self.decomp.T @ (g_trend - g_seasonal) + g_seasonal

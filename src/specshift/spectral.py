@@ -105,24 +105,6 @@ def _spectrum(real, imag, length: int, axis: int) -> np.ndarray:
     return z
 
 
-def inverse_dft_matrix(length: int) -> np.ndarray:
-    """The inverse transform as a real (L, 2K) matrix F with
-    ``dft_inverse(real, imag, L) == F @ [real; imag]`` for (K,) real and imag.
-
-    Column k is ``m_k cos(2 pi k n / L) / L`` and column K + k is
-    ``-m_k sin(2 pi k n / L) / L``, m the Hermitian multiplicity; the sine
-    columns of the self-conjugate bins are zero, as their imaginary parts
-    are ignored.  Angles are reduced modulo L in integers first.
-    """
-    k = np.arange(n_bins(length))
-    angle = (2.0 * np.pi / length) * (np.outer(np.arange(length), k) % length)
-    scale = hermitian_multiplicity(length) / length
-    sine = -np.sin(angle) * scale
-    if length % 2 == 0:
-        sine[:, -1] = 0.0  # sin(pi) rounds to 1.2e-16; bin 0's angles are all 0
-    return np.concatenate([np.cos(angle) * scale, sine], axis=1)
-
-
 def dft_direct(x: np.ndarray, axis: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Direct O(L^2) forward transform; the verification oracle for the fast path."""
     x = np.asarray(x, dtype=float)

@@ -14,7 +14,8 @@ table, and ``TifoLayer.vjp`` reads the spectrum it returns.
 For a fixed table the layer is linear and diagonal on the spectrum, so a
 backbone's forecast of its output is one linear map of the weighted
 spectrum ``[lambda_r * Re X; lambda_i * Im X]``: the backbone composed with
-the real inverse DFT (``spectral.inverse_dft_matrix``).  Forecasts without
+the real inverse DFT (``training.TifoLayer.basis``, numpy's ``irfft`` of
+unit spectra).  Forecasts without
 gradients (``training.Pipeline.head``) are read off the spectrum that way;
 training and ``transform`` keep the FFT path, which stays its oracle.
 
@@ -68,8 +69,8 @@ class TifoConfig:
             raise ConfigError(f"keep must be at least 1, or unset to keep every bin, got {self.keep}")
         if self.score_metric not in METRICS:
             raise ConfigError(f"score_metric must be one of {METRICS}, got {self.score_metric!r}")
-        if not self.score_eps > 0:
-            raise ConfigError(f"score_eps must be positive, got {self.score_eps}")
+        if not 0.0 < self.score_eps < float("inf"):
+            raise ConfigError(f"score_eps must be finite and positive, got {self.score_eps}")
         if self.window not in WINDOWS:
             raise ConfigError(f"window must be one of {WINDOWS}, got {self.window!r}")
 

@@ -39,7 +39,7 @@ import numpy as np
 from . import baselines, tifo
 from .errors import ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
-from .spectral import amplitude, dft_forward, inverse_dft_matrix, n_bins
+from .spectral import amplitude, dft_forward, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
 
 
@@ -288,7 +288,8 @@ class TifoLayer:
 
     The layer is diagonal on the spectrum, so its output is
     ``basis @ weighted_spectrum(...)``: ``basis`` is the (L, 2 keep) real
-    inverse DFT over the kept bins, a constant of the layer.
+    inverse DFT over the kept bins, numpy's ``irfft`` of their unit spectra,
+    a constant of the layer.
     """
 
     name = "tifo"
@@ -300,8 +301,8 @@ class TifoLayer:
         self.cfg = cfg.tifo
         self.keep = keep
         self.mask = (np.arange(bins) < keep).astype(float)[:, None]
-        basis = inverse_dft_matrix(bc.lookback)
-        self.basis = np.concatenate([basis[:, :keep], basis[:, bins : bins + keep]], axis=1)
+        units = np.eye(bins)[:keep]
+        self.basis = np.fft.irfft(np.concatenate([units, 1j * units]), n=bc.lookback, axis=1).T
         self.params = tifo.init_params(bins, cfg.tifo.hidden, rng)
         self.scores = np.zeros((bins, bc.channels))
         self.frozen = {"scores": self.scores}
@@ -670,7 +671,6 @@ def train(
     best_val = float("inf")
     best_epoch = 0
     best_state = vector.copy()
-    bad_epochs = 0
     for epoch in range(1, cfg.max_epochs + 1):
         history.append(row(epoch, *_epoch(adam, x_train.shape[0], cfg.batch, rng, step, f"epoch {epoch}")))
         val_mse = history[-1]["val_mse"]
@@ -678,11 +678,8 @@ def train(
             best_val = val_mse
             best_epoch = epoch
             np.copyto(best_state, vector)
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+        elif epoch - best_epoch >= cfg.patience:
+            break
     np.copyto(vector, best_state)
     return TrainResult(
         history=history,

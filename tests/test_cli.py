@@ -114,6 +114,15 @@ def test_checkpoint_garbage_rejected(tmp_path):
         load_checkpoint(str(bad))
 
 
+@pytest.mark.parametrize("dims", ["99999999999999999999", "4294967296 4294967296"], ids=["over int64", "wraps int64"])
+def test_checkpoint_with_a_huge_tensor_size_is_rejected_by_its_payload(tmp_path, dims):
+    # the header's sizes are checked against the payload, however large they are
+    bad = tmp_path / "huge.ckpt"
+    bad.write_bytes(f"specshift-checkpoint v1\ntensor w {dims}\nend\n".encode())
+    with pytest.raises(CheckpointError, match="payload holds 0 bytes, header expects"):
+        load_checkpoint(str(bad))
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------
@@ -601,6 +610,10 @@ EXIT_TABLE = [
     (["train", "method=fan", "fan_topk=99"], 2, "fan_topk"),
     (["shift", "hist_bins=0"], 2, "hist_bins"),
     (["train", "synth_noise=nan"], 2, "synth_noise"),
+    # finite keys whose series overflows: the generator names the condition and the keys
+    (["synth", "synth_noise=1e308"], 2, "synthetic condition 0 is not finite"),
+    (["train", "synth_mix=3:1e308", "synth_jitter=1e308"], 2, "synth_jitter"),
+    (["stats", "score_eps=inf"], 2, "score_eps"),
     # eval-time values are checked before any training
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),

@@ -271,6 +271,21 @@ def test_synthetic_spec_rejects_bad_sizes_and_seed(field, value):
         SyntheticSpec(conditions=(Condition(components=((1, 1.0),)),), **{field: value})
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("changes", [
+    {"noise": 1e308},
+    {"amp_jitter": 1e308},
+    {"conditions": (Condition(components=((1, 1.0),)), Condition(components=((3, 1.0),), noise=1e308))},
+], ids=["noise", "jitter", "second condition's noise"])
+def test_generate_synthetic_rejects_an_overflowing_condition_without_warnings(changes):
+    # finite keys whose series overflows: the block is formed quietly, then refused by name
+    spec = SyntheticSpec(**{"conditions": (Condition(components=((1, 1e300),)),), "samples_per_condition": 2,
+                            "sample_length": 16, **changes})
+    index = len(spec.conditions) - 1
+    with pytest.raises(ConfigError, match=f"synthetic condition {index} is not finite.*synth_jitter"):
+        generate_synthetic(spec)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("value", [np.inf, np.nan, 1e308])
 def test_build_dataset_rejects_series_not_finite_once_scaled(value):

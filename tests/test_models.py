@@ -21,7 +21,7 @@ def test_config_validation():
 
 def test_moving_average_hand_value():
     x = np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 4, 1)
-    trend, seasonal = moving_average_decompose(x, 3)
+    trend, seasonal = moving_average_decompose(x, decompose_matrix(4, 3))
     np.testing.assert_allclose(trend[0, :, 0], [4 / 3, 2.0, 3.0, 11 / 3], atol=1e-12)
     np.testing.assert_allclose(trend + seasonal, x, atol=1e-12)
 
@@ -34,19 +34,26 @@ def test_decompose_matrix_rows_average_with_edge_replication():
     np.testing.assert_allclose(m[0], [2 / 3, 1 / 3, 0, 0, 0], atol=1e-12)
 
 
-def test_decompose_matrix_cache_is_read_only():
-    # every DLinear forward and VJP of this (L, kernel) shares the cached matrix
-    m = decompose_matrix(6, 3)
-    with pytest.raises(ValueError):
-        m[0, 0] = 1.0
-    assert decompose_matrix(6, 3) is m
+@pytest.mark.parametrize("lookback, kernel", [(1, 1), (2, 3), (5, 3), (8, 1), (24, 25), (48, 25), (16, 101)])
+def test_each_dlinear_backbone_holds_the_explicit_loop_matrix(lookback, kernel):
+    # row n adds 1/kernel at each clipped column of its window, in the window's order
+    expected = np.zeros((lookback, lookback))
+    for n in range(lookback):
+        for j in range(n - kernel // 2, n + kernel // 2 + 1):
+            expected[n, min(max(j, 0), lookback - 1)] += 1.0 / kernel
+    cfg = BackboneConfig(kind="dlinear", lookback=lookback, horizon=4, channels=2, kernel=kernel)
+    first, second = Backbone(cfg, np.random.default_rng(0)), Backbone(cfg, np.random.default_rng(0))
+    assert first.decomp.tobytes() == expected.tobytes()
+    assert first.decomp is not second.decomp  # each backbone holds its own
+    assert Backbone(BackboneConfig(kind="linear", lookback=lookback, horizon=4, channels=2),
+                    np.random.default_rng(0)).decomp is None
 
 
 def test_decomposition_exact_for_all_kernels():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((4, 16, 3))
     for kernel in (1, 3, 5, 7, 15):
-        trend, seasonal = moving_average_decompose(x, kernel)
+        trend, seasonal = moving_average_decompose(x, decompose_matrix(16, kernel))
         np.testing.assert_allclose(trend + seasonal, x, atol=1e-12)
 
 
@@ -121,7 +128,7 @@ def test_dlinear_forward_composition():
     cfg = BackboneConfig(kind="dlinear", lookback=8, horizon=4, channels=2, kernel=3)
     model = Backbone(cfg, np.random.default_rng(2))
     x = np.random.default_rng(3).standard_normal((6, 8, 2))
-    trend, seasonal = moving_average_decompose(x, 3)
+    trend, seasonal = moving_average_decompose(x, model.decomp)
     manual = dense(model.params["trend.weight"], model.params["trend.bias"], trend) + dense(
         model.params["seasonal.weight"], model.params["seasonal.bias"], seasonal
     )

@@ -11,7 +11,6 @@ from specshift.spectral import (
     dft_forward_adjoint,
     dft_inverse,
     hermitian_multiplicity,
-    inverse_dft_matrix,
     n_bins,
     window_taps,
 )
@@ -205,17 +204,25 @@ def test_spectrum_in_one_buffer_gives_the_summed_spectrum_bits(length):
 
 @pytest.mark.parametrize("length", list(range(1, 65)))
 def test_inverse_dft_matrix_is_the_inverse_transform(length):
-    # F @ [real; imag] is dft_inverse, and F is the basis that dft_direct's
-    # forward transform of the identity gives: cosines from its real part,
-    # minus sines (its imaginary part) at the self-conjugate bins zeroed,
-    # each bin scaled by its Hermitian multiplicity over L
+    # the inverse DFT matrix is TifoLayer.basis: its product with
+    # [lambda_r * real; lambda_i * imag] over the kept bins is dft_inverse
+    # of the weighted spectrum with the dropped bins zeroed, and basis is the one
+    # that dft_direct's forward transform of the identity gives: cosines from its
+    # real part, minus sines (its imaginary part) at the self-conjugate bins
+    # zeroed, each bin scaled by its Hermitian multiplicity over L
     k = n_bins(length)
-    basis = inverse_dft_matrix(length)
-    assert basis.shape == (length, 2 * k)
-    rng = np.random.default_rng(length)
-    real, imag = rng.normal(size=(2, k, 5))
-    np.testing.assert_allclose(basis @ np.concatenate([real, imag]), dft_inverse(real, imag, length),
-                               rtol=0, atol=1e-12)
     fr, fi = dft_direct(np.eye(length), axis=0)  # (K, L): row k holds bin k of each unit impulse
-    scale = np.tile(hermitian_multiplicity(length) / length, 2)
-    np.testing.assert_allclose(basis, np.concatenate([fr.T, fi.T], axis=1) * scale, rtol=0, atol=1e-12)
+    direct = np.concatenate([fr.T, fi.T], axis=1) * np.tile(hermitian_multiplicity(length) / length, 2)
+    rng = np.random.default_rng(length)
+    real, imag, lam_r, lam_i = rng.normal(size=(4, k, 5))
+    for keep in (None, 1, (k + 1) // 2):
+        cfg = PipelineConfig(method="tifo", backbone=BackboneConfig(kind="linear", lookback=length, horizon=4,
+                                                                    channels=5), tifo=TifoConfig(hidden=3, keep=keep))
+        layer = TifoLayer(cfg, np.random.default_rng(0))
+        kept = k if keep is None else keep
+        assert layer.basis.shape == (length, 2 * kept)
+        got = layer.basis @ layer.weighted_spectrum((real[None], imag[None]), (lam_r, lam_i, None))[0]
+        expected = dft_inverse(real * lam_r * layer.mask, imag * lam_i * layer.mask, length)
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+        columns = np.concatenate([np.arange(kept), k + np.arange(kept)])
+        np.testing.assert_allclose(layer.basis, direct[:, columns], rtol=0, atol=1e-12)
