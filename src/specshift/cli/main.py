@@ -6,8 +6,10 @@ Commands: synth, stats, train, eval, shift, ablate.  Overrides apply on top
 of the config file.  Exit codes: 0 success, 2 configuration problem, 3 bad
 input data, 4 numeric failure (NaN loss), 5 incompatible checkpoint.  Each
 comes from the class of the ``SpecshiftError`` raised, which ``main`` reports
-as one ``<label> error: <message>`` line on stderr.  Any other exception is a
-fault in the program: it propagates with its traceback (status 1).
+as one ``<label> error: <message>`` line on stderr, dropping the warnings
+the command raised on its way; a successful command's warnings are passed on
+once it returns.  Any other exception is a fault in the program: it
+propagates with its traceback (status 1).
 
 Once a command returns, ``main`` writes ``config.txt`` (the resolved
 configuration, reparseable) into the output directory next to its artifacts.
@@ -30,6 +32,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,9 @@ def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
             raise ConfigError(f"synth_mix condition {idx} is empty")
         noise = noise_overrides[idx] if idx < len(noise_overrides) else None
         conditions.append(datamod.Condition(components=tuple(comps), noise=noise))
+    if len(noise_overrides) > len(conditions):
+        raise ConfigError(f"synth_noise_by_condition has {len(noise_overrides)} values, more than the "
+                          f"{len(conditions)} condition(s) of synth_mix")
     return datamod.SyntheticSpec(
         conditions=tuple(conditions),
         samples_per_condition=cfg.synth_samples,
@@ -411,12 +417,19 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("overrides", nargs="*", help="key=value overrides")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, list(args.overrides))
-        COMMANDS[args.command](cfg)
-        (_out_dir(cfg) / "config.txt").write_text(echo_config(cfg))
+        # numpy's warnings are held back: a failed command reports its one
+        # error line alone, a successful one passes them on afterwards
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = load_config(args.config, list(args.overrides))
+            COMMANDS[args.command](cfg)
+            (_out_dir(cfg) / "config.txt").write_text(echo_config(cfg))
     except SpecshiftError as exc:
         print(f"{exc.label} error: {exc}", file=sys.stderr)
         return exc.exit_code
+    registry: dict = {}  # one per call: a "default" filter shows each place once
+    for w in caught:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
     return 0
 
 

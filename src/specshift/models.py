@@ -48,7 +48,6 @@ def decompose_matrix(length: int, kernel: int) -> np.ndarray:
 def moving_average_decompose(x: np.ndarray, matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split (..., L, C) into (trend, seasonal) with trend + seasonal == x
     exactly, the trend being ``matrix @ x`` for a ``decompose_matrix``."""
-    x = np.asarray(x, dtype=float)
     trend = matrix @ x
     return trend, x - trend
 
@@ -128,8 +127,10 @@ class Backbone:
         return (x,) if self.decomp is None else moving_average_decompose(x, self.decomp)
 
     def forward(self, x: np.ndarray):
-        """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): the parts of x."""
-        parts = self.parts(x)
+        """(N, L, C) -> ((N, H, C) forecast, cache for ``vjp``): the parts of x.
+        A window view is copied first, so its heads' matmuls run the BLAS
+        kernel of owned windows and give their bits."""
+        parts = self.parts(np.ascontiguousarray(x))
         out, *rest = [dense(self.params[f"{h}weight"], self.params[f"{h}bias"], part)
                       for h, part in zip(self.heads, parts)]
         for more in rest:

@@ -15,9 +15,10 @@ For a fixed table the layer is linear and diagonal on the spectrum, so a
 backbone's forecast of its output is one linear map of the weighted
 spectrum ``[lambda_r * Re X; lambda_i * Im X]``: the backbone composed with
 the real inverse DFT (``training.TifoLayer.basis``, numpy's ``irfft`` of
-unit spectra).  Forecasts without
-gradients (``training.Pipeline.head``) are read off the spectrum that way;
-training and ``transform`` keep the FFT path, which stays its oracle.
+unit spectra).  Forecasts without gradients (``training.evaluate`` and
+``Pipeline.predict``, which share one batch loop) are read off the spectrum
+that way; training and ``transform`` keep the FFT path, which stays its
+oracle.
 
 Scaling the real and imaginary parts apart is not a complex scale: the
 transform commutes with circular shifts of the window (is shift-invariant,
@@ -159,7 +160,6 @@ def transform_vjp(
     Returns (grad_x, g_lambda_r, g_lambda_i); weight gradients are summed
     over leading (batch) axes to shape (K, C).
     """
-    upstream = np.asarray(upstream, dtype=float)
     gu_real, gu_imag = dft_forward(upstream, axis=-2)
     scale = hermitian_multiplicity(length) / length
     g_wreal = gu_real * scale[:, None]

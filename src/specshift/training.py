@@ -23,8 +23,9 @@ same views.  The patch predictor that stage one trains is a second group.
 restores the best state with one copy.
 
 Training runs the re-weighting layer on the FFT path (DFT, weights, inverse
-DFT, backbone).  Forecasts without gradients (``Pipeline.head``, behind
-``predict`` and ``evaluate``) use that the composition is linear for a fixed
+DFT, backbone).  Forecasts without gradients come from one batch loop,
+``_forecasts``, which ``evaluate`` sums its errors over and ``predict`` runs
+for a single batch.  It uses that the composition is linear for a fixed
 weight table: a forecast is one linear map of the weighted spectrum, the
 backbone folded with the inverse DFT over the kept bins.
 """
@@ -164,7 +165,7 @@ class NormBlock:
         self.frozen: dict[str, np.ndarray] = {}
 
     def enter(self, x):
-        return np.asarray(x, dtype=float), None
+        return x, None
 
     def leave(self, y_n, ctx):
         return y_n
@@ -187,7 +188,6 @@ class RevinNorm(NormBlock):
         self.frozen = {}
 
     def enter(self, x):
-        x = np.asarray(x, dtype=float)
         mu, sigma = baselines.revin_stats(x)
         return (x - mu) / sigma, (mu, sigma)
 
@@ -224,7 +224,6 @@ class SanNorm(NormBlock):
 
     def enter(self, x):
         """(x z-scored per patch, (the patch means, the patch variances))."""
-        x = np.asarray(x, dtype=float)
         mu_x, var_x = baselines.san_patch_stats(x, self.patch)
         # one expression, so its temporaries are freed at once (whole splits
         # come through here)
@@ -256,7 +255,6 @@ class FanNorm(NormBlock):
         self.frozen = {"combine": np.ones((2, bc.channels))}
 
     def enter(self, x):
-        x = np.asarray(x, dtype=float)
         x_main, x_res = baselines.main_frequency_split(x, self.topk)
         return x_res, (x_main, x)
 
@@ -399,32 +397,10 @@ class Pipeline:
 
     # -- forward passes -----------------------------------------------------
 
-    def head(self, x_n: np.ndarray, ctx, weights=None, fold=None, spectrum=None) -> np.ndarray:
-        """Forecast from normalized windows, the one forward-only path.
-
-        With the re-weighting layer the forecast is a linear map of the
-        weighted spectrum: ``dense(matrix, bias, weighted_spectrum)`` with
-        ``fold = (matrix, bias)`` from ``backbone.fold(tifo.basis)``, on x_n's
-        ``spectrum`` scaled by the table ``weights`` from ``tifo.weights()``.
-        Each of the three is formed here when None (the table: the stored
-        one at the configured alpha).  The fold holds no weight table, so it
-        serves every table until the backbone's parameters change.  The
-        forecast agrees with the FFT composition, ``backbone.forward`` of
-        ``tifo.transform``'s output, to rounding.  A method without the layer
-        ignores all three.
-        """
-        if self.tifo is None:
-            return self.norm.leave(self.backbone.forward(x_n)[0], ctx)
-        matrix, bias = fold or self.backbone.fold(self.tifo.basis)
-        if spectrum is None:
-            spectrum = dft_forward(x_n, axis=1)
-        z = self.tifo.weighted_spectrum(spectrum, weights or self.tifo.weights())
-        return self.norm.leave(dense(matrix, bias, z), ctx)
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        # a window view is copied, as evaluate copies its batches: the
-        # backbone's matmul then runs the same BLAS kernel on views and copies
-        return self.head(*self.norm.enter(np.ascontiguousarray(x)))
+        """Forecasts of every window of x, as one batch of the loop
+        ``evaluate`` runs; (0, H, C) for no window."""
+        return next(_forecasts(self, x, None, max(x.shape[0], 1)))
 
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes."""
@@ -593,41 +569,54 @@ def evaluate(
     whose squared forecast error is not finite raises NumericError naming it;
     x and y holding different numbers of windows, or none, raise DataError.
 
-    With the re-weighting layer, forecasts are read off the spectrum (see
-    ``Pipeline.head``): each batch takes one forward DFT, which also gives
-    the refresh's amplitude panel under the rectangular window, and no
-    inverse one.  The folded head is formed once per call, and the weight
-    table once per score table: once for the split without ema_decay, once
-    per refreshing batch with it.
+    Forecasts come from ``_forecasts``: with the re-weighting layer each
+    batch takes one forward DFT, which also gives the refresh's amplitude
+    panel under the rectangular window, and no inverse one.  The folded
+    backbone is formed once per call, and the weight table once per score
+    table: once for the split without ema_decay, once per refreshing batch
+    with it.
     """
     check_eval_settings(pipeline.method, batch, alpha, ema_decay)
     _check_split(x, y, "x", "y")
-    running_scores = None if ema_decay is None else pipeline.tifo.scores.copy()
-    fold = None if pipeline.tifo is None else pipeline.backbone.fold(pipeline.tifo.basis)
-    weights = spectrum = None
-    sq_sum = 0.0
-    abs_sum = 0.0
-    for start in range(0, x.shape[0], batch):
-        # a window view's batch is copied to the layout of a slice of owned
-        # windows, so the backbone's matmul runs the same BLAS kernel on both
-        xb = np.ascontiguousarray(x[start : start + batch])
-        yb = np.ascontiguousarray(y[start : start + batch])
-        x_n, ctx = pipeline.norm.enter(xb)
-        if pipeline.tifo is not None:
-            spectrum = dft_forward(x_n, axis=1)
-            if running_scores is not None and xb.shape[0] >= 2:
-                running_scores = ema_refresh(running_scores, pipeline.tifo.fit_scores(x_n, yb, spectrum), ema_decay)
-                weights = None
-            if weights is None:
-                weights = pipeline.tifo.weights(alpha, running_scores)
-        pred = pipeline.head(x_n, ctx, weights, fold, spectrum)
-        err = pred - yb
+    sq_sum = abs_sum = 0.0
+    for i, pred in enumerate(_forecasts(pipeline, x, y, batch, alpha, ema_decay)):
+        err = pred - y[i * batch : (i + 1) * batch]
         sq = float((err * err).sum())
         if not math.isfinite(sq):
-            raise NumericError(f"non-finite forecast error at evaluation batch {start // batch}")
+            raise NumericError(f"non-finite forecast error at evaluation batch {i}")
         sq_sum += sq
         abs_sum += float(np.abs(err).sum())
     return {"mse": sq_sum / y.size, "mae": abs_sum / y.size}
+
+
+def _forecasts(pipeline: Pipeline, x: np.ndarray, y: np.ndarray | None, batch: int,
+               alpha: float | None = None, ema_decay: float | None = None):
+    """Yield the forecast of each batch of ``batch`` windows of x, in order,
+    at least one batch (no window gives one empty forecast): the one
+    forward-only path.  alpha and ema_decay are ``evaluate``'s; y is read
+    only by the EMA refresh.
+
+    With the re-weighting layer a forecast is a linear map of the weighted
+    spectrum, ``dense(*fold, weighted_spectrum)``: the fold
+    ``backbone.fold(tifo.basis)`` holds no weight table, so one serves the
+    call, and it agrees with the FFT composition, ``backbone.forward`` of
+    ``tifo.transform``'s output, to rounding.
+    """
+    layer, table = pipeline.tifo, None
+    if layer is not None:
+        fold = pipeline.backbone.fold(layer.basis)
+        running = None if ema_decay is None else layer.scores.copy()
+    for start in range(0, max(x.shape[0], 1), batch):
+        x_n, ctx = pipeline.norm.enter(x[start : start + batch])
+        if layer is None:
+            yield pipeline.norm.leave(pipeline.backbone.forward(x_n)[0], ctx)
+            continue
+        spectrum = dft_forward(x_n, axis=1)
+        if running is not None and x_n.shape[0] >= 2:
+            running = ema_refresh(running, layer.fit_scores(x_n, y[start : start + batch], spectrum), ema_decay)
+            table = None
+        table = table or layer.weights(alpha, running)
+        yield pipeline.norm.leave(dense(*fold, layer.weighted_spectrum(spectrum, table)), ctx)
 
 
 def train(

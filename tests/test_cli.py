@@ -586,12 +586,9 @@ EXIT_TABLE = [
     (["eval", "synth_channels=3", "checkpoint={w1_missing}"], 5, "{w1_missing}: checkpoint lacks tensor tifo.r.w1"),
     (["eval", "synth_channels=3", "checkpoint={w1_of_3x3}"], 5,
      "{w1_of_3x3}: tensor tifo.r.w1: shape (3, 3) does not match expected"),
-    # (these two overflow on purpose, so their RuntimeWarnings are expected)
-    pytest.param(["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
-    pytest.param(["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4,
-                 "non-finite forecast error at evaluation batch 0",
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    # (these two overflow on purpose; main drops a failed command's warnings)
+    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0"),
+    (["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4, "non-finite forecast error at evaluation batch 0"),
     # a bad header is the checkpoint's fault, whatever the command line says
     (["eval", "synth_channels=3", "checkpoint={method_bogus}"], 5, "method"),
     (["eval", "synth_channels=3", "checkpoint={lookback_abc}"], 5, "lookback"),
@@ -614,6 +611,8 @@ EXIT_TABLE = [
     (["synth", "synth_noise=1e308"], 2, "synthetic condition 0 is not finite"),
     (["train", "synth_mix=3:1e308", "synth_jitter=1e308"], 2, "synth_jitter"),
     (["stats", "score_eps=inf"], 2, "score_eps"),
+    # an optional override per condition, but no more values than conditions
+    (["synth", "synth_noise_by_condition=0.1,0.2,0.3"], 2, "synth_noise_by_condition has 3 values, more than the 1"),
     # eval-time values are checked before any training
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),
@@ -697,6 +696,35 @@ def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch,
     assert run(*args) == code
     err = capsys.readouterr().err
     assert needle.format(**fill) in err, err
+
+
+def test_a_failed_command_reports_one_line_without_numpy_warnings(tmp_path):
+    # the loss overflows through several numpy warnings before it is found
+    # non-finite; stderr holds the error line alone
+    proc = subprocess.run([sys.executable, "-m", "specshift", "train", *TINY, "method=tifo", "lr=1e300",
+                           f"out={tmp_path}"], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 4
+    assert proc.stderr == "numeric error: non-finite training loss at epoch 1, batch 1\n"
+
+
+def test_a_successful_command_passes_its_warnings_on(tmp_path, monkeypatch):
+    # held back while the command runs, a warning reaches the caller's
+    # filters once it succeeds: "error" makes it raise after the artifacts
+    synth = climain.COMMANDS["synth"]
+
+    def warn_then_synth(cfg):
+        warnings.warn("overflow on purpose", RuntimeWarning)
+        synth(cfg)
+
+    monkeypatch.setitem(climain.COMMANDS, "synth", warn_then_synth)
+    with contextlib.redirect_stdout(io.StringIO()):
+        with pytest.warns(RuntimeWarning, match="overflow on purpose"):
+            assert run("synth", *TINY, f"out={tmp_path / 'warned'}") == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="overflow on purpose"):
+                run("synth", *TINY, f"out={tmp_path / 'raised'}")
+    assert (tmp_path / "raised" / "config.txt").is_file()
 
 
 @pytest.mark.parametrize("command, artifacts", [("eval", ["metrics.json"]), ("shift", ["summary.json", "shift.csv"])])

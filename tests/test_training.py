@@ -529,14 +529,24 @@ def test_ema_evaluate_one_window_tail_keeps_running_scores(method):
     running = pipe.tifo.scores.copy()
     sq = ab = 0.0
     for start in range(0, 25, 8):
-        x_n, ctx = pipe.norm.enter(x[start : start + 8])
         if start < 24:
+            x_n = pipe.norm.enter(x[start : start + 8])[0]
             running = ema_refresh(running, pipe.tifo.fit_scores(x_n, y[start : start + 8]), 0.9)
-        err = pipe.head(x_n, ctx, pipe.tifo.weights(None, running)) - y[start : start + 8]
+        pipe.tifo.scores[...] = running  # predict forecasts with the stored table
+        err = pipe.predict(x[start : start + 8]) - y[start : start + 8]
         sq += float((err * err).sum())
         ab += float(np.abs(err).sum())
     assert got["mse"] == sq / y.size
     assert got["mae"] == ab / y.size
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_predict_on_no_window_is_an_empty_forecast(method):
+    # the forward-only loop runs at least one batch, so no window gives one
+    # empty forecast of the model's horizon and channels
+    pipe, x, _ = make_pipeline(method, channels=2)
+    got = pipe.predict(x[:0])
+    assert got.shape == (0, 4, 2)
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
@@ -624,16 +634,16 @@ def test_tifo_vjp_follows_the_alpha_of_its_table(alpha, keep):
        keep=st.integers(0, 40), alpha=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_head_is_the_fft_composition_read_off_the_spectrum(method, kind, shared, kernel, patch, patches,
                                                            horizon_patches, channels, keep, alpha, seed):
-    # Pipeline.head forecasts with one folded matrix on the weighted
-    # spectrum; it agrees with the FFT path (re-weight, inverse DFT, then
-    # the backbone's heads) to 1e-12 of the forecasts' scale, with random
+    # predict forecasts with one folded matrix on the weighted spectrum;
+    # it agrees with the FFT path (re-weight, inverse DFT, then the
+    # backbone's heads) to 1e-12 of the forecasts' scale, with random
     # weights, scores and biases; keep 0 stands for no keep
     lookback, horizon = patch * patches, patch * horizon_patches
     cfg = PipelineConfig(
         method=method,
         backbone=BackboneConfig(kind=kind, lookback=lookback, horizon=horizon, channels=channels,
                                 shared=shared, kernel=kernel),
-        tifo=TifoConfig(hidden=6, keep=min(keep, n_bins(lookback)) or None),
+        tifo=TifoConfig(hidden=6, alpha=alpha, keep=min(keep, n_bins(lookback)) or None),
         san=SanConfig(patch=patch, hidden=8, epochs=1))
     pipe = build_pipeline(cfg, np.random.default_rng(seed))
     rng = np.random.default_rng(seed + 1)
@@ -643,9 +653,8 @@ def test_head_is_the_fft_composition_read_off_the_spectrum(method, kind, shared,
             arr[...] = rng.normal(scale=0.5, size=arr.shape)
     x = np.cumsum(rng.normal(size=(5, lookback, channels)), axis=1)
     x_n, ctx = pipe.norm.enter(x)
-    weights = pipe.tifo.weights(alpha)
-    want = pipe.norm.leave(pipe.backbone.forward(tifo.transform(x_n, *weights[:2])[0])[0], ctx)
-    got = pipe.head(x_n, ctx, weights)
+    want = pipe.norm.leave(pipe.backbone.forward(tifo.transform(x_n, *pipe.tifo.weights()[:2])[0])[0], ctx)
+    got = pipe.predict(x)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -777,12 +786,14 @@ def test_dataset_views_compute_like_their_copies(method, lookback, horizon, chan
     ds = build_dataset(series, lookback, horizon)
     views = (ds.x_train, ds.y_train, ds.x_val, ds.y_val, ds.x_test, ds.y_test)
     copies = tuple(arr.copy() for arr in views)
-    cfg = PipelineConfig(method=method, backbone=BackboneConfig(
-        kind=backbone, lookback=lookback, horizon=horizon, channels=channels, kernel=5),
-        san=SanConfig(patch=12, hidden=16, epochs=1), tifo=TifoConfig(hidden=16))
     ema = 0.9 if method.startswith("tifo") else None
+    # the EMA refresh reads the y batches too: the correlation metric reads
+    # them, and the Hann window forms the score panel apart from the DFT
+    scorings = [TifoConfig(hidden=16)]
+    if ema is not None:
+        scorings.append(TifoConfig(hidden=16, score_metric="correlation", window="hann"))
 
-    def run(x_train, y_train, x_val, y_val, x_test, y_test):
+    def run(cfg, x_train, y_train, x_val, y_val, x_test, y_test):
         pipe = build_pipeline(cfg, np.random.default_rng(3), x_train, y_train)
         out = [amplitude_panel(x_train), amplitude_panel(x_test, "hann"), pipe.transformed_input(x_test),
                pipe.predict(x_test)]
@@ -792,11 +803,15 @@ def test_dataset_views_compute_like_their_copies(method, lookback, horizon, chan
         train(pipe, x_train, y_train, x_val, y_val, TrainConfig(max_epochs=1), np.random.default_rng(4))
         return out + [pipe.params.vector.copy(), evaluate(pipe, x_val, y_val, batch=7, ema_decay=ema)]
 
-    for got, want in zip(run(*views), run(*copies), strict=True):
-        if isinstance(got, dict):
-            assert got == want
-        else:
-            assert np.array_equal(got, want)
+    for scoring in scorings:
+        cfg = PipelineConfig(method=method, backbone=BackboneConfig(
+            kind=backbone, lookback=lookback, horizon=horizon, channels=channels, kernel=5),
+            san=SanConfig(patch=12, hidden=16, epochs=1), tifo=scoring)
+        for got, want in zip(run(cfg, *views), run(cfg, *copies), strict=True):
+            if isinstance(got, dict):
+                assert got == want, scoring
+            else:
+                assert np.array_equal(got, want), scoring
 
 
 def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
