@@ -1,7 +1,8 @@
 """Flat key=value run configuration.
 
-Config files hold one ``key = value`` pair per line with ``#`` comments;
-command-line overrides use the same ``key=value`` syntax.  List-valued keys
+Config files hold one ``key = value`` pair per line; a line whose first
+non-blank character is ``#`` is a comment, and any other ``#`` is part of its
+value.  Command-line overrides use the same ``key=value`` syntax.  List-valued keys
 hold comma lists whose tokens ``parse_list`` parses like scalar values.
 ``echo_config`` emits a canonical text form that round-trips through the
 parser to an equal config (used both for provenance files and checkpoint
@@ -96,8 +97,8 @@ def _coerce(key: str, raw: str, kind: str | None = None):
 
 def parse_assignments(lines, cfg: RunConfig, origin: str) -> RunConfig:
     for lineno, line in enumerate(lines, start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{origin}, line {lineno}: expected key=value, got {stripped!r}")

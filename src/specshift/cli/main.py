@@ -2,10 +2,11 @@
 
     specshift <command> [--config FILE] [key=value ...]
 
-Commands: synth, stats, train, eval, shift, ablate.  Overrides apply on top
-of the config file.  Exit codes: 0 success, 2 configuration problem, 3 bad
-input data, 4 numeric failure (NaN loss), 5 incompatible checkpoint.  Each
-comes from the class of the ``SpecshiftError`` raised, which ``main`` reports
+Commands: synth, stats, train, eval, shift, ablate; ``--config`` may sit
+anywhere among the arguments.  Overrides apply on top of the config file.
+Exit codes: 0 success, 2 configuration problem, 3 bad input data, 4 numeric
+failure (NaN loss), 5 incompatible checkpoint.  Each comes from the class
+of the ``SpecshiftError`` raised, which ``main`` reports
 as one ``<label> error: <message>`` line on stderr, dropping the warnings
 the command raised on its way; a successful command's warnings are passed on
 once it returns.  Any other exception is a fault in the program: it
@@ -87,7 +88,11 @@ def _write_json(path: Path, obj) -> None:
 
 
 def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
-    if cfg.synth_preset:
+    if cfg.synth_preset:  # the whole series: no data, and no other synth_* key off its default
+        clash = [f.name for f in dataclasses.fields(cfg) if f.name == "data" or f.name.startswith("synth_")
+                 if f.name != "synth_preset" and getattr(cfg, f.name) != f.default]
+        if clash:
+            raise ConfigError(f"synth_preset={cfg.synth_preset} fixes the series; drop {', '.join(clash)}")
         if cfg.synth_preset == "shift_bench":
             return datamod.shift_benchmark(cfg.seed)
         raise ConfigError(f"unknown synth_preset {cfg.synth_preset!r}")
@@ -128,7 +133,8 @@ def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Da
     """cfg's data (a CSV, or synthesized from the synth_* keys), windowed by
     cfg's lookback and horizon and z-scored: with a scaler fitted on the train
     split, or with a checkpoint's scaler, whose model has cfg.channels."""
-    series = datamod.load_csv(cfg.data) if cfg.data else datamod.synthetic_series(_synthetic_spec(cfg))
+    series = (datamod.load_csv(cfg.data) if cfg.data and not cfg.synth_preset
+              else datamod.synthetic_series(_synthetic_spec(cfg)))
     if scaler is not None and series.shape[1] != cfg.channels:
         source = cfg.data or ("synth_preset" if cfg.synth_preset else "synth_channels")
         raise CheckpointError(f"checkpoint was trained on {cfg.channels} channels, {source} has {series.shape[1]}")
@@ -372,21 +378,22 @@ def cmd_ablate(cfg: RunConfig) -> None:
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
     cells = list(itertools.product(*train_axes))
     subs = [dataclasses.replace(cfg, **dict(zip(train_names, cell))) for cell in cells]
-    # every cell's keys, and its eval settings at every ema value, pass their
-    # rules before any cell trains; alpha None evaluates at the cell's own alpha
+    # every cell's keys, and the eval settings at every ema value, pass their rules
+    # before any cell trains.  The settings read only method and eval_batch, which no
+    # axis changes, so every cell shares them; alpha None evaluates at the cell's own alpha
     for sub in subs:
         _pipeline_config(sub, ds.channels)
-    settings = [[_eval_settings(sub, None, ema) for ema in emas] for sub in subs]
+    settings = [_eval_settings(cfg, None, ema) for ema in emas]
     # per training cell, or () for all of a method without a re-weighting layer (no axis
     # reaches its models): each repeat's metrics at every ema value
     results = {}
     rows = []
-    for cell, sub, cell_settings in zip(cells, subs, settings):
+    for cell, sub in zip(cells, subs):
         key = cell if COMPOSITION[cfg.method][1] else ()
         if key not in results:
             models = (_train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)[0]
                       for rep in range(cfg.repeats))  # trained one at a time, as the list below draws them
-            results[key] = [[evaluate(model, ds.x_test, ds.y_test, **s) for s in cell_settings]
+            results[key] = [[evaluate(model, ds.x_test, ds.y_test, **s) for s in settings]
                             for model in models]
         for ema, metrics in zip(emas, zip(*results[key])):
             mses = [m["mse"] for m in metrics]
@@ -410,12 +417,10 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="specshift", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key=value config file")
-        p.add_argument("overrides", nargs="*", help="key=value overrides")
-    args = parser.parse_args(argv)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", default=None, help="key=value config file")
+    parser.add_argument("overrides", nargs="*", default=[], help="key=value overrides")  # a default keeps it optional
+    args = parser.parse_intermixed_args(argv)  # --config may sit before, between or after the rest
     try:
         # numpy's warnings are held back: a failed command reports its one
         # error line alone, a successful one passes them on afterwards

@@ -209,26 +209,28 @@ def generate_synthetic(spec: SyntheticSpec) -> list[np.ndarray]:
 
     Sample s of a condition is sum_j a_j * sin(2 pi f_j n / L + phi_j) plus
     Gaussian noise; the phase phi_j is drawn once per (condition, component,
-    channel) so a condition's spectrum is stable across its samples.  A block
-    that overflows to a non-finite value raises ConfigError.
+    channel) so a condition's spectrum is stable across its samples.  Each
+    component's (L, C) wave is therefore formed once per condition; a sample
+    adds them in component order, each at its own (jittered) amplitude, then
+    its noise.  A block that overflows to a non-finite value raises ConfigError.
     """
     rng = np.random.default_rng(spec.seed)
     length = spec.sample_length
-    n = np.arange(length)
+    n = np.arange(length)[:, None]
     blocks = []
     for cond in spec.conditions:
         sigma = spec.noise if cond.noise is None else cond.noise
         phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(cond.components), spec.channels))
+        # per-channel phase offsets on the same component
+        waves = [np.sin((2.0 * np.pi * freq / length) * n + phase) for (freq, _), phase in zip(cond.components, phases)]
         block = np.zeros((spec.samples_per_condition, length, spec.channels))
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(spec.samples_per_condition):
-                for j, (freq, amp) in enumerate(cond.components):
+            for sample in block:
+                for (_, amp), wave in zip(cond.components, waves):
                     if spec.amp_jitter:
                         amp = amp * (1.0 + spec.amp_jitter * rng.uniform(-1.0, 1.0))
-                    # per-channel phase offsets on the same component
-                    for c in range(spec.channels):
-                        block[s, :, c] += amp * np.sin((2.0 * np.pi * freq / length) * n + phases[j, c])
-                block[s] += sigma * rng.standard_normal((length, spec.channels))
+                    sample += amp * wave  # one add per component: np.sum over 8+ may pair them up
+                sample += sigma * rng.standard_normal((length, spec.channels))
         if not np.isfinite(block).all():
             raise ConfigError(f"synthetic condition {len(blocks)} is not finite: lower its synth_mix "
                               "amplitudes, synth_noise or synth_jitter")

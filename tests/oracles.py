@@ -1,6 +1,7 @@
 """Test-side oracles: the plain MSE/MAE losses, a central-difference
 check of a pipeline's analytic gradients, the inverse-type transforms on a
-spectrum summed as ``real + 1j * imag``, and the one-cell shift metrics."""
+spectrum summed as ``real + 1j * imag``, the one-cell shift metrics, and the
+synthetic generator's per-sample, per-component, per-channel loop."""
 
 import numpy as np
 
@@ -126,3 +127,32 @@ def shift_tables(panel_a, panel_b, bins):
             jsd[ki, ci] = jsd2_1d(*paired_histograms_1d(a, b, bins))
             ks[ki, ci] = ks_1d(a, b)
     return jsd, ks
+
+
+# ---------------------------------------------------------------------------
+# synthetic generator, one sine per (sample, component, channel)
+# ---------------------------------------------------------------------------
+
+
+def generate_synthetic_loop(spec):
+    """``data.generate_synthetic``'s blocks, each sample's waves formed afresh
+    channel by channel; no finiteness check."""
+    rng = np.random.default_rng(spec.seed)
+    length = spec.sample_length
+    n = np.arange(length)
+    blocks = []
+    for cond in spec.conditions:
+        sigma = spec.noise if cond.noise is None else cond.noise
+        phases = rng.uniform(0.0, 2.0 * np.pi, size=(len(cond.components), spec.channels))
+        block = np.zeros((spec.samples_per_condition, length, spec.channels))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(spec.samples_per_condition):
+                for j, (freq, amp) in enumerate(cond.components):
+                    if spec.amp_jitter:
+                        amp = amp * (1.0 + spec.amp_jitter * rng.uniform(-1.0, 1.0))
+                    # per-channel phase offsets on the same component
+                    for c in range(spec.channels):
+                        block[s, :, c] += amp * np.sin((2.0 * np.pi * freq / length) * n + phases[j, c])
+                block[s] += sigma * rng.standard_normal((length, spec.channels))
+        blocks.append(block.reshape(-1, spec.channels))
+    return blocks

@@ -192,6 +192,23 @@ def test_criterion_4_alpha_sweep_monotone_ends():
           f"identity gap <= {max(gaps):.1e}")
 
 
+def test_learned_weights_favour_the_stable_bins():
+    # the paper's claim: the layer keeps the frequencies whose amplitude is
+    # stable over the training windows and damps the ones that shift.  On the
+    # benchmark, bins 3 and 5 carry the same tones in every condition, and
+    # bins 17, 19 and 21 carry energy only in the last, test-side condition.
+    # Every bin is kept, so the shifted bins' weights are learned, not masked.
+    ratios = []
+    for seed in SEEDS:
+        model = _fit("tifo", _benchmark(seed), seed, 48, 24)
+        lam_r, lam_i, _ = model.tifo.weights()
+        stable = np.abs(np.concatenate([lam_r[[3, 5]], lam_i[[3, 5]]]))
+        shifted = np.abs(np.concatenate([lam_r[[17, 19, 21]], lam_i[[17, 19, 21]]]))
+        assert stable.min() >= 2 * shifted.max(), (seed, stable.min(), shifted.max())
+        ratios.append(stable.min() / shifted.max())
+    print(f"stable-bin weights: PASS  min stable / max shifted {[f'{r:.1f}' for r in ratios]}")
+
+
 # ---------------------------------------------------------------------------
 # numeric properties
 # ---------------------------------------------------------------------------

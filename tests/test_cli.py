@@ -87,6 +87,15 @@ def test_config_echo_round_trip():
     cfg = load_config(None, ["method=tifo", "keep=16", "alpha=0.5", "data=foo.csv",
                              "window=hann", "ema_decay=0.3"])
     assert config_from_echo(echo_config(cfg)) == cfg
+    cfg = RunConfig(data="runs/#1/a#b.csv", out="runs/run#1")
+    assert config_from_echo(echo_config(cfg)) == cfg
+
+
+def test_a_hash_starts_a_comment_only_as_a_lines_first_character(tmp_path):
+    f = tmp_path / "run.cfg"
+    f.write_text("# full-line comment\n   # indented comment\nlookback=48\ndata = a#b.csv\n")
+    cfg = load_config(str(f), [])
+    assert (cfg.lookback, cfg.data) == (48, "a#b.csv")
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +196,24 @@ def test_eval_and_shift_record_the_checkpoints_model_keys(tmp_path):
     again = tmp_path / "again"
     assert main(["eval", "--config", str(tmp_path / "ev" / "config.txt"), f"out={again}"]) == 0
     assert (again / "metrics.json").read_bytes() == (tmp_path / "ev" / "metrics.json").read_bytes()
+
+
+def test_an_override_keeps_a_hash_in_its_value(tmp_path):
+    out = tmp_path / "run#1"
+    assert run("synth", *TINY, f"out={out}") == 0
+    assert (out / "synthetic.csv").is_file()
+    assert config_from_echo((out / "config.txt").read_text()).out == str(out)
+
+
+def test_the_config_file_may_come_before_between_or_after_the_rest(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(TINY[1:]) + "\n")
+    orders = [["--config", str(cfg), "synth", TINY[0]], ["synth", "--config", str(cfg), TINY[0]],
+              ["synth", TINY[0], "--config", str(cfg)]]
+    for idx, argv in enumerate(orders):
+        assert main([*argv, f"out={tmp_path / str(idx)}"]) == 0
+    blobs = {(tmp_path / str(idx) / "synthetic.csv").read_bytes() for idx in range(len(orders))}
+    assert len(blobs) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +640,12 @@ EXIT_TABLE = [
     (["stats", "score_eps=inf"], 2, "score_eps"),
     # an optional override per condition, but no more values than conditions
     (["synth", "synth_noise_by_condition=0.1,0.2,0.3"], 2, "synth_noise_by_condition has 3 values, more than the 1"),
+    # a preset fixes the whole series: no data, and no other synth_* key off its default
+    (["synth", "synth_preset=shift_bench"], 2, "synth_preset=shift_bench fixes the series; drop synth_mix, "
+                                                "synth_samples, synth_len"),
+    (["synth", "synth_preset=shift_bench", "synth_noise=0.5", "synth_channels=4", "synth_jitter=0.9"], 2,
+     "drop synth_mix, synth_samples, synth_len, synth_channels, synth_noise, synth_jitter"),
+    (["stats", "data={dates}", "synth_preset=bogus"], 2, "synth_preset=bogus fixes the series; drop data, "),
     # eval-time values are checked before any training
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),

@@ -1,7 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specshift.data import (
     Condition,
@@ -17,6 +20,8 @@ from specshift.data import (
     synthetic_series,
 )
 from specshift.errors import ConfigError, DataError
+
+from oracles import generate_synthetic_loop
 
 
 def write_csv(tmp_path, text, name="series.csv"):
@@ -250,6 +255,38 @@ def test_generate_synthetic_pure_tone_spectrum():
     peak = amps[3]
     others = np.delete(amps, 3)
     assert np.all(others <= 1e-8 * peak)
+
+
+@st.composite
+def synthetic_specs(draw):
+    length = draw(st.integers(1, 129))
+    component = st.tuples(st.integers(0, length // 2), st.floats(-3.0, 3.0))
+    condition = st.builds(Condition, st.lists(component, min_size=1, max_size=40).map(tuple),
+                          st.none() | st.floats(0.0, 2.0))
+    return SyntheticSpec(conditions=tuple(draw(st.lists(condition, min_size=1, max_size=3))),
+                         samples_per_condition=draw(st.integers(1, 4)), sample_length=length,
+                         channels=draw(st.integers(1, 8)), noise=draw(st.sampled_from([0.0, 0.1, 0.7])),
+                         amp_jitter=draw(st.sampled_from([0.0, 0.25, 1.3])), seed=draw(st.integers(0, 2**32)))
+
+
+def _one_point_spec(components, jitter):
+    """L = C = 1: every wave is one value, where a summed stack of 9 or more
+    would be added pairwise rather than in component order."""
+    return SyntheticSpec(conditions=(Condition(components=tuple((0, 0.3 + 0.7 * j) for j in range(components))),),
+                         samples_per_condition=5, sample_length=1, amp_jitter=jitter, seed=components)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(spec=synthetic_specs())
+@example(spec=_one_point_spec(9, 0.0))
+@example(spec=_one_point_spec(40, 0.25))
+@example(spec=dataclasses.replace(shift_benchmark(3), channels=3))
+def test_generate_synthetic_matches_the_per_sine_loop_bit_for_bit(spec):
+    blocks = generate_synthetic(spec)
+    expected = generate_synthetic_loop(spec)
+    assert len(blocks) == len(expected)
+    for got, want in zip(blocks, expected):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_generate_synthetic_rejects_bad_bin():
