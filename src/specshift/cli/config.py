@@ -2,8 +2,10 @@
 
 Config files hold one ``key = value`` pair per line; a line whose first
 non-blank character is ``#`` is a comment, and any other ``#`` is part of its
-value.  Command-line overrides use the same ``key=value`` syntax.  List-valued keys
-hold comma lists whose tokens ``parse_list`` parses like scalar values.
+value.  Command-line overrides use the same ``key=value`` syntax.  No value
+may hold a line break, in a file or an override: anything ``str.splitlines``
+splits on, U+2028 included.  List-valued keys hold comma lists whose tokens
+``parse_list`` parses like scalar values.
 ``echo_config`` emits a canonical text form that round-trips through the
 parser to an equal config (used both for provenance files and checkpoint
 headers).
@@ -24,7 +26,7 @@ class RunConfig:
     seed: int = 0
     lookback: int = 96
     horizon: int = 96
-    channels: int = 0  # filled in from data at train time, echoed to checkpoints
+    channels: int = 0  # the data's count when set; train fills it in and echoes it to checkpoints
     # model
     backbone: str = "dlinear"
     method: str = "tifo"
@@ -106,6 +108,8 @@ def parse_assignments(lines, cfg: RunConfig, origin: str) -> RunConfig:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigError(f"{origin}, line {lineno}: unknown config key {key!r}")
+        if len(raw.strip().splitlines()) > 1:  # the echo holds one key per line
+            raise ConfigError(f"{origin}, line {lineno}: config key {key}: a value may not hold a line break")
         setattr(cfg, key, _coerce(key, raw))
     return cfg
 

@@ -129,15 +129,22 @@ def _synthetic_spec(cfg: RunConfig) -> datamod.SyntheticSpec:
     )
 
 
+def _check_channels(cfg: RunConfig, channels: int, data: str = "", error: type = ConfigError) -> None:
+    """A non-zero cfg.channels, the user's key or (with CheckpointError) the
+    count a checkpoint's model was trained on, must equal ``channels``, the
+    count of the ``data`` CSV or, without one, of the synthetic series."""
+    if cfg.channels not in (0, channels):
+        source = data or ("synth_preset" if cfg.synth_preset else "synth_channels")
+        raise error(f"channels={cfg.channels}, but {source} has {channels}")
+
+
 def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Dataset:
     """cfg's data (a CSV, or synthesized from the synth_* keys), windowed by
     cfg's lookback and horizon and z-scored: with a scaler fitted on the train
     split, or with a checkpoint's scaler, whose model has cfg.channels."""
     series = (datamod.load_csv(cfg.data) if cfg.data and not cfg.synth_preset
               else datamod.synthetic_series(_synthetic_spec(cfg)))
-    if scaler is not None and series.shape[1] != cfg.channels:
-        source = cfg.data or ("synth_preset" if cfg.synth_preset else "synth_channels")
-        raise CheckpointError(f"checkpoint was trained on {cfg.channels} channels, {source} has {series.shape[1]}")
+    _check_channels(cfg, series.shape[1], cfg.data, ConfigError if scaler is None else CheckpointError)
     return datamod.build_dataset(series, cfg.lookback, cfg.horizon, scaler)
 
 
@@ -183,6 +190,7 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
 def cmd_synth(cfg: RunConfig) -> None:
     spec = _synthetic_spec(cfg)
     series = datamod.synthetic_series(spec)
+    _check_channels(cfg, series.shape[1])
     out = _out_dir(cfg)
     _write_csv(out / "synthetic.csv", ",".join(f"c{i}" for i in range(series.shape[1])),
                ([repr(float(v)) for v in row] for row in series))

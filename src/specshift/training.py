@@ -3,14 +3,16 @@ re-weighting layer and a backbone, composed per method by ``COMPOSITION``;
 an Adam optimizer, the early-stopping loop and evaluation.
 
 Gradients come from composing explicit per-block VJPs; there is no
-general-purpose tape.  Each block owns its forward and its VJP, every
-forward returns the cache its VJP reads, and ``Pipeline.loss_grads`` only
-chains them.  The re-weighting layer's forward is ``tifo.transform`` with
-the table ``TifoLayer.weights`` forms; ``TifoLayer.vjp`` reads the spectrum
-it returns and that table.  The baseline blocks (RevIN, SAN, FAN) hold
-their normalize, denormalize and combine arithmetic here and call
-``baselines`` for the statistics and learned nets.  A pipeline owns two
-tensor groups:
+general-purpose tape.  Each block owns its forward and its VJP, and
+``Pipeline.loss_grads`` only chains them.  A normalization block's output
+map is written once, in ``leave``, which returns the forecast with its
+pullback; the training loss is the MSE of that forecast, run back through
+the pullback, so the model that trains is the model that forecasts.  The
+re-weighting layer's forward is ``tifo.transform`` with the table
+``TifoLayer.weights`` forms; ``TifoLayer.vjp`` reads the spectrum it
+returns and that table.  The baseline blocks (RevIN, SAN, FAN) hold their
+normalize, denormalize and combine arithmetic here and call ``baselines``
+for the statistics and learned nets.  A pipeline owns two tensor groups:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
@@ -145,13 +147,17 @@ class NormBlock:
     block of ``none`` and ``tifo``.  ``enter(x) -> (x_n, ctx)`` is the
     parameter-free front end: it normalizes the lookback windows, window by
     window, so a whole split entered at once gives the bytes of its batches
-    entered one by one.  ``leave(y_n, ctx) -> y`` maps the backbone output
-    back; the block's learned parts run here.
+    entered one by one.  ``leave(y_n, ctx) -> (y, pullback)`` maps the
+    backbone output back: the one place a block's output map is written,
+    where its learned parts run.  ``pullback(g) -> (g_n, grads)`` takes the
+    forecast's cotangent to the backbone output's and the block's own
+    parameter gradients.
 
     ``loss(y_n, ctx, targets) -> (loss, g_n, grads)`` is the training loss,
-    the MSE of ``leave`` against ``targets(y)``, the one form of the forecast
-    windows it takes (``train`` forms it once per split), with the cotangent
-    of the backbone output and the block's own parameter gradients.
+    the MSE of ``leave``'s forecast against ``targets(y)``, the one form of
+    the forecast windows it takes (``train`` forms it once per split), run
+    back through ``leave``'s pullback.  Only FAN overrides ``targets`` and
+    ``loss``; its ``leave`` gives no pullback.
 
     ``ctx`` belongs to the caller; no forward or loss call changes a block.
     ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
@@ -168,13 +174,15 @@ class NormBlock:
         return x, None
 
     def leave(self, y_n, ctx):
-        return y_n
+        return y_n, lambda g: (g, {})
 
     def targets(self, y):
         return y
 
     def loss(self, y_n, ctx, targets):
-        return (*_mse_upstream(y_n, targets), {})
+        y, pullback = self.leave(y_n, ctx)
+        loss, upstream = _mse_upstream(y, targets)
+        return (loss, *pullback(upstream))
 
 
 class RevinNorm(NormBlock):
@@ -193,22 +201,17 @@ class RevinNorm(NormBlock):
 
     def leave(self, y_n, ctx):
         """gamma * (y_n * sigma + mu) + beta, per channel."""
-        mu, sigma = ctx
-        return self.params["gamma"] * (y_n * sigma + mu) + self.params["beta"]
-
-    def loss(self, y_n, ctx, targets):
-        mu, sigma = ctx
+        (mu, sigma), gamma = ctx, self.params["gamma"]
         y = y_n * sigma + mu
-        loss, upstream = _mse_upstream(self.params["gamma"] * y + self.params["beta"], targets)
-        grads = {"gamma": (upstream * y).sum(axis=(0, 1)), "beta": upstream.sum(axis=(0, 1))}
-        return loss, upstream * self.params["gamma"] * sigma, grads
+        return gamma * y + self.params["beta"], lambda g: (
+            g * gamma * sigma, {"gamma": (g * y).sum(axis=(0, 1)), "beta": g.sum(axis=(0, 1))})
 
 
 class SanNorm(NormBlock):
     """Patch-statistic normalization; the statistics predictor trains in a
     first stage (``train_san_predictor``) and stays frozen afterwards.
     ``enter`` hands back the input's patch statistics, from which ``leave``
-    and ``loss`` predict the output's per-step (shift, scale)."""
+    predicts the output's per-step (shift, scale)."""
 
     name = "san"
 
@@ -233,12 +236,7 @@ class SanNorm(NormBlock):
 
     def leave(self, y_n, ctx):
         shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
-        return y_n * scale + shift
-
-    def loss(self, y_n, ctx, targets):
-        shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
-        loss, upstream = _mse_upstream(y_n * scale + shift, targets)
-        return loss, upstream * scale, {}
+        return y_n * scale + shift, lambda g: (g * scale, {})
 
 
 class FanNorm(NormBlock):
@@ -259,9 +257,8 @@ class FanNorm(NormBlock):
         return x_res, (x_main, x)
 
     def leave(self, y_n, ctx):
-        y_main, _ = baselines.fan_freq_forward(self.params, *ctx)
-        w = self.frozen["combine"]
-        return w[0] * y_n + w[1] * y_main
+        w, y_main = self.frozen["combine"], baselines.fan_freq_forward(self.params, *ctx)[0]
+        return w[0] * y_n + w[1] * y_main, None
 
     def targets(self, y):
         """Main and residual parts of the forecast windows, stacked on axis 1."""
@@ -609,14 +606,15 @@ def _forecasts(pipeline: Pipeline, x: np.ndarray, y: np.ndarray | None, batch: i
     for start in range(0, max(x.shape[0], 1), batch):
         x_n, ctx = pipeline.norm.enter(x[start : start + batch])
         if layer is None:
-            yield pipeline.norm.leave(pipeline.backbone.forward(x_n)[0], ctx)
-            continue
-        spectrum = dft_forward(x_n, axis=1)
-        if running is not None and x_n.shape[0] >= 2:
-            running = ema_refresh(running, layer.fit_scores(x_n, y[start : start + batch], spectrum), ema_decay)
-            table = None
-        table = table or layer.weights(alpha, running)
-        yield pipeline.norm.leave(dense(*fold, layer.weighted_spectrum(spectrum, table)), ctx)
+            y_n = pipeline.backbone.forward(x_n)[0]
+        else:
+            spectrum = dft_forward(x_n, axis=1)
+            if running is not None and x_n.shape[0] >= 2:
+                running = ema_refresh(running, layer.fit_scores(x_n, y[start : start + batch], spectrum), ema_decay)
+                table = None
+            table = table or layer.weights(alpha, running)
+            y_n = dense(*fold, layer.weighted_spectrum(spectrum, table))
+        yield pipeline.norm.leave(y_n, ctx)[0]
 
 
 def train(

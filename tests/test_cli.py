@@ -98,6 +98,26 @@ def test_a_hash_starts_a_comment_only_as_a_lines_first_character(tmp_path):
     assert (cfg.lookback, cfg.data) == (48, "a#b.csv")
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r", "\x0b", "\x85", "\u2028"], ids=repr)
+def test_an_override_value_with_a_line_break_is_rejected(tmp_path, capsys, brk):
+    # the echo in config.txt and checkpoint headers holds one key per line, so a
+    # value that splits would come back as a bad line, or as another key
+    assert run("synth", *TINY, f"out={tmp_path}/a{brk}b") == 2
+    assert "command line, line" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="config key out: a value may not hold a line break"):
+        load_config(None, [f"out={tmp_path}/a{brk}method = none"])
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_config_file_value_with_a_line_break_is_rejected(tmp_path, capsys):
+    # a file is read line by line at newlines only; U+2028 stays inside the value
+    f = tmp_path / "run.cfg"
+    f.write_text(f"lookback = 16\nout = {tmp_path}/a\u2028b\n", encoding="utf-8")
+    assert run("synth", "--config", str(f), *TINY) == 2
+    assert f"{f}, line 2: config key out: a value may not hold a line break" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
 # ---------------------------------------------------------------------------
 # checkpoint format
 # ---------------------------------------------------------------------------
@@ -196,6 +216,8 @@ def test_eval_and_shift_record_the_checkpoints_model_keys(tmp_path):
     again = tmp_path / "again"
     assert main(["eval", "--config", str(tmp_path / "ev" / "config.txt"), f"out={again}"]) == 0
     assert (again / "metrics.json").read_bytes() == (tmp_path / "ev" / "metrics.json").read_bytes()
+    # a train run's echo holds its data's channel count, so the same data passes the channels rule
+    assert main(["stats", "--config", str(ck / "config.txt"), f"out={tmp_path / 'st'}"]) == 0
 
 
 def test_an_override_keeps_a_hash_in_its_value(tmp_path):
@@ -584,6 +606,12 @@ EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
     (["train", "synth_channels=0"], 2, "channels"),
+    # a channels key the user sets must be the data's count; eval and shift take the checkpoint's
+    (["stats", "synth_preset=shift_bench", "synth_mix=", "synth_len=96", "synth_samples=50", "channels=5"], 2,
+     "config error: channels=5, but synth_preset has 1"),
+    (["synth", "synth_channels=2", "channels=3"], 2, "config error: channels=3, but synth_channels has 2"),
+    (["train", "synth_channels=2", "channels=1"], 2, "config error: channels=1, but synth_channels has 2"),
+    (["eval", "{ck}", "synth_channels=2", "channels=2"], 5, "checkpoint error: channels=1, but synth_channels has 2"),
     (["stats", "data={dates}"], 3, "dates.csv"),
     (["train", "lookback=0"], 2, "lookback"),
     (["train", "method=san", "san_patch=0"], 2, "patch"),
@@ -812,7 +840,7 @@ def _assert_reported(code, err):
 SWEPT = {"alphas": "alpha", **{key: name for name, key, _ in climain.ABLATE_AXES}}
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@settings(max_examples=400)
 @given(command=st.sampled_from(["synth", "stats", "train", "eval", "shift", "ablate"]),
        method=st.sampled_from(["tifo", "none", "revin", "san", "fan", "tifo+san"]),
        overrides=st.lists(bad_override, min_size=1, max_size=2))
@@ -830,7 +858,7 @@ def test_bad_overrides_exit_with_a_labelled_code(trained_tifo, tmp_path_factory,
         assert any(key in err or SWEPT.get(key, key) in err for key in keys), (overrides, err)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@settings(max_examples=60)
 @given(command=st.sampled_from(["stats", "train", "eval", "shift"]),
        kind=st.sampled_from(["ragged row", "non-numeric cell", "nan", "header only", "empty file",
                              "date column only"]),

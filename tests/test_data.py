@@ -276,7 +276,7 @@ def _one_point_spec(components, jitter):
                          samples_per_condition=5, sample_length=1, amp_jitter=jitter, seed=components)
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@settings(max_examples=120)
 @given(spec=synthetic_specs())
 @example(spec=_one_point_spec(9, 0.0))
 @example(spec=_one_point_spec(40, 0.25))

@@ -184,7 +184,7 @@ cell_values = st.sampled_from([0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 3
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.data())
 def test_shift_report_matches_oracle_property(data):
     k, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
@@ -292,7 +292,7 @@ def test_shift_report_rejects_mismatched_panels():
         shift_report(np.ones((5, 4, 2)), np.ones((5, 3, 2)))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30),
     st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=30),
@@ -302,7 +302,7 @@ def test_ks_bounds_property(a, b):
     assert 0.0 <= v <= 1.0
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=25),
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=25),

@@ -161,7 +161,7 @@ def test_batched_axis_layout():
     np.testing.assert_allclose(imag[2, :, 1], single_i, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=40),
     st.integers(min_value=0, max_value=2**31),
@@ -172,7 +172,7 @@ def test_round_trip_property(length, seed):
     np.testing.assert_allclose(dft_inverse(real, imag, length), x, atol=1e-10)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=2**31))
 def test_constant_signal_is_pure_dc(length, seed):
     c = np.random.default_rng(seed).uniform(-5, 5)

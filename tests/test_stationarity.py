@@ -184,7 +184,7 @@ def test_amplitude_panel_windowed():
         assert panel.tobytes() == manual.tobytes(), length
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(min_value=2, max_value=12), st.integers(min_value=0, max_value=2**31))
 def test_mu_sigma_nonnegative_property(n, seed):
     panel = np.random.default_rng(seed).uniform(0, 10, size=(n, 3, 2))

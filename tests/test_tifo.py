@@ -125,7 +125,7 @@ def test_alpha_zero_transform_is_identity():
     np.testing.assert_allclose(tifo.transform(x, neutral, neutral)[0], x, atol=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(length=st.integers(2, 64), channels=st.integers(1, 3), shift=st.integers(-64, 64),
        seed=st.integers(0, 2**32 - 1))
 def test_tied_weights_commute_with_circular_shifts(length, channels, shift, seed):
@@ -138,7 +138,7 @@ def test_tied_weights_commute_with_circular_shifts(length, channels, shift, seed
     np.testing.assert_allclose(shifted, np.roll(tifo.transform(x, lam, lam)[0], shift, axis=-2), rtol=0, atol=1e-12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(length=st.integers(3, 64), data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_untied_weights_break_shift_commutation(length, data, seed):
     # with lambda_r = m + d and lambda_i = m - d at bin k, a shift by s moves

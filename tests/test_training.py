@@ -550,6 +550,28 @@ def test_predict_on_no_window_is_an_empty_forecast(method):
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
+def test_training_loss_is_the_mse_of_the_forecast(method):
+    # the model that trains is the model that forecasts: the loss is the MSE of
+    # predict's forecast, bit for bit where both run the same arithmetic, to
+    # rounding where training takes the FFT path and predict the fold; FAN
+    # supervises its main and residual parts, each by its own MSE
+    pipe, x, y = make_pipeline(method, channels=2)
+    rng = np.random.default_rng(5)
+    for arr in pipe.params.values():
+        arr += rng.normal(scale=0.3, size=arr.shape)
+    loss = pipe.loss_grads(x, pipe.norm.targets(y))[0]
+    if method == "fan":
+        x_res, ctx = pipe.norm.enter(x)
+        y_main = baselines.fan_freq_forward(pipe.norm.params, *ctx)[0]
+        main, res = baselines.main_frequency_split(y, pipe.norm.topk)
+        assert loss == mse(y_main, main) + mse(pipe.backbone.forward(x_res)[0], res)
+    elif pipe.tifo is not None:
+        assert loss == pytest.approx(mse(pipe.predict(x), y), rel=1e-12, abs=0)
+    else:
+        assert loss == mse(pipe.predict(x), y)
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
 def test_calls_leave_pipeline_attributes_bound(method):
     # per-call state (normalization statistics) goes back to the caller, so
     # calls can nest or interleave: no attribute of the pipeline is rebound
@@ -627,7 +649,7 @@ def test_tifo_vjp_follows_the_alpha_of_its_table(alpha, keep):
         np.testing.assert_allclose(grads[name].ravel(), numeric, rtol=1e-6, atol=1e-8, err_msg=name)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(method=st.sampled_from(["tifo", "tifo+san"]), kind=st.sampled_from(["linear", "dlinear"]),
        shared=st.booleans(), kernel=st.sampled_from([1, 3, 5, 25]), patch=st.integers(1, 3),
        patches=st.integers(1, 24), horizon_patches=st.integers(1, 6), channels=st.integers(1, 4),
@@ -653,7 +675,7 @@ def test_head_is_the_fft_composition_read_off_the_spectrum(method, kind, shared,
             arr[...] = rng.normal(scale=0.5, size=arr.shape)
     x = np.cumsum(rng.normal(size=(5, lookback, channels)), axis=1)
     x_n, ctx = pipe.norm.enter(x)
-    want = pipe.norm.leave(pipe.backbone.forward(tifo.transform(x_n, *pipe.tifo.weights()[:2])[0])[0], ctx)
+    want = pipe.norm.leave(pipe.backbone.forward(tifo.transform(x_n, *pipe.tifo.weights()[:2])[0])[0], ctx)[0]
     got = pipe.predict(x)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -747,7 +769,7 @@ def test_whole_split_enter_equals_per_batch_enter(method, lookback, channels):
 
 
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n=st.integers(1, 300), batch=st.integers(1, 80), patches=st.integers(1, 24), channels=st.integers(1, 7),
        seed=st.integers(0, 2**32 - 1))
 def test_whole_split_enter_is_its_batches_for_any_sizes(method, n, batch, patches, channels, seed):
