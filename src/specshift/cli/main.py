@@ -188,6 +188,8 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
 
 
 def cmd_synth(cfg: RunConfig) -> None:
+    if cfg.data:
+        raise ConfigError(f"synth generates its series from the synth_* keys; drop data={cfg.data}")
     spec = _synthetic_spec(cfg)
     series = datamod.synthetic_series(spec)
     _check_channels(cfg, series.shape[1])
@@ -333,16 +335,19 @@ def cmd_shift(cfg: RunConfig) -> None:
     pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
     cfg.window = window
 
-    def report(stage: str, x_train, x_test) -> dict:
-        return shift_report(amplitude_panel(x_train, window), amplitude_panel(x_test, window), bins=cfg.hist_bins,
+    def report(stage: str, panel_train, panel_test) -> dict:
+        return shift_report(panel_train, panel_test, bins=cfg.hist_bins,
                             names=(f"{stage} train panel", f"{stage} test panel"))
 
-    before = report("before", ds.x_train, ds.x_test)
+    (before_train, after_train), (before_test, after_test) = (
+        pipeline.panels(x, window) if pipeline is not None else (amplitude_panel(x, window), None)
+        for x in (ds.x_train, ds.x_test))
+    before = report("before", before_train, before_test)
     after = note = None
-    if pipeline is not None and not pipeline.transforms_input:
-        note = f"method {pipeline.method!r} does not transform its input; After omitted"
+    if after_train is not None:
+        after = report("after", after_train, after_test)
     elif pipeline is not None:
-        after = report("after", pipeline.transformed_input(ds.x_train), pipeline.transformed_input(ds.x_test))
+        note = f"method {pipeline.method!r} does not transform its input; After omitted"
     out = _out_dir(cfg)
     blank = np.full(before["jsd2"].shape, np.nan)
     columns = [r[metric] if r else blank for metric in ("jsd2", "ks") for r in (before, after)]

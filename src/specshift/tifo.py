@@ -17,8 +17,10 @@ spectrum ``[lambda_r * Re X; lambda_i * Im X]``: the backbone composed with
 the real inverse DFT (``training.TifoLayer.basis``, numpy's ``irfft`` of
 unit spectra).  Forecasts without gradients (``training.evaluate`` and
 ``Pipeline.predict``, which share one batch loop) are read off the spectrum
-that way; training and ``transform`` keep the FFT path, which stays its
-oracle.
+that way, and so are ``shift``'s After panels under the rectangular window
+(``Pipeline.panels``: the amplitude of the weighted spectrum, exactly 0 at
+the masked bins); training and ``transform`` keep the FFT path, which stays
+their oracle.
 
 Scaling the real and imaginary parts apart is not a complex scale: the
 transform commutes with circular shifts of the window (is shift-invariant,

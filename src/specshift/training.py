@@ -29,7 +29,10 @@ DFT, backbone).  Forecasts without gradients come from one batch loop,
 ``_forecasts``, which ``evaluate`` sums its errors over and ``predict`` runs
 for a single batch.  It uses that the composition is linear for a fixed
 weight table: a forecast is one linear map of the weighted spectrum, the
-backbone folded with the inverse DFT over the kept bins.
+backbone folded with the inverse DFT over the kept bins.  ``shift``'s After
+panels are read off the spectrum too: ``Pipeline.panels`` takes the
+amplitude of the weighted spectrum under the rectangular window, so the
+masked bins are exactly 0.
 """
 
 from __future__ import annotations
@@ -403,6 +406,31 @@ class Pipeline:
         """The series the backbone consumes."""
         x_n = self.norm.enter(x)[0]
         return x_n if self.tifo is None else tifo.transform(x_n, *self.tifo.weights()[:2])[0]
+
+    def panels(self, x: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray | None]:
+        """(Before, After) amplitude panels of windows x under the analysis
+        ``window``: the raw windows' and those of ``transformed_input(x)``,
+        or None for After when the method leaves its input as it is.
+
+        Under the rectangular window a re-weighting layer's After panel is
+        read off the weighted spectrum of ``norm.enter(x)``, one forward DFT
+        and no inverse: the amplitude of ``weighted_spectrum`` at the kept
+        bins and exactly 0 at the masked ones, where the time-domain route
+        leaves rounding residue.  With the identity block (``tifo``) the same
+        spectrum gives the Before panel.  The Hann window does not commute
+        with the re-weighting, so it keeps the time-domain route.
+        """
+        if not self.transforms_input:
+            return amplitude_panel(x, window), None
+        if self.tifo is None or window != "rectangular":
+            return amplitude_panel(x, window), amplitude_panel(self.transformed_input(x), window)
+        x_n = self.norm.enter(x)[0]
+        spectrum = dft_forward(x_n, axis=1)
+        before = amplitude(*spectrum) if x_n is x else amplitude_panel(x, window)
+        weighted, k = self.tifo.weighted_spectrum(spectrum, self.tifo.weights()), self.tifo.keep
+        after = np.zeros(before.shape)
+        after[:, :k] = amplitude(weighted[:, :k], weighted[:, k:])
+        return before, after
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``

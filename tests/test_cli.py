@@ -455,6 +455,21 @@ def test_shift_identity_weights_after_equals_before(tmp_path):
         assert summary["after"][key] == pytest.approx(b, abs=1e-5)
 
 
+def test_shift_after_is_exactly_zero_at_the_masked_bins(tmp_path):
+    # the After panels are read off the weighted spectrum, so bins >= keep
+    # hold exact zeros in both splits and score no shift
+    ck = tmp_path / "ck"
+    assert run("train", *TINY, "method=tifo", "keep=4", f"out={ck}") == 0
+    out = tmp_path / "sh"
+    assert run("shift", *TINY, f"checkpoint={ck / 'model.ckpt'}", f"out={out}") == 0
+    header, *rows = (out / "shift.csv").read_text().splitlines()
+    assert header == "channel,freq_index,jsd2_before,jsd2_after,ks_before,ks_after"
+    masked = [row.split(",") for row in rows if int(row.split(",")[1]) >= 4]
+    assert len(masked) == 9 - 4
+    assert all(float(r[3]) == 0.0 and float(r[5]) == 0.0 for r in masked), masked
+    assert all(float(r[4]) > 0.0 for r in masked)
+
+
 def test_shift_plain_method_omits_after(tmp_path, capsys):
     ck = tmp_path / "ck"
     assert run("train", *TINY, "method=none", f"out={ck}") == 0
@@ -642,7 +657,8 @@ EXIT_TABLE = [
     (["eval", "synth_channels=3", "checkpoint={w1_of_3x3}"], 5,
      "{w1_of_3x3}: tensor tifo.r.w1: shape (3, 3) does not match expected"),
     # (these two overflow on purpose; main drops a failed command's warnings)
-    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4, "after train panel is not finite at bin 0"),
+    (["shift", "synth_channels=3", "checkpoint={b2_huge}"], 4,
+     "numeric error: after train panel is not finite at bin 1, channel 0"),
     (["eval", "synth_channels=3", "checkpoint={b2_huge}"], 4, "non-finite forecast error at evaluation batch 0"),
     # a bad header is the checkpoint's fault, whatever the command line says
     (["eval", "synth_channels=3", "checkpoint={method_bogus}"], 5, "method"),
@@ -674,6 +690,9 @@ EXIT_TABLE = [
     (["synth", "synth_preset=shift_bench", "synth_noise=0.5", "synth_channels=4", "synth_jitter=0.9"], 2,
      "drop synth_mix, synth_samples, synth_len, synth_channels, synth_noise, synth_jitter"),
     (["stats", "data={dates}", "synth_preset=bogus"], 2, "synth_preset=bogus fixes the series; drop data, "),
+    # synth only generates its series, so a data key would go unread
+    (["synth", "data=/no/such.csv"], 2,
+     "config error: synth generates its series from the synth_* keys; drop data=/no/such.csv"),
     # eval-time values are checked before any training
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),

@@ -742,6 +742,53 @@ def test_transformed_input_keep_truncates_high_bins(method):
     assert np.abs(real[:, :2, :]).max() > 1e-3
 
 
+@settings(max_examples=60)
+@given(method=st.sampled_from(["tifo", "tifo+san"]), patch=st.integers(1, 3), patches=st.integers(1, 24),
+       channels=st.integers(1, 4), keep=st.integers(0, 40), alpha=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_shift_panels_are_read_off_the_weighted_spectrum(method, patch, patches, channels, keep, alpha, seed):
+    # under the rectangular window the After panel is the amplitude of the
+    # weighted spectrum: at kept bins it matches the time-domain route to
+    # 1e-12 of each channel's largest amplitude, at masked bins it is exactly
+    # 0 (the time-domain route leaves rounding residue there, so no
+    # elementwise relative bound can hold); Hann keeps the time-domain route
+    # bit for bit; keep 0 stands for no keep
+    lookback = patch * patches
+    cfg = PipelineConfig(
+        method=method, backbone=BackboneConfig(kind="linear", lookback=lookback, horizon=patch, channels=channels),
+        tifo=TifoConfig(hidden=6, alpha=alpha, keep=min(keep, n_bins(lookback)) or None),
+        san=SanConfig(patch=patch, hidden=8, epochs=1))
+    pipe = build_pipeline(cfg, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed + 1)
+    pipe.tifo.scores[...] = rng.uniform(0.0, 5.0, size=pipe.tifo.scores.shape)
+    for name, arr in pipe.params.items():
+        if name.startswith("tifo.") and name.endswith(("w2", "b2")):
+            arr[...] = rng.normal(scale=0.5, size=arr.shape)
+    x = np.cumsum(rng.normal(size=(6, lookback, channels)), axis=1)
+    before, after = pipe.panels(x, "rectangular")
+    old = amplitude_panel(pipe.transformed_input(x))
+    k = pipe.tifo.keep
+    assert np.array_equal(before, amplitude_panel(x))
+    assert after.shape == old.shape
+    assert np.all(np.abs(after[:, :k] - old[:, :k]) <= 1e-12 * old.max(axis=(0, 1)))
+    assert np.all(after[:, k:] == 0.0)
+    hann_before, hann_after = pipe.panels(x, "hann")
+    assert np.array_equal(hann_before, amplitude_panel(x, "hann"))
+    assert np.array_equal(hann_after, amplitude_panel(pipe.transformed_input(x), "hann"))
+
+
+@pytest.mark.parametrize("method", ["none", "revin", "san", "fan"])
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_shift_panels_without_the_layer_take_the_time_domain_route(method, window):
+    pipe, x, _ = make_pipeline(method, channels=2)
+    before, after = pipe.panels(x, window)
+    assert np.array_equal(before, amplitude_panel(x, window))
+    if method == "none":
+        assert after is None
+    else:
+        assert np.array_equal(after, amplitude_panel(pipe.transformed_input(x), window))
+
+
 @pytest.mark.parametrize("method", ["none", "revin", "san", "fan", "tifo", "tifo+san"])
 @pytest.mark.parametrize("lookback, channels", [(48, 1), (96, 7)])
 def test_whole_split_enter_equals_per_batch_enter(method, lookback, channels):
