@@ -101,7 +101,8 @@ def san_predict(params: dict[str, np.ndarray], mu_x: np.ndarray, var_x: np.ndarr
 def san_predict_vjp(params, cache, g_mu, g_var) -> dict[str, np.ndarray]:
     """Backprop stage-one cotangents to predictor parameter gradients."""
     mu_cache, var_cache, var_raw = cache
-    g_var_raw = g_var / (1.0 + np.exp(-var_raw))  # d softplus = sigmoid
+    with np.errstate(over="ignore"):  # exp overflows to inf below var_raw ~ -709; the sigmoid is then 0
+        g_var_raw = g_var / (1.0 + np.exp(-var_raw))  # d softplus = sigmoid
     grads = mlp_vjp(params, "mu", mu_cache, g_mu)
     grads.update(mlp_vjp(params, "var", var_cache, g_var_raw))
     return grads

@@ -10,6 +10,7 @@ holds one z-scored copy of its series and no per-window copies.
 from __future__ import annotations
 
 import csv
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,32 +26,58 @@ def load_csv(path: str) -> np.ndarray:
     The first column is dropped (dates) when none of its cells is a number.
     Any other non-numeric entry raises DataError naming the row and the
     column, so a first column that mixes numbers and text does too; so do a
-    ragged row, an empty table and a file with no numeric column.
+    ragged row, an empty table and a file with no numeric column.  The first
+    failing row wins, and within a row a ragged row beats a bad first cell,
+    which beats a bad later cell.
+
+    Rows are parsed as they are read, into packed float64 buffers: no row's
+    strings outlive it, and parsing stops (reading does not) at the first
+    bad row.
     """
+    first = array("d")  # every row's first cell, NaN where it is not a number
+    rest = array("d")  # the other cells, row after row, up to the first bad row
+    numeric_first = False
+    text = None  # (row, cell) of the first row whose first cell is not a number
+    bad = None  # (row, rank, message) of the first ragged row or bad later cell
     try:
         with open(path, newline="") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+            rows = (row for row in csv.reader(fh) if row)
+            header = next(rows, [])
+            width = len(header)
+            for idx, row in enumerate(rows, start=1):
+                try:
+                    first.append(float(row[0]))
+                    numeric_first = True
+                except ValueError:
+                    first.append(np.nan)
+                    text = text or (idx, row[0])
+                if bad is not None:
+                    continue
+                if len(row) != width:
+                    bad = (idx, 0, f"row {idx} has {len(row)} fields, expected {width}")
+                    continue
+                try:
+                    rest.extend(map(float, row[1:]))
+                except ValueError:
+                    col = next(col for col in range(1, width) if not _is_number(row[col]))
+                    bad = (idx, 2, f"row {idx}, column {header[col]!r}: not a number: {row[col]!r}")
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from None
-    if len(rows) < 2:
+    if not first:
         raise DataError(f"{path}: need a header row and at least one data row")
-    header, data_rows = rows[0], rows[1:]
-    width = len(header)
-    skip_first = not any(_is_number(row[0]) for row in data_rows)
+    skip_first = not numeric_first
     if width <= skip_first:
         raise DataError(f"{path}: no numeric column")
-    out = np.empty((len(data_rows), width - skip_first))
-    for idx, row in enumerate(data_rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {idx + 1} has {len(row)} fields, expected {width}")
-        for col, cell in enumerate(row[skip_first:]):
-            try:
-                out[idx, col] = float(cell)
-            except ValueError:
-                raise DataError(f"{path}: row {idx + 1}, column {header[col + skip_first]!r}: not a number: {cell!r}") from None
+    if not skip_first and text is not None:
+        cell = (text[0], 1, f"row {text[0]}, column {header[0]!r}: not a number: {text[1]!r}")
+        bad = min(bad or cell, cell)
+    if bad is not None:
+        raise DataError(f"{path}: {bad[2]}")
+    out = np.frombuffer(rest).reshape(len(first), width - 1)
+    out = out.copy() if skip_first else np.concatenate([np.frombuffer(first)[:, None], out], axis=1)
     if not np.isfinite(out).all():
-        bad = int(np.argwhere(~np.isfinite(out))[0][0])
-        raise DataError(f"{path}: non-finite value in row {bad + 1}")
+        bad_row = int(np.argwhere(~np.isfinite(out))[0][0])
+        raise DataError(f"{path}: non-finite value in row {bad_row + 1}")
     return out
 
 
@@ -101,10 +128,20 @@ class Scaler:
 
 def fit_scaler(train_inputs: np.ndarray) -> Scaler:
     """Per-channel z-score statistics over the training windows' values; the
-    scale is the population standard deviation plus ``ZSCORE_EPS``."""
-    vals = np.asarray(train_inputs, dtype=float)
-    flat = vals.reshape(-1, vals.shape[-1])
-    return Scaler(mu=flat.mean(axis=0), sigma=flat.std(axis=0) + ZSCORE_EPS)
+    scale is the population standard deviation plus ``ZSCORE_EPS``.
+
+    The windows are copied once, as (values, C) rows, and the deviations are
+    formed and squared in that copy: ``np.std``'s own operations in its
+    order, so the bits are its bits, at one copy's memory (8 B per window
+    value) where ``std`` holds a second one.  The caller's array is never
+    written.
+    """
+    flat = np.array(train_inputs, dtype=float)
+    flat = flat.reshape(-1, flat.shape[-1])
+    mu = flat.mean(axis=0)
+    flat -= mu
+    flat *= flat
+    return Scaler(mu=mu, sigma=np.sqrt(flat.sum(axis=0) / flat.shape[0]) + ZSCORE_EPS)
 
 
 @dataclass
@@ -136,6 +173,12 @@ def build_dataset(series: np.ndarray, lookback: int, horizon: int, scaler: Scale
     the exact training-time normalization.  A series that is not finite once
     z-scored (non-finite values, or values so large the statistics overflow)
     raises DataError.
+
+    Its peak is ``fit_scaler``'s one copy of the training windows, 8 B per
+    (window, step, channel); the rest is series-sized.  It takes no window
+    chunks (``shiftmetrics.CHUNK_SAMPLES``), unlike the panels: numpy sums a
+    single channel's contiguous values pairwise, so sums over chunks of rows
+    would change ``np.std``'s bits at C = 1.
     """
     series = np.asarray(series, dtype=float)
     x, _ = make_windows(series, lookback, horizon)

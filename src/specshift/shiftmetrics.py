@@ -13,6 +13,12 @@ one-cell computation's: ``np.histogram`` over ``np.linspace`` edges, the
 ``.sum()`` of the cell's nonzero JSD terms, and ECDFs read with
 ``np.searchsorted``.  ``shift_report`` calls each once per chunk of cells
 holding at most ``CHUNK_SAMPLES`` samples, which bounds its working memory.
+
+``chunks`` is the one chunk rule of the package: ``shift_report`` takes its
+chunks of cells from it, and every pass over a whole split of windows (the
+amplitude panels, the score fit, the transformed input, ``shift``'s panels)
+its chunks of windows, so each pass's working memory beyond its outputs is
+bounded by ``CHUNK_SAMPLES`` float64 values.
 """
 
 from __future__ import annotations
@@ -24,7 +30,15 @@ import numpy as np
 from .errors import ConfigError, NumericError
 
 HIST_BINS = 50
-CHUNK_SAMPLES = 32_768  # samples of both panels together per chunk of cells in shift_report
+CHUNK_SAMPLES = 32_768  # float64 values per chunk: both panels' samples of its cells, or its windows' values
+
+
+def chunks(n: int, width: int) -> list[slice]:
+    """Consecutive slices covering range(n), each over at most
+    ``CHUNK_SAMPLES // width`` items of ``width`` values, and over one item
+    when a single item holds more."""
+    step = max(1, CHUNK_SAMPLES // width)
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _cell_rows(a, b) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -195,9 +209,7 @@ def shift_report(
     b = panel_b.reshape(panel_b.shape[0], k * c)
     jsd_table = np.empty(k * c)
     ks_table = np.empty(k * c)
-    step = max(1, CHUNK_SAMPLES // (a.shape[0] + b.shape[0]))
-    for start in range(0, k * c, step):
-        cols = slice(start, start + step)
+    for cols in chunks(k * c, a.shape[0] + b.shape[0]):
         p, q = paired_histograms(a[:, cols], b[:, cols], bins=bins)
         jsd_table[cols] = jsd2(p, q)
         ks_table[cols] = ks(a[:, cols], b[:, cols])

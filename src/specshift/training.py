@@ -45,6 +45,7 @@ import numpy as np
 from . import baselines, tifo
 from .errors import ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
+from .shiftmetrics import chunks
 from .spectral import amplitude, dft_forward, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
 
@@ -281,8 +282,9 @@ class TifoLayer:
     The only holder of the layer's rules: ``weights`` forms the one weight
     table, the alpha-scaled MLP outputs times a 0/1 ``mask`` that drops bins
     >= keep, which ``tifo.transform`` applies; ``vjp`` gives the gradients
-    at that table's alpha, and ``fit_scores`` turns normalized windows into
-    a score table.
+    at that table's alpha, ``panel`` takes normalized windows to their
+    amplitude panel under the layer's analysis window, and ``fit_scores``
+    turns a panel into a score table.
 
     The layer is diagonal on the spectrum, so its output is
     ``basis @ weighted_spectrum(...)``: ``basis`` is the (L, 2 keep) real
@@ -332,14 +334,16 @@ class TifoLayer:
         _, g_lam_r, g_lam_i = tifo.transform_vjp(g_x, real, imag, lam_r, lam_i, g_x.shape[-2])
         return tifo.weights_vjp(self.params, mlp_cache, scale * g_lam_r, scale * g_lam_i)
 
-    def fit_scores(self, x_n: np.ndarray, y: np.ndarray, spectrum=None) -> np.ndarray:
-        """(K, C) stability scores of normalized windows and their targets.
-        Under the rectangular window the panel is the amplitude of x_n's
+    def panel(self, x_n: np.ndarray, spectrum=None) -> np.ndarray:
+        """Amplitude panel of normalized windows under the layer's analysis
+        window; under the rectangular window, the amplitude of x_n's
         (real, imag) ``spectrum`` from ``dft_forward``, when one is given."""
         if spectrum is not None and self.cfg.window == "rectangular":
-            panel = amplitude(*spectrum)
-        else:
-            panel = amplitude_panel(x_n, self.cfg.window)
+            return amplitude(*spectrum)
+        return amplitude_panel(x_n, self.cfg.window)
+
+    def fit_scores(self, panel: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """(K, C) stability scores of a ``panel`` and its windows' targets."""
         return stability_scores(panel, self.cfg.score_metric, targets=y, eps=self.cfg.score_eps)
 
 
@@ -402,15 +406,29 @@ class Pipeline:
         ``evaluate`` runs; (0, H, C) for no window."""
         return next(_forecasts(self, x, None, max(x.shape[0], 1)))
 
-    def transformed_input(self, x: np.ndarray) -> np.ndarray:
-        """The series the backbone consumes."""
+    def _reshaped(self, x: np.ndarray, table) -> np.ndarray:
+        """What the backbone consumes of windows x, for a weight table from
+        ``tifo.weights()`` (None without the layer)."""
         x_n = self.norm.enter(x)[0]
-        return x_n if self.tifo is None else tifo.transform(x_n, *self.tifo.weights()[:2])[0]
+        return x_n if table is None else tifo.transform(x_n, *table[:2])[0]
+
+    def transformed_input(self, x: np.ndarray) -> np.ndarray:
+        """The series the backbone consumes, a new (N, L, C) array formed
+        chunk by chunk of windows (``shiftmetrics.chunks``, at most
+        ``CHUNK_SAMPLES`` values per chunk) from one weight table."""
+        table = None if self.tifo is None else self.tifo.weights()
+        out = np.empty(x.shape)
+        for rows in chunks(x.shape[0], math.prod(x.shape[1:])):
+            out[rows] = self._reshaped(x[rows], table)
+        return out
 
     def panels(self, x: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray | None]:
         """(Before, After) amplitude panels of windows x under the analysis
         ``window``: the raw windows' and those of ``transformed_input(x)``,
-        or None for After when the method leaves its input as it is.
+        or None for After when the method leaves its input as it is.  Both
+        are formed chunk by chunk of windows (``shiftmetrics.chunks``, at
+        most ``CHUNK_SAMPLES`` values per chunk) from one weight table, so
+        the pass holds its two panels and one chunk's temporaries.
 
         Under the rectangular window a re-weighting layer's After panel is
         read off the weighted spectrum of ``norm.enter(x)``, one forward DFT
@@ -422,14 +440,20 @@ class Pipeline:
         """
         if not self.transforms_input:
             return amplitude_panel(x, window), None
-        if self.tifo is None or window != "rectangular":
-            return amplitude_panel(x, window), amplitude_panel(self.transformed_input(x), window)
-        x_n = self.norm.enter(x)[0]
-        spectrum = dft_forward(x_n, axis=1)
-        before = amplitude(*spectrum) if x_n is x else amplitude_panel(x, window)
-        weighted, k = self.tifo.weighted_spectrum(spectrum, self.tifo.weights()), self.tifo.keep
-        after = np.zeros(before.shape)
-        after[:, :k] = amplitude(weighted[:, :k], weighted[:, k:])
+        n, length, c = x.shape
+        table = None if self.tifo is None else self.tifo.weights()
+        before, after = np.empty((n, n_bins(length), c)), np.zeros((n, n_bins(length), c))
+        for rows in chunks(n, length * c):
+            part = x[rows]
+            if self.tifo is None or window != "rectangular":
+                before[rows] = amplitude_panel(part, window)
+                after[rows] = amplitude_panel(self._reshaped(part, table), window)
+                continue
+            x_n = self.norm.enter(part)[0]
+            spectrum = dft_forward(x_n, axis=1)
+            before[rows] = amplitude(*spectrum) if x_n is part else amplitude_panel(part, window)
+            weighted, k = self.tifo.weighted_spectrum(spectrum, table), self.tifo.keep
+            after[rows, :k] = amplitude(weighted[:, :k], weighted[:, k:])
         return before, after
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
@@ -454,8 +478,16 @@ def fit_score_table(
     x_train: np.ndarray,
     y_train: np.ndarray,
 ) -> np.ndarray:
-    """Stability scores over the training windows as the re-weighting layer sees them."""
-    return pipeline.tifo.fit_scores(pipeline.norm.enter(x_train)[0], y_train)
+    """Stability scores over the training windows as the re-weighting layer
+    sees them.  The (N, K, C) panel of ``norm.enter(x_train)`` is formed
+    chunk by chunk of windows (``shiftmetrics.chunks``, at most
+    ``CHUNK_SAMPLES`` values per chunk), so the fit holds the panel and the
+    scores' own temporaries, never the whole normalized split."""
+    layer, (n, length, c) = pipeline.tifo, x_train.shape
+    panel = np.empty((n, n_bins(length), c))
+    for rows in chunks(n, length * c):
+        panel[rows] = layer.panel(pipeline.norm.enter(x_train[rows])[0])
+    return layer.fit_scores(panel, y_train)
 
 
 def build_pipeline(
@@ -638,7 +670,8 @@ def _forecasts(pipeline: Pipeline, x: np.ndarray, y: np.ndarray | None, batch: i
         else:
             spectrum = dft_forward(x_n, axis=1)
             if running is not None and x_n.shape[0] >= 2:
-                running = ema_refresh(running, layer.fit_scores(x_n, y[start : start + batch], spectrum), ema_decay)
+                batch_scores = layer.fit_scores(layer.panel(x_n, spectrum), y[start : start + batch])
+                running = ema_refresh(running, batch_scores, ema_decay)
                 table = None
             table = table or layer.weights(alpha, running)
             y_n = dense(*fold, layer.weighted_spectrum(spectrum, table))

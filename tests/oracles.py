@@ -1,11 +1,15 @@
 """Test-side oracles: the plain MSE/MAE losses, a central-difference
 check of a pipeline's analytic gradients, the inverse-type transforms on a
-spectrum summed as ``real + 1j * imag``, the one-cell shift metrics, and the
-synthetic generator's per-sample, per-component, per-channel loop."""
+spectrum summed as ``real + 1j * imag``, the one-cell shift metrics, the
+synthetic generator's per-sample, per-component, per-channel loop, and the
+whole-split passes on the whole array at once."""
 
 import numpy as np
 
-from specshift.spectral import hermitian_multiplicity
+from specshift import tifo
+from specshift.data import ZSCORE_EPS
+from specshift.spectral import amplitude, dft_forward, hermitian_multiplicity, window_taps
+from specshift.stationarity import scores
 from specshift.training import Pipeline
 
 
@@ -156,3 +160,52 @@ def generate_synthetic_loop(spec):
                 block[s] += sigma * rng.standard_normal((length, spec.channels))
         blocks.append(block.reshape(-1, spec.channels))
     return blocks
+
+
+# ---------------------------------------------------------------------------
+# whole-split passes, every window at once
+# ---------------------------------------------------------------------------
+
+
+def fit_scaler_whole(train_inputs):
+    """(mu, sigma) of ``data.fit_scaler`` by ``np.mean`` and ``np.std`` of the reshaped windows."""
+    flat = np.asarray(train_inputs, dtype=float).reshape(-1, np.shape(train_inputs)[-1])
+    return flat.mean(axis=0), flat.std(axis=0) + ZSCORE_EPS
+
+
+def amplitude_panel_whole(windows, window="rectangular"):
+    """``stationarity.amplitude_panel`` as one transform of every window."""
+    windows = np.asarray(windows, dtype=float)
+    if window != "rectangular":
+        windows = windows * window_taps(window, windows.shape[1])[:, None]
+    return amplitude(*dft_forward(windows, axis=1))
+
+
+def transformed_input_whole(pipe, x):
+    """``Pipeline.transformed_input``: the whole split entered, then re-weighted."""
+    x_n = pipe.norm.enter(x)[0]
+    return x_n if pipe.tifo is None else tifo.transform(x_n, *pipe.tifo.weights()[:2])[0]
+
+
+def score_table_whole(pipe, x, y):
+    """``training.fit_score_table`` from the panel of the whole entered split."""
+    cfg = pipe.tifo.cfg
+    panel = amplitude_panel_whole(pipe.norm.enter(x)[0], cfg.window)
+    return scores(panel, cfg.score_metric, targets=y, eps=cfg.score_eps)
+
+
+def panels_whole(pipe, x, window):
+    """``Pipeline.panels`` on the whole split: the re-weighting layer's
+    rectangular After panel off the weighted spectrum, every other panel by
+    ``amplitude_panel_whole``."""
+    if not pipe.transforms_input:
+        return amplitude_panel_whole(x, window), None
+    if pipe.tifo is None or window != "rectangular":
+        return amplitude_panel_whole(x, window), amplitude_panel_whole(transformed_input_whole(pipe, x), window)
+    x_n = pipe.norm.enter(x)[0]
+    spectrum = dft_forward(x_n, axis=1)
+    before = amplitude(*spectrum) if x_n is x else amplitude_panel_whole(x, window)
+    weighted, k = pipe.tifo.weighted_spectrum(spectrum, pipe.tifo.weights()), pipe.tifo.keep
+    after = np.zeros(before.shape)
+    after[:, :k] = amplitude(weighted[:, :k], weighted[:, k:])
+    return before, after

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,19 @@ def test_fan_combine_initial_weights_sum_paths():
     y_res = rng.standard_normal((3, 4, 2))
     y_main, _ = fan_freq_forward(fan.params, *ctx)
     np.testing.assert_allclose(fan.leave(y_res, ctx)[0], y_res + y_main, atol=1e-12)
+
+
+def test_san_predict_vjp_is_silent_where_the_softplus_derivative_underflows():
+    # exp(-var_raw) overflows below var_raw ~ -709; the sigmoid there is 0
+    rng = np.random.default_rng(0)
+    params = san_init(8, 4, 4, 5, rng)
+    mu_x, var_x = rng.normal(size=(3, 2, 1)), rng.uniform(0.5, 1.5, size=(3, 2, 1))
+    cache = san_predict(params, mu_x, var_x)[2]
+    cache = (*cache[:2], np.full(cache[2].shape, -800.0))
+    g_mu, g_var = rng.normal(size=(3, 1, 1)), rng.normal(size=(3, 1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grads = san_predict_vjp(params, cache, g_mu, g_var)
+    for name in ("var.w1", "var.b1", "var.w2", "var.b2"):
+        assert np.array_equal(grads[name], np.zeros_like(params[name])), name
+    assert all(np.isfinite(g).all() for g in grads.values())

@@ -1,0 +1,128 @@
+"""The whole-split passes run chunk by chunk of windows: each is bit-equal to
+its whole-array form (``oracles``) wherever the chunks split, and each stays
+within its memory bound."""
+
+import importlib.util
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specshift import shiftmetrics
+from specshift.baselines import FanConfig, SanConfig
+from specshift.data import fit_scaler, make_windows
+from specshift.models import BackboneConfig
+from specshift.shiftmetrics import chunks
+from specshift.spectral import WINDOWS, n_bins
+from specshift.stationarity import METRICS, amplitude_panel
+from specshift.tifo import TifoConfig
+from specshift.training import COMPOSITION, Pipeline, PipelineConfig, fit_score_table
+
+from oracles import amplitude_panel_whole, fit_scaler_whole, panels_whole, score_table_whole, transformed_input_whole
+
+
+@pytest.mark.parametrize("n, width, budget, sizes", [
+    (0, 5, 10, []),
+    (1, 5, 10, [1]),
+    (4, 5, 10, [2, 2]),
+    (5, 5, 10, [2, 2, 1]),
+    (3, 11, 10, [1, 1, 1]),  # an item above the budget is a chunk of its own
+])
+def test_chunks_cover_the_items_in_order_within_the_budget(n, width, budget, sizes):
+    with mock.patch.object(shiftmetrics, "CHUNK_SAMPLES", budget):
+        parts = chunks(n, width)
+    assert [len(range(n)[part]) for part in parts] == sizes
+    assert [i for part in parts for i in range(n)[part]] == list(range(n))
+
+
+@settings(max_examples=80)
+@given(data=st.data())
+def test_chunked_passes_are_bit_equal_to_their_whole_array_forms(data):
+    """N = 1, a multiple of the chunk, one more than that, and L*C above the
+    budget (one window per chunk), for every method, C in {1, 3, 7}, both
+    analysis windows and every score metric."""
+    draw = data.draw
+    channels, lookback, horizon = draw(st.sampled_from([1, 3, 7])), draw(st.sampled_from([8, 12])), 4
+    case = draw(st.sampled_from(["one", "multiple", "one more", "wide"]))
+    step = 1 if case == "wide" else draw(st.integers(1, 4))
+    budget = lookback * channels - 1 if case == "wide" else step * lookback * channels
+    n = {"one": 1, "multiple": step * draw(st.integers(1, 3)), "one more": step * draw(st.integers(1, 3)) + 1,
+         "wide": draw(st.integers(1, 5))}[case]
+    method, window = draw(st.sampled_from(sorted(COMPOSITION))), draw(st.sampled_from(WINDOWS))
+    metric = draw(st.sampled_from(METRICS if n >= 2 else ("entropy",)))
+    keep = draw(st.sampled_from([None, 1, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    series = rng.normal(size=(n + lookback + horizon - 1, channels)) * rng.uniform(0.1, 10.0, channels)
+    x, y = make_windows(series, lookback, horizon)
+    pipe = Pipeline(PipelineConfig(
+        method=method, backbone=BackboneConfig(kind="linear", lookback=lookback, horizon=horizon, channels=channels),
+        tifo=TifoConfig(hidden=6, keep=keep, score_metric=metric, window=window),
+        san=SanConfig(patch=4, hidden=8, epochs=1), fan=FanConfig(topk=2, hidden1=8, hidden2=8)),
+        np.random.default_rng(1))
+    if pipe.tifo is not None:
+        pipe.tifo.scores[...] = rng.uniform(0.0, 3.0, pipe.tifo.scores.shape)
+        for name in ("tifo.r.w2", "tifo.i.w2"):
+            pipe.params[name][...] = rng.normal(scale=0.5, size=pipe.params[name].shape)
+    with mock.patch.object(shiftmetrics, "CHUNK_SAMPLES", budget):
+        assert len(chunks(n, lookback * channels)) == -(-n // step)
+        scaler = fit_scaler(x)
+        got = [amplitude_panel(x, window), pipe.transformed_input(x), *pipe.panels(x, window), scaler.mu, scaler.sigma]
+        if pipe.tifo is not None:
+            got.append(fit_score_table(pipe, x, y))
+    want = [amplitude_panel_whole(x, window), transformed_input_whole(pipe, x), *panels_whole(pipe, x, window),
+            *fit_scaler_whole(x)]
+    if pipe.tifo is not None:
+        want.append(score_table_whole(pipe, x, y))
+    owned = x.copy()  # a contiguous (N, L, C) array reshapes to a view; fit_scaler must not write into it
+    assert np.array_equal(fit_scaler(owned).sigma, fit_scaler_whole(x)[1]) and np.array_equal(owned, x)
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert (a is None and b is None) or np.array_equal(a, b), (i, case, method, window)
+
+
+def _peak_memory():
+    spec = importlib.util.spec_from_file_location("peak_memory", Path(__file__).parents[1] / "tools" / "peak_memory.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# bytes per unit: per training (window, step, channel) for the first three,
+# per training (window, bin, channel) for the rest; each pass holds its
+# outputs, 8 B per unit each, and one chunk's temporaries
+BOUNDS = {"build_dataset": 9, "amplitude_panel": 9, "transformed_input tifo": 9, "transformed_input tifo+san": 9,
+          "score fit tifo": 17, "score fit tifo+san": 17, "panels tifo": 17, "panels tifo+san": 17}
+
+
+def test_whole_split_passes_stay_within_their_peak_bounds():
+    # the ETTh1 shape, (17420, 7) at L = H = 96, where one chunk's
+    # temporaries are a small share of a split
+    rates = _peak_memory().rates()
+    assert rates.keys() == BOUNDS.keys()
+    assert all(rates[name] <= bound for name, bound in BOUNDS.items()), rates
+
+
+def test_the_window_passes_take_their_chunks_from_the_one_budget(monkeypatch):
+    """Every pass over a split's windows enters and transforms one chunk at a
+    time: with the budget at one window, no call sees two."""
+    seen = []
+    real_enter = COMPOSITION["tifo+san"][0].enter
+
+    def enter(self, x):
+        seen.append(x.shape[0])
+        return real_enter(self, x)
+
+    x, y = make_windows(np.random.default_rng(0).normal(size=(40, 2)), 8, 4)
+    pipe = Pipeline(PipelineConfig(method="tifo+san", backbone=BackboneConfig(
+        kind="linear", lookback=8, horizon=4, channels=2), san=SanConfig(patch=4)), np.random.default_rng(1))
+    monkeypatch.setattr(COMPOSITION["tifo+san"][0], "enter", enter)
+    monkeypatch.setattr(shiftmetrics, "CHUNK_SAMPLES", 16)
+    fit_score_table(pipe, x, y)
+    pipe.transformed_input(x)
+    pipe.panels(x, "rectangular")
+    pipe.panels(x, "hann")
+    assert seen == [1] * (4 * x.shape[0])
+    assert amplitude_panel(x).shape == (x.shape[0], n_bins(8), 2)

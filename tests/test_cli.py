@@ -612,8 +612,10 @@ def bad_csv(kind, row=0, col=0):
 
 
 # (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
-# is a tifo checkpoint, "{dates}" a CSV with only a date column, "{negck}" a checkpoint
-# whose one tensor has negative sizes, each CHECKPOINT_FAULTS name a copy of a 3-channel
+# is a tifo checkpoint, "{dates}" a CSV with only a date column, "{series}" a valid
+# 2-channel CSV; "{negck}", "{noend}", "{badtensor}" and "{oddline}" checkpoints whose one
+# tensor has negative sizes, whose header lacks its end marker, holds a tensor size that
+# is not a number, or a line of neither kind; each CHECKPOINT_FAULTS name a copy of a 3-channel
 # tifo checkpoint with those tensors changed (None drops a tensor, a float fills it), each
 # HEADER_FAULTS name a copy with that config value in its header, and "{bias_twice}" a copy
 # that lists backbone.bias twice; the needle is filled in the same way; code None: main raises
@@ -697,6 +699,20 @@ EXIT_TABLE = [
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),
     (["ablate", "method=revin", "ablate_emas=0.9", "repeats=1"], 2, "ema_decay"),
+    # each remaining CLI-reachable error path, with the cause it names
+    (["stats", "synth_preset=bogus", "synth_mix=", "synth_len=96", "synth_samples=50"], 2,
+     "config error: unknown synth_preset 'bogus'"),
+    (["synth", "synth_mix=2:1.0|"], 2, "config error: synth_mix condition 1 is empty"),
+    (["train", "data={series}", "seed=-1"], 2, "config error: seed must be non-negative, got -1"),
+    (["eval"], 2, "config error: this command needs checkpoint=<path>"),
+    (["eval", "synth_channels=3", "checkpoint={channels_0}"], 5, "{channels_0}: header lacks a channel count"),
+    (["eval", "checkpoint={noend}"], 5, "noend.ckpt: missing end-of-header marker"),
+    (["eval", "checkpoint={badtensor}"], 5, "bad tensor line 'tensor w x'"),
+    (["eval", "checkpoint={oddline}"], 5, "unexpected header line 'bogus line'"),
+    (["stats", "--config", "{series}.missing"], 2, "config error: cannot read config file {series}.missing"),
+    (["synth", "synth_noise_by_condition=nan"], 2, "synth_noise_by_condition: condition 0's noise must be finite"),
+    (["synth", "synth_mix=2:nan"], 2, "synth_mix component amplitude must be finite, got nan"),
+    (["stats", "score_metric=entropy", "lookback=1"], 2, "entropy scores need at least two bins (lookback >= 2)"),
     (["stats"], None, "program fault"),
 ]
 
@@ -723,6 +739,7 @@ HEADER_FAULTS = {
     "lookback_abc": ("lookback", "abc"),
     "keep_999": ("keep", "999"),
     "alpha_7": ("alpha", "7.0"),
+    "channels_0": ("channels", "0"),
     "seed_negative": ("seed", "-1"),  # not a fault: the rebuild reads no seed
 }
 
@@ -760,9 +777,13 @@ def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch,
     ck, _ = trained_tifo
     dates = tmp_path / "dates.csv"
     dates.write_text(bad_csv("date column only"))
-    negck = tmp_path / "neg.ckpt"
-    negck.write_bytes(b"specshift-checkpoint v1\ntensor w -1 -1\nend\n" + bytes(8))
-    fill = {"ck": f"checkpoint={ck / 'model.ckpt'}", "dates": dates, "negck": negck, **checkpoint_faults}
+    series = tmp_path / "series.csv"
+    series.write_text("a,b\n" + "".join(f"{np.sin(i)},{np.cos(i)}\n" for i in range(40)))
+    fill = {"ck": f"checkpoint={ck / 'model.ckpt'}", "dates": dates, "series": series, **checkpoint_faults}
+    for name, header in (("negck", "tensor w -1 -1\nend\n"), ("noend", "tensor w 1\n"),
+                         ("badtensor", "tensor w x\nend\n"), ("oddline", "bogus line\nend\n")):
+        fill[name] = tmp_path / f"{name}.ckpt"
+        fill[name].write_bytes(f"specshift-checkpoint v1\n{header}".encode() + bytes(8))
     command, *overrides = [a.format(**fill) for a in argv]
     args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
     if code is None:

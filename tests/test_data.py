@@ -75,6 +75,47 @@ def test_load_csv_rejects_a_mixed_first_column(tmp_path):
         load_csv(path)
 
 
+def test_load_csv_names_a_bad_cell_that_comes_before_a_mixed_first_column(tmp_path):
+    # row 1's bad cell comes before row 2's date, which only a read of the
+    # whole first column shows to be a bad cell too: the first failing row wins
+    path = write_csv(tmp_path, "a,b,c\n1,2,oops\n2016-07-02,3,4\n")
+    with pytest.raises(DataError, match=r"row 1, column 'c': not a number: 'oops'$"):
+        load_csv(path)
+    # and the other way round: row 3's number makes row 1's date a bad cell
+    path = write_csv(tmp_path, "a,b,c\n2016-07-01,1,2\nx,3,oops\n5,6,7\n")
+    with pytest.raises(DataError, match=r"row 1, column 'a': not a number: '2016-07-01'$"):
+        load_csv(path)
+    # within one row a ragged row beats a bad first cell, which beats a bad later cell
+    path = write_csv(tmp_path, "a,b,c\n1,2,3\nx,oops\n")
+    with pytest.raises(DataError, match=r"row 2 has 2 fields, expected 3$"):
+        load_csv(path)
+    path = write_csv(tmp_path, "a,b,c\n1,2,3\nx,oops,4\n")
+    with pytest.raises(DataError, match=r"row 2, column 'a': not a number: 'x'$"):
+        load_csv(path)
+
+
+def test_load_csv_peak_memory_is_bounded_at_the_etth1_shape(tmp_path):
+    # 17,420 rows of a date and 7 values: parsed row by row, the peak stays
+    # near the array and the buffer it is copied from, not the file's strings
+    rng = np.random.default_rng(0)
+    values = rng.normal(scale=30.0, size=(17420, 7))
+    path = tmp_path / "etth1.csv"
+    with open(path, "w") as fh:
+        fh.write("date," + ",".join(f"c{i}" for i in range(7)) + "\n")
+        for i, row in enumerate(values):
+            fh.write(f"2016-07-{1 + i // 24 % 28:02d} {i % 24:02d}:00:00," + ",".join(map(repr, row.tolist())) + "\n")
+    assert path.stat().st_size > 2_500_000
+    load_csv(str(path))
+    tracemalloc.start()
+    try:
+        series = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(series, values)
+    assert peak <= 3 * series.nbytes + 1_000_000, peak
+
+
 def test_load_csv_rejects_date_column_only(tmp_path):
     path = write_csv(tmp_path, "date\n2016-07-01\n2016-07-02\n")
     with pytest.raises(DataError, match="no numeric column"):

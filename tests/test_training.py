@@ -531,7 +531,7 @@ def test_ema_evaluate_one_window_tail_keeps_running_scores(method):
     for start in range(0, 25, 8):
         if start < 24:
             x_n = pipe.norm.enter(x[start : start + 8])[0]
-            running = ema_refresh(running, pipe.tifo.fit_scores(x_n, y[start : start + 8]), 0.9)
+            running = ema_refresh(running, pipe.tifo.fit_scores(pipe.tifo.panel(x_n), y[start : start + 8]), 0.9)
         pipe.tifo.scores[...] = running  # predict forecasts with the stored table
         err = pipe.predict(x[start : start + 8]) - y[start : start + 8]
         sq += float((err * err).sum())
@@ -894,7 +894,7 @@ def test_whole_split_steps_skip_the_san_predictor(monkeypatch):
 
     monkeypatch.setattr(baselines, "san_predict", no_predictor)
     x_n, _ = pipe.norm.enter(x)
-    assert np.array_equal(fit_score_table(pipe, x, y), pipe.tifo.fit_scores(x_n, y))
+    assert np.array_equal(fit_score_table(pipe, x, y), pipe.tifo.fit_scores(pipe.tifo.panel(x_n), y))
     assert np.array_equal(pipe.transformed_input(x), tifo.transform(x_n, *pipe.tifo.weights()[:2])[0])
 
 

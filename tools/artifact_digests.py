@@ -6,8 +6,10 @@ Runs, with the ``specshift`` package of the checkout this file sits in:
 ``train``/``eval``/``shift`` for every method x backbone cell on the
 ``shift_bench`` preset, an ``eval`` alpha sweep with EMA refresh and an odd
 ``eval_batch`` for each re-weighting method, a ``shift`` with 7 histogram bins
-and a Hann window on each ``tifo`` checkpoint, a ``shift`` without a
-checkpoint, ``stats`` and a ``tifo`` ``ablate``.  Prints one ``sha256  relative-path`` line per artifact, sorted.
+and a Hann window on each ``tifo`` checkpoint, ``train`` and ``shift`` for
+three more linear ``tifo`` runs (``score_metric=entropy``, ``window=hann``, and
+one that stops early), a ``shift`` without a checkpoint, ``stats`` and a
+``tifo`` ``ablate``.  Prints one ``sha256  relative-path`` line per artifact, sorted.
 Every run writes under one fixed directory, so the paths echoed into
 ``config.txt`` and the checkpoint headers are the same for every checkout;
 two checkouts whose programs write the same bytes print the same lines.
@@ -47,6 +49,13 @@ def _runs():
                 yield f"{cell}/shift-hann", ["shift", *DATA, ck, "hist_bins=7", "window=hann"]
             if method.startswith("tifo"):
                 yield f"{cell}/sweep", ["eval", *DATA, ck, "alphas=1.0,0.5,0.0", "ema_decay=0.9", "eval_batch=37"]
+    # the score fit on its other routes: the entropy metric, the Hann window,
+    # and a run that stops early (6 of its 12 epochs)
+    for cell, keys in (("tifo-entropy-linear", ["score_metric=entropy"]), ("tifo-hann-linear", ["window=hann"]),
+                       ("tifo-stop-linear", ["max_epochs=12", "lr=0.01"])):
+        ck = f"checkpoint={ROOT / cell / 'train' / 'model.ckpt'}"
+        yield f"{cell}/train", ["train", *DATA, *MODEL, "method=tifo", "backbone=linear", *keys]
+        yield f"{cell}/shift", ["shift", *DATA, ck]
     yield "shift", ["shift", *DATA]
     yield "stats", ["stats", *DATA, "score_metric=correlation", "window=hann"]
     yield "ablate", ["ablate", *DATA, *MODEL, "method=tifo", "backbone=linear", "max_epochs=1", "repeats=1",
