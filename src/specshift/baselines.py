@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .models import dense, dense_vjp, mlp_forward, mlp_vjp, xavier_uniform
-from .spectral import amplitude, dft_forward, dft_inverse, n_bins
+from .spectral import amplitude, dft_forward, dft_inverse
 
 REVIN_EPS = 1e-5
 PATCH_EPS = 1e-5
@@ -59,11 +59,9 @@ class SanConfig:
 
 
 def san_patch_stats(x: np.ndarray, patch: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-patch mean and population variance; the time axis must divide evenly."""
-    x = np.asarray(x, dtype=float)
+    """Per-patch mean and population variance; the patch divides the time axis
+    (``PipelineConfig`` checks it)."""
     n, t, c = x.shape
-    if t % patch != 0:
-        raise ValueError(f"series length {t} is not divisible by patch {patch}")
     blocks = x.reshape(n, t // patch, patch, c)
     return blocks.mean(axis=2), blocks.var(axis=2)
 
@@ -128,15 +126,12 @@ class FanConfig:
 
 
 def main_frequency_split(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split (..., L, C) into (main, residual) by per-window top-k amplitude bins.
+    """Split (..., L, C) into (main, residual) by per-window top-k amplitude bins,
+    for k in [1, K] (``PipelineConfig`` checks it against L).
 
     Ties resolve to the lower bin index; main + residual == x exactly.
     """
-    x = np.asarray(x, dtype=float)
     length = x.shape[-2]
-    bins = n_bins(length)
-    if not 1 <= k <= bins:
-        raise ValueError(f"top-k must be in [1, {bins}], got {k}")
     real, imag = dft_forward(x, axis=-2)
     amp = amplitude(real, imag)
     order = np.argsort(-amp, axis=-2, kind="stable")

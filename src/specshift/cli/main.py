@@ -449,7 +449,3 @@ def main(argv: list[str] | None = None) -> int:
     for w in caught:
         warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, registry=registry)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,9 +16,10 @@ holding at most ``CHUNK_SAMPLES`` samples, which bounds its working memory.
 
 ``chunks`` is the one chunk rule of the package: ``shift_report`` takes its
 chunks of cells from it, and every pass over a whole split of windows (the
-amplitude panels, the score fit, the transformed input, ``shift``'s panels)
-its chunks of windows, so each pass's working memory beyond its outputs is
-bounded by ``CHUNK_SAMPLES`` float64 values.
+amplitude panels, the score fit, the transformed input, ``shift``'s panels,
+FAN's targets, SAN's stage-one statistics) its chunks of windows, so each
+pass's working memory beyond its outputs is bounded by ``CHUNK_SAMPLES``
+float64 values.
 """
 
 from __future__ import annotations

@@ -126,8 +126,6 @@ def amplitude(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
 
 def window_taps(kind: str, length: int) -> np.ndarray:
     """Taps for a named analysis window (one of ``WINDOWS``; "hann" is symmetric)."""
-    if length < 1:
-        raise ValueError("length must be positive")
     if kind == "rectangular":
         return np.ones(length)
     if kind == "hann":

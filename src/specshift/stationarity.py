@@ -125,8 +125,4 @@ def scores(
 def ema_refresh(current: np.ndarray, batch_scores: np.ndarray, decay: float) -> np.ndarray:
     """Exponential moving average update: decay * current + (1 - decay) * batch,
     for a decay strictly inside (0, 1)."""
-    current = np.asarray(current, dtype=float)
-    batch_scores = np.asarray(batch_scores, dtype=float)
-    if current.shape != batch_scores.shape:
-        raise ValueError("score tables must share a shape")
     return decay * current + (1.0 - decay) * batch_scores

@@ -91,9 +91,6 @@ def init_params(bins: int, hidden: int, rng: np.random.Generator) -> dict[str, n
 
 def weights_forward(params: dict[str, np.ndarray], score_table: np.ndarray):
     """Map a (K, C) score table to (lambda_r, lambda_i, cache)."""
-    score_table = np.asarray(score_table, dtype=float)
-    if score_table.ndim != 2:
-        raise ValueError("expected a (K, C) score table")
     # channels as the batch axis: each layer is one (hidden, K) @ (K, C) matmul
     feats = score_table.T[:, :, None]
     lam_r, cache_r = mlp_forward(params, "r", feats)

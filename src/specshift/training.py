@@ -238,6 +238,17 @@ class SanNorm(NormBlock):
         x_n = (x - np.repeat(mu_x, p, axis=1)) / np.repeat(np.sqrt(var_x + baselines.PATCH_EPS), p, axis=1)
         return x_n, (mu_x, var_x)
 
+    def split_stats(self, x):
+        """``san_patch_stats`` of a whole split of windows, formed chunk by
+        chunk of windows (``shiftmetrics.chunks``) into its two outputs;
+        each window's statistics are its own, so the bits do not depend on
+        where the chunks split."""
+        n, t, c = x.shape
+        mu, var = np.empty((2, n, t // self.patch, c))
+        for rows in chunks(n, t * c):
+            mu[rows], var[rows] = baselines.san_patch_stats(x[rows], self.patch)
+        return mu, var
+
     def leave(self, y_n, ctx):
         shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
         return y_n * scale + shift, lambda g: (g * scale, {})
@@ -265,8 +276,14 @@ class FanNorm(NormBlock):
         return w[0] * y_n + w[1] * y_main, None
 
     def targets(self, y):
-        """Main and residual parts of the forecast windows, stacked on axis 1."""
-        return np.stack(baselines.main_frequency_split(y, self.topk), axis=1)
+        """Main and residual parts of the forecast windows, stacked on axis 1,
+        formed chunk by chunk of windows (``shiftmetrics.chunks``): each
+        window's split is its own, so the pass holds its output and one
+        chunk's temporaries."""
+        out = np.empty((y.shape[0], 2, *y.shape[1:]))
+        for rows in chunks(y.shape[0], math.prod(y.shape[1:])):
+            out[rows, 0], out[rows, 1] = baselines.main_frequency_split(y[rows], self.topk)
+        return out
 
     def loss(self, y_n, ctx, targets):
         pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
@@ -569,8 +586,7 @@ def train_san_predictor(
     predictor tensors live in ``pipeline.frozen`` and stay fixed afterwards.
     """
     params = pipeline.norm.frozen
-    mu_x, var_x = baselines.san_patch_stats(x_train, pipeline.norm.patch)
-    mu_y, var_y = baselines.san_patch_stats(y_train, pipeline.norm.patch)
+    (mu_x, var_x), (mu_y, var_y) = pipeline.norm.split_stats(x_train), pipeline.norm.split_stats(y_train)
     adam = Adam(params, lr=cfg.lr)
 
     def step(sel):

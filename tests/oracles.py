@@ -6,7 +6,7 @@ whole-split passes on the whole array at once."""
 
 import numpy as np
 
-from specshift import tifo
+from specshift import baselines, tifo
 from specshift.data import ZSCORE_EPS
 from specshift.spectral import amplitude, dft_forward, hermitian_multiplicity, window_taps
 from specshift.stationarity import scores
@@ -209,3 +209,13 @@ def panels_whole(pipe, x, window):
     after = np.zeros(before.shape)
     after[:, :k] = amplitude(weighted[:, :k], weighted[:, k:])
     return before, after
+
+
+def fan_targets_whole(pipe, y):
+    """``FanNorm.targets``: the top-k split of every forecast window at once."""
+    return np.stack(baselines.main_frequency_split(y, pipe.norm.topk), axis=1)
+
+
+def san_split_stats_whole(pipe, x):
+    """``SanNorm.split_stats``: the patch statistics of every window at once."""
+    return baselines.san_patch_stats(x, pipe.norm.patch)

@@ -21,7 +21,8 @@ from specshift.stationarity import METRICS, amplitude_panel
 from specshift.tifo import TifoConfig
 from specshift.training import COMPOSITION, Pipeline, PipelineConfig, fit_score_table
 
-from oracles import amplitude_panel_whole, fit_scaler_whole, panels_whole, score_table_whole, transformed_input_whole
+from oracles import (amplitude_panel_whole, fan_targets_whole, fit_scaler_whole, panels_whole, san_split_stats_whole,
+                     score_table_whole, transformed_input_whole)
 
 
 @pytest.mark.parametrize("n, width, budget, sizes", [
@@ -43,7 +44,8 @@ def test_chunks_cover_the_items_in_order_within_the_budget(n, width, budget, siz
 def test_chunked_passes_are_bit_equal_to_their_whole_array_forms(data):
     """N = 1, a multiple of the chunk, one more than that, and L*C above the
     budget (one window per chunk), for every method, C in {1, 3, 7}, both
-    analysis windows and every score metric."""
+    analysis windows and every score metric; with FAN's targets and SAN's
+    stage-one statistics of both splits."""
     draw = data.draw
     channels, lookback, horizon = draw(st.sampled_from([1, 3, 7])), draw(st.sampled_from([8, 12])), 4
     case = draw(st.sampled_from(["one", "multiple", "one more", "wide"]))
@@ -72,10 +74,18 @@ def test_chunked_passes_are_bit_equal_to_their_whole_array_forms(data):
         got = [amplitude_panel(x, window), pipe.transformed_input(x), *pipe.panels(x, window), scaler.mu, scaler.sigma]
         if pipe.tifo is not None:
             got.append(fit_score_table(pipe, x, y))
+        if pipe.norm.name == "fan":
+            got.append(pipe.norm.targets(y))
+        if pipe.norm.name == "san":
+            got += [*pipe.norm.split_stats(x), *pipe.norm.split_stats(y)]
     want = [amplitude_panel_whole(x, window), transformed_input_whole(pipe, x), *panels_whole(pipe, x, window),
             *fit_scaler_whole(x)]
     if pipe.tifo is not None:
         want.append(score_table_whole(pipe, x, y))
+    if pipe.norm.name == "fan":
+        want.append(fan_targets_whole(pipe, y))
+    if pipe.norm.name == "san":
+        want += [*san_split_stats_whole(pipe, x), *san_split_stats_whole(pipe, y)]
     owned = x.copy()  # a contiguous (N, L, C) array reshapes to a view; fit_scaler must not write into it
     assert np.array_equal(fit_scaler(owned).sigma, fit_scaler_whole(x)[1]) and np.array_equal(owned, x)
     assert len(got) == len(want)
@@ -90,11 +100,13 @@ def _peak_memory():
     return module
 
 
-# bytes per unit: per training (window, step, channel) for the first three,
-# per training (window, bin, channel) for the rest; each pass holds its
-# outputs, 8 B per unit each, and one chunk's temporaries
+# bytes per unit: per training (window, bin, channel) for amplitude_panel,
+# the score fit and the panels, per training (window, step, channel) for the
+# rest; each pass holds its outputs, 8 B per unit each (FAN's targets two,
+# SAN's statistics 2 / patch), and one chunk's temporaries
 BOUNDS = {"build_dataset": 9, "amplitude_panel": 9, "transformed_input tifo": 9, "transformed_input tifo+san": 9,
-          "score fit tifo": 17, "score fit tifo+san": 17, "panels tifo": 17, "panels tifo+san": 17}
+          "score fit tifo": 17, "score fit tifo+san": 17, "panels tifo": 17, "panels tifo+san": 17,
+          "fan targets": 17, "san stage one": 2}
 
 
 def test_whole_split_passes_stay_within_their_peak_bounds():

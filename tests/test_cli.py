@@ -611,14 +611,15 @@ def bad_csv(kind, row=0, col=0):
     return "date,a,b\n" + "".join(",".join(r) + "\n" for r in rows)
 
 
-# (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}"
-# is a tifo checkpoint, "{dates}" a CSV with only a date column, "{series}" a valid
-# 2-channel CSV; "{negck}", "{noend}", "{badtensor}" and "{oddline}" checkpoints whose one
-# tensor has negative sizes, whose header lacks its end marker, holds a tensor size that
-# is not a number, or a line of neither kind; each CHECKPOINT_FAULTS name a copy of a 3-channel
-# tifo checkpoint with those tensors changed (None drops a tensor, a float fills it), each
-# HEADER_FAULTS name a copy with that config value in its header, and "{bias_twice}" a copy
-# that lists backbone.bias twice; the needle is filled in the same way; code None: main raises
+# (command and overrides after TINY and out=, exit code, text stderr must hold); "{ck}" is
+# a tifo checkpoint, "{dates}" a CSV with only a date column, "{series}" a valid 2-channel
+# CSV of 40 rows, "{huge}" one whose z-score statistics overflow; "{negck}", "{noend}",
+# "{badtensor}" and "{oddline}" checkpoints whose one tensor has negative sizes, whose
+# header lacks its end marker, holds a tensor size that is not a number, or a line of
+# neither kind; each CHECKPOINT_FAULTS name a copy of a 3-channel tifo checkpoint with
+# those tensors changed (None drops a tensor, a float fills it), each HEADER_FAULTS name a
+# copy with that config value in its header, and "{bias_twice}" a copy that lists
+# backbone.bias twice; the needle is filled in the same way; code None: main raises
 EXIT_TABLE = [
     (["eval", "{ck}", "eval_batch=0"], 2, "batch"),
     (["eval", "{ck}", "alphas=a,b"], 2, "alphas"),
@@ -713,6 +714,13 @@ EXIT_TABLE = [
     (["synth", "synth_noise_by_condition=nan"], 2, "synth_noise_by_condition: condition 0's noise must be finite"),
     (["synth", "synth_mix=2:nan"], 2, "synth_mix component amplitude must be finite, got nan"),
     (["stats", "score_metric=entropy", "lookback=1"], 2, "entropy scores need at least two bins (lookback >= 2)"),
+    (["stats", "seed=-1"], 2, "config error: seed must be non-negative, got -1"),
+    (["stats", "data={series}", "lookback=30", "horizon=20"], 3,
+     "data error: series length 40 too short for lookback 30 + horizon 20"),
+    (["stats", "data={series}", "lookback=20", "horizon=16"], 3, "data error: need at least 10 windows to split, got 5"),
+    (["stats", "data={huge}"], 3, "data error: series is not finite once z-scored"),
+    (["train", "method=san", "san_patch=5"], 2, "config error: san_patch must divide lookback 16 and horizon 4, got 5"),
+    (["train", "batch=0"], 2, "config error: batch must be at least 1, got 0"),
     (["stats"], None, "program fault"),
 ]
 
@@ -779,7 +787,10 @@ def test_exit_code_table(tmp_path, trained_tifo, checkpoint_faults, monkeypatch,
     dates.write_text(bad_csv("date column only"))
     series = tmp_path / "series.csv"
     series.write_text("a,b\n" + "".join(f"{np.sin(i)},{np.cos(i)}\n" for i in range(40)))
-    fill = {"ck": f"checkpoint={ck / 'model.ckpt'}", "dates": dates, "series": series, **checkpoint_faults}
+    huge = tmp_path / "huge.csv"
+    huge.write_text("a,b\n" + "".join(f"{1e308 if i % 3 == 0 else np.sin(i)},{np.cos(i)}\n" for i in range(40)))
+    fill = {"ck": f"checkpoint={ck / 'model.ckpt'}", "dates": dates, "series": series, "huge": huge,
+            **checkpoint_faults}
     for name, header in (("negck", "tensor w -1 -1\nend\n"), ("noend", "tensor w 1\n"),
                          ("badtensor", "tensor w x\nend\n"), ("oddline", "bogus line\nend\n")):
         fill[name] = tmp_path / f"{name}.ckpt"

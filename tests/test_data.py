@@ -159,6 +159,11 @@ def test_make_windows_rejects_short_series():
         make_windows(np.ones((3, 1)), 3, 1)
 
 
+def test_build_dataset_rejects_a_1d_series():
+    with pytest.raises(DataError, match=r"^series must be \(T, C\)$"):
+        build_dataset(np.sin(np.arange(40.0)), 8, 2)
+
+
 def test_chronological_split_sizes():
     train, val, test = chronological_split(10)
     assert (train.stop, val.stop, test.stop) == (7, 9, 10)
@@ -340,6 +345,11 @@ def test_generate_synthetic_rejects_bad_bin():
             noise=0.0,
             seed=0,
         )
+
+
+def test_generate_synthetic_needs_a_condition():
+    with pytest.raises(ConfigError, match="^synth_mix needs at least one condition$"):
+        generate_synthetic(SyntheticSpec(conditions=()))
 
 
 @pytest.mark.parametrize("field, value", [("samples_per_condition", 0), ("sample_length", 0),

@@ -73,6 +73,13 @@ def test_jsd2_rejects_unnormalized():
         jsd2(np.array([0.5, 0.5]), np.array([0.2, 0.2]))
 
 
+def test_jsd2_rejects_mismatched_shapes_and_negative_mass():
+    with pytest.raises(ValueError, match="^PMFs must share a shape$"):
+        jsd2(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+    with pytest.raises(ValueError, match="^PMFs must be non-negative$"):
+        jsd2(np.array([1.5, -0.5]), np.array([0.5, 0.5]))
+
+
 def test_jsd2_permutation_invariance():
     rng = np.random.default_rng(1)
     p = rng.dirichlet(np.ones(8))
@@ -245,6 +252,13 @@ def test_metrics_reject_mismatched_cells():
         ks(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError, match="support axis"):
         jsd2(np.array(1.0), np.array(1.0))
+
+
+def test_shift_report_rejects_a_wrong_rank_and_an_empty_panel():
+    with pytest.raises(ValueError, match=r"^panels must be \(N, K, C\)$"):
+        shift_report(np.ones((5, 4)), np.ones((5, 4)))
+    with pytest.raises(ValueError, match="^both panels must hold at least one window$"):
+        shift_report(np.ones((5, 4, 3)), np.ones((0, 4, 3)))
 
 
 def test_shift_report_working_memory_is_bounded():

@@ -46,6 +46,13 @@ def test_n_bins():
     assert n_bins(1) == 1
 
 
+def test_dft_inverse_rejects_mismatched_shapes_and_length_0():
+    with pytest.raises(ValueError, match=r"^expected 5 bins for length 8 on axis 0, got shapes \(5,\) and \(4,\)$"):
+        dft_inverse(np.ones(5), np.ones(4), 8)
+    with pytest.raises(ValueError, match="^length must be positive$"):
+        dft_inverse(np.ones(1), np.ones(1), 0)
+
+
 def test_hermitian_multiplicity():
     np.testing.assert_array_equal(hermitian_multiplicity(4), [1, 2, 1])
     np.testing.assert_array_equal(hermitian_multiplicity(5), [1, 2, 2])

@@ -124,6 +124,16 @@ def test_correlation_rejects_mismatched_counts():
         correlation_scores(panel, targets)
 
 
+def test_correlation_scores_need_two_windows():
+    with pytest.raises(ValueError, match="^correlation needs at least two windows$"):
+        scores(np.ones((1, 2, 1)), "correlation", targets=np.ones((1, 3, 1)))
+
+
+def test_amplitude_panel_rejects_a_wrong_rank():
+    with pytest.raises(ValueError, match=r"^expected a \(N, L, C\) window stack$"):
+        amplitude_panel(np.ones((4, 8)))
+
+
 def test_scores_dispatch():
     rng = np.random.default_rng(0)
     panel = rng.uniform(0.1, 1.0, size=(10, 5, 2))

@@ -14,9 +14,16 @@ after a warm-up call, divided by the pass's unit count:
 - ``panels`` (``Pipeline.panels``, rectangular window): per training
   (window, bin, channel);
 
-each of the last three for ``tifo`` and ``tifo+san``.  A pass's outputs
-count toward its peak; its inputs, made before the call, do not.  Uses the
-``specshift`` package of the checkout this file sits in, and gates nothing.
+each of the last three for ``tifo`` and ``tifo+san``;
+
+- ``fan targets`` (``FanNorm.targets``): per training (window, step,
+  channel) of the forecast windows;
+- ``san stage one`` (``SanNorm.split_stats`` of the input windows, at the
+  default patch): per training (window, step, channel).
+
+A pass's outputs count toward its peak; its inputs, made before the call,
+do not.  Uses the ``specshift`` package of the checkout this file sits in,
+and gates nothing.
 """
 
 from __future__ import annotations
@@ -67,15 +74,22 @@ def rates(rows: int = 17420, channels: int = 7, lookback: int = 96, horizon: int
     x, y = ds.x_train, ds.y_train
     steps = x.shape[0] * lookback * channels
     bins = x.shape[0] * n_bins(lookback) * channels
+
+    def pipeline(method):
+        return Pipeline(PipelineConfig(method=method, backbone=BackboneConfig(
+            kind="linear", lookback=lookback, horizon=horizon, channels=channels)), np.random.default_rng(0))
+
     out = {"build_dataset": peak_bytes(lambda: build_dataset(raw, lookback, horizon)) / steps,
            "amplitude_panel": peak_bytes(lambda: amplitude_panel(x)) / bins}
     for method in ("tifo", "tifo+san"):
-        pipe = Pipeline(PipelineConfig(method=method, backbone=BackboneConfig(
-            kind="linear", lookback=lookback, horizon=horizon, channels=channels)), np.random.default_rng(0))
+        pipe = pipeline(method)
         pipe.tifo.scores[...] = fit_score_table(pipe, x, y)
         out[f"transformed_input {method}"] = peak_bytes(lambda: pipe.transformed_input(x)) / steps
         out[f"score fit {method}"] = peak_bytes(lambda: fit_score_table(pipe, x, y)) / bins
         out[f"panels {method}"] = peak_bytes(lambda: pipe.panels(x, "rectangular")) / bins
+    fan, san = pipeline("fan").norm, pipeline("san").norm
+    out["fan targets"] = peak_bytes(lambda: fan.targets(y)) / (y.shape[0] * horizon * channels)
+    out["san stage one"] = peak_bytes(lambda: san.split_stats(x)) / steps
     return out
 
 
