@@ -15,11 +15,11 @@ one-cell computation's: ``np.histogram`` over ``np.linspace`` edges, the
 holding at most ``CHUNK_SAMPLES`` samples, which bounds its working memory.
 
 ``chunks`` is the one chunk rule of the package: ``shift_report`` takes its
-chunks of cells from it, and every pass over a whole split of windows (the
-amplitude panels, the score fit, the transformed input, ``shift``'s panels,
-FAN's targets, SAN's stage-one statistics) its chunks of windows, so each
-pass's working memory beyond its outputs is bounded by ``CHUNK_SAMPLES``
-float64 values.
+chunks of cells from it.  ``chunked`` is the one pass mechanism over a whole
+split of windows: every such pass (the amplitude panels, the score fit, the
+transformed input, ``shift``'s panels, FAN's targets, SAN's stage-one
+statistics) runs its per-window function through it, so each pass's working
+memory beyond its outputs is bounded by ``CHUNK_SAMPLES`` float64 values.
 """
 
 from __future__ import annotations
@@ -37,9 +37,26 @@ CHUNK_SAMPLES = 32_768  # float64 values per chunk: both panels' samples of its 
 def chunks(n: int, width: int) -> list[slice]:
     """Consecutive slices covering range(n), each over at most
     ``CHUNK_SAMPLES // width`` items of ``width`` values, and over one item
-    when a single item holds more."""
-    step = max(1, CHUNK_SAMPLES // width)
+    when a single item holds more; an item of no values counts as one."""
+    step = max(1, CHUNK_SAMPLES // max(width, 1))
     return [slice(start, start + step) for start in range(0, n, step)]
+
+
+def chunked(fn, x: np.ndarray):
+    """``fn`` over consecutive ``chunks`` of x's rows, always at least one, so
+    zero rows give zero-row outputs.  ``fn`` takes rows of x to as many rows
+    of an array or a tuple of arrays, each row its input row's alone; each
+    output is allocated once, shaped from the first chunk's, and the bits do
+    not depend on where the chunks split."""
+    slices = chunks(x.shape[0], math.prod(x.shape[1:])) or [slice(0, 0)]
+    outs = ()
+    for rows in slices:
+        got = fn(x[rows])
+        parts = (got,) if isinstance(got, np.ndarray) else got
+        outs = outs or tuple(np.empty((x.shape[0], *part.shape[1:])) for part in parts)
+        for out, part in zip(outs, parts):
+            out[rows] = part
+    return outs[0] if isinstance(got, np.ndarray) else outs
 
 
 def _cell_rows(a, b) -> tuple[np.ndarray, np.ndarray, tuple]:

@@ -10,17 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .shiftmetrics import chunks
-from .spectral import amplitude, dft_forward, n_bins, window_taps
+from .shiftmetrics import chunked
+from .spectral import amplitude, dft_forward, window_taps
 
 METRICS = ("mu_sigma", "entropy", "correlation")
 
 
 def amplitude_panel(windows: np.ndarray, window: str = "rectangular") -> np.ndarray:
-    """Spectral amplitudes of a window collection, formed chunk by chunk of
-    windows (``shiftmetrics.chunks``, at most ``CHUNK_SAMPLES`` values of
-    windows per chunk): each window's transform is its own, so the panel's
-    bits do not depend on where the chunks split.
+    """Spectral amplitudes of a window collection, one pass of
+    ``shiftmetrics.chunked`` (each window's transform is its own).
 
     Parameters
     ----------
@@ -35,13 +33,8 @@ def amplitude_panel(windows: np.ndarray, window: str = "rectangular") -> np.ndar
     windows = np.asarray(windows, dtype=float)
     if windows.ndim != 3:
         raise ValueError("expected a (N, L, C) window stack")
-    n, length, c = windows.shape
-    taps = None if window == "rectangular" else window_taps(window, length)[:, None]
-    panel = np.empty((n, n_bins(length), c))
-    for rows in chunks(n, length * c):
-        part = windows[rows] if taps is None else windows[rows] * taps
-        panel[rows] = amplitude(*dft_forward(part, axis=1))
-    return panel
+    taps = None if window == "rectangular" else window_taps(window, windows.shape[1])[:, None]
+    return chunked(lambda part: amplitude(*dft_forward(part if taps is None else part * taps, axis=1)), windows)
 
 
 def mu_sigma_scores(panel: np.ndarray, eps: float = 1e-5) -> np.ndarray:

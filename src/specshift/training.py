@@ -45,7 +45,7 @@ import numpy as np
 from . import baselines, tifo
 from .errors import ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
-from .shiftmetrics import chunks
+from .shiftmetrics import chunked
 from .spectral import amplitude, dft_forward, n_bins
 from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
 
@@ -120,6 +120,8 @@ class PipelineConfig:
         keep, patch, topk = self.tifo.keep, self.san.patch, self.fan.topk
         if reweight and keep is not None and keep > n_bins(lookback):
             raise ConfigError(f"keep must be at most {n_bins(lookback)} for lookback {lookback}, got {keep}")
+        if reweight and self.tifo.score_metric == "entropy" and n_bins(lookback) < 2:
+            raise ConfigError("entropy scores need at least two bins (lookback >= 2)")
         if norm_cls is SanNorm and (lookback % patch or horizon % patch):
             raise ConfigError(f"san_patch must divide lookback {lookback} and horizon {horizon}, got {patch}")
         bins = min(n_bins(lookback), n_bins(horizon))
@@ -239,15 +241,9 @@ class SanNorm(NormBlock):
         return x_n, (mu_x, var_x)
 
     def split_stats(self, x):
-        """``san_patch_stats`` of a whole split of windows, formed chunk by
-        chunk of windows (``shiftmetrics.chunks``) into its two outputs;
-        each window's statistics are its own, so the bits do not depend on
-        where the chunks split."""
-        n, t, c = x.shape
-        mu, var = np.empty((2, n, t // self.patch, c))
-        for rows in chunks(n, t * c):
-            mu[rows], var[rows] = baselines.san_patch_stats(x[rows], self.patch)
-        return mu, var
+        """``san_patch_stats`` of a whole split of windows, one pass of
+        ``shiftmetrics.chunked``."""
+        return chunked(lambda part: baselines.san_patch_stats(part, self.patch), x)
 
     def leave(self, y_n, ctx):
         shift, scale = self.steps(*baselines.san_predict(self.frozen, *ctx)[:2])
@@ -277,13 +273,8 @@ class FanNorm(NormBlock):
 
     def targets(self, y):
         """Main and residual parts of the forecast windows, stacked on axis 1,
-        formed chunk by chunk of windows (``shiftmetrics.chunks``): each
-        window's split is its own, so the pass holds its output and one
-        chunk's temporaries."""
-        out = np.empty((y.shape[0], 2, *y.shape[1:]))
-        for rows in chunks(y.shape[0], math.prod(y.shape[1:])):
-            out[rows, 0], out[rows, 1] = baselines.main_frequency_split(y[rows], self.topk)
-        return out
+        one pass of ``shiftmetrics.chunked``."""
+        return chunked(lambda part: np.stack(baselines.main_frequency_split(part, self.topk), axis=1), y)
 
     def loss(self, y_n, ctx, targets):
         pred_main, cache = baselines.fan_freq_forward(self.params, *ctx)
@@ -431,21 +422,16 @@ class Pipeline:
 
     def transformed_input(self, x: np.ndarray) -> np.ndarray:
         """The series the backbone consumes, a new (N, L, C) array formed
-        chunk by chunk of windows (``shiftmetrics.chunks``, at most
-        ``CHUNK_SAMPLES`` values per chunk) from one weight table."""
+        from one weight table in one pass of ``shiftmetrics.chunked``."""
         table = None if self.tifo is None else self.tifo.weights()
-        out = np.empty(x.shape)
-        for rows in chunks(x.shape[0], math.prod(x.shape[1:])):
-            out[rows] = self._reshaped(x[rows], table)
-        return out
+        return chunked(lambda part: self._reshaped(part, table), x)
 
     def panels(self, x: np.ndarray, window: str) -> tuple[np.ndarray, np.ndarray | None]:
         """(Before, After) amplitude panels of windows x under the analysis
         ``window``: the raw windows' and those of ``transformed_input(x)``,
         or None for After when the method leaves its input as it is.  Both
-        are formed chunk by chunk of windows (``shiftmetrics.chunks``, at
-        most ``CHUNK_SAMPLES`` values per chunk) from one weight table, so
-        the pass holds its two panels and one chunk's temporaries.
+        are formed from one weight table in one pass of
+        ``shiftmetrics.chunked``.
 
         Under the rectangular window a re-weighting layer's After panel is
         read off the weighted spectrum of ``norm.enter(x)``, one forward DFT
@@ -457,21 +443,20 @@ class Pipeline:
         """
         if not self.transforms_input:
             return amplitude_panel(x, window), None
-        n, length, c = x.shape
         table = None if self.tifo is None else self.tifo.weights()
-        before, after = np.empty((n, n_bins(length), c)), np.zeros((n, n_bins(length), c))
-        for rows in chunks(n, length * c):
-            part = x[rows]
+
+        def before_after(part):
             if self.tifo is None or window != "rectangular":
-                before[rows] = amplitude_panel(part, window)
-                after[rows] = amplitude_panel(self._reshaped(part, table), window)
-                continue
+                return amplitude_panel(part, window), amplitude_panel(self._reshaped(part, table), window)
             x_n = self.norm.enter(part)[0]
             spectrum = dft_forward(x_n, axis=1)
-            before[rows] = amplitude(*spectrum) if x_n is part else amplitude_panel(part, window)
+            before = amplitude(*spectrum) if x_n is part else amplitude_panel(part, window)
             weighted, k = self.tifo.weighted_spectrum(spectrum, table), self.tifo.keep
-            after[rows, :k] = amplitude(weighted[:, :k], weighted[:, k:])
-        return before, after
+            after = np.zeros(before.shape)
+            after[:, :k] = amplitude(weighted[:, :k], weighted[:, k:])
+            return before, after
+
+        return chunked(before_after, x)
 
     def loss_grads(self, x: np.ndarray, targets: np.ndarray) -> tuple[float, dict[str, np.ndarray]]:
         """(training loss, parameter gradients); targets is ``norm.targets``
@@ -496,14 +481,11 @@ def fit_score_table(
     y_train: np.ndarray,
 ) -> np.ndarray:
     """Stability scores over the training windows as the re-weighting layer
-    sees them.  The (N, K, C) panel of ``norm.enter(x_train)`` is formed
-    chunk by chunk of windows (``shiftmetrics.chunks``, at most
-    ``CHUNK_SAMPLES`` values per chunk), so the fit holds the panel and the
-    scores' own temporaries, never the whole normalized split."""
-    layer, (n, length, c) = pipeline.tifo, x_train.shape
-    panel = np.empty((n, n_bins(length), c))
-    for rows in chunks(n, length * c):
-        panel[rows] = layer.panel(pipeline.norm.enter(x_train[rows])[0])
+    sees them.  The (N, K, C) panel of ``norm.enter(x_train)`` is one pass of
+    ``shiftmetrics.chunked``, so the fit never holds the whole normalized
+    split."""
+    layer = pipeline.tifo
+    panel = chunked(lambda part: layer.panel(pipeline.norm.enter(part)[0]), x_train)
     return layer.fit_scores(panel, y_train)
 
 

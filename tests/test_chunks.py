@@ -1,6 +1,7 @@
-"""The whole-split passes run chunk by chunk of windows: each is bit-equal to
-its whole-array form (``oracles``) wherever the chunks split, and each stays
-within its memory bound."""
+"""The whole-split passes run chunk by chunk of windows through
+``shiftmetrics.chunked``: each is bit-equal to its whole-array form
+(``oracles``) wherever the chunks split, gives zero-row outputs for zero
+windows, and stays within its memory bound."""
 
 import importlib.util
 from pathlib import Path
@@ -19,7 +20,7 @@ from specshift.shiftmetrics import chunks
 from specshift.spectral import WINDOWS, n_bins
 from specshift.stationarity import METRICS, amplitude_panel
 from specshift.tifo import TifoConfig
-from specshift.training import COMPOSITION, Pipeline, PipelineConfig, fit_score_table
+from specshift.training import COMPOSITION, Pipeline, PipelineConfig, TifoLayer, fit_score_table
 
 from oracles import (amplitude_panel_whole, fan_targets_whole, fit_scaler_whole, panels_whole, san_split_stats_whole,
                      score_table_whole, transformed_input_whole)
@@ -93,6 +94,32 @@ def test_chunked_passes_are_bit_equal_to_their_whole_array_forms(data):
         assert (a is None and b is None) or np.array_equal(a, b), (i, case, method, window)
 
 
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("method", sorted(COMPOSITION))
+def test_zero_windows_give_zero_row_outputs(method, window):
+    """Each pass runs its function on one empty chunk, so zero windows give
+    zero-row outputs shaped as its whole-array form's; the score fit's panel
+    stands in for its table, which needs windows."""
+    x, y = np.zeros((0, 8, 3)), np.zeros((0, 4, 3))
+    pipe = Pipeline(PipelineConfig(
+        method=method, backbone=BackboneConfig(kind="linear", lookback=8, horizon=4, channels=3),
+        tifo=TifoConfig(window=window), san=SanConfig(patch=4), fan=FanConfig(topk=2)), np.random.default_rng(1))
+    got = [amplitude_panel(x, window), pipe.transformed_input(x), *pipe.panels(x, window)]
+    want = [amplitude_panel_whole(x, window), transformed_input_whole(pipe, x), *panels_whole(pipe, x, window)]
+    if pipe.tifo is not None:
+        with mock.patch.object(TifoLayer, "fit_scores", lambda self, panel, y: panel):
+            got.append(fit_score_table(pipe, x, y))
+        want.append(amplitude_panel_whole(pipe.norm.enter(x)[0], window))
+    if pipe.norm.name == "fan":
+        got.append(pipe.norm.targets(y))
+        want.append(fan_targets_whole(pipe, y))
+    if pipe.norm.name == "san":
+        got += [*pipe.norm.split_stats(x), *pipe.norm.split_stats(y)]
+        want += [*san_split_stats_whole(pipe, x), *san_split_stats_whole(pipe, y)]
+    for i, (a, b) in enumerate(zip(got, want, strict=True)):
+        assert (a is None and b is None) or (a.shape == b.shape and a.shape[0] == 0), (i, method, window)
+
+
 def _peak_memory():
     spec = importlib.util.spec_from_file_location("peak_memory", Path(__file__).parents[1] / "tools" / "peak_memory.py")
     module = importlib.util.module_from_spec(spec)
@@ -106,7 +133,7 @@ def _peak_memory():
 # SAN's statistics 2 / patch), and one chunk's temporaries
 BOUNDS = {"build_dataset": 9, "amplitude_panel": 9, "transformed_input tifo": 9, "transformed_input tifo+san": 9,
           "score fit tifo": 17, "score fit tifo+san": 17, "panels tifo": 17, "panels tifo+san": 17,
-          "fan targets": 17, "san stage one": 2}
+          "panels tifo hann": 17, "panels tifo+san hann": 17, "fan targets": 17, "san stage one": 2}
 
 
 def test_whole_split_passes_stay_within_their_peak_bounds():

@@ -551,6 +551,7 @@ CHECKED_BEFORE_TRAINING = [
     ["train", "method=tifo", "eval_batch=0"],
     ["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"],
     ["ablate", "method=revin", "ablate_emas=0.9", "repeats=1"],
+    ["ablate", "method=tifo", "lookback=1", "ablate_metrics=mu_sigma,entropy", "repeats=2"],
 ]
 
 
@@ -700,6 +701,8 @@ EXIT_TABLE = [
     (["train", "method=tifo", "eval_batch=0"], 2, "eval_batch"),
     (["ablate", "method=tifo", "ablate_keeps=0,4", "ablate_emas=0.9,1.5", "repeats=1"], 2, "ema_decay"),
     (["ablate", "method=revin", "ablate_emas=0.9", "repeats=1"], 2, "ema_decay"),
+    (["ablate", "method=tifo", "lookback=1", "ablate_metrics=mu_sigma,entropy", "repeats=2"], 2,
+     "config error: entropy scores need at least two bins (lookback >= 2)"),
     # each remaining CLI-reachable error path, with the cause it names
     (["stats", "synth_preset=bogus", "synth_mix=", "synth_len=96", "synth_samples=50"], 2,
      "config error: unknown synth_preset 'bogus'"),

@@ -134,6 +134,12 @@ def test_amplitude_panel_rejects_a_wrong_rank():
         amplitude_panel(np.ones((4, 8)))
 
 
+@pytest.mark.parametrize("window", ["rectangular", "hann"])
+def test_amplitude_panel_rejects_windows_of_length_0(window):
+    with pytest.raises(ValueError, match="number of FFT data points"):
+        amplitude_panel(np.ones((3, 0, 2)), window)
+
+
 def test_scores_dispatch():
     rng = np.random.default_rng(0)
     panel = rng.uniform(0.1, 1.0, size=(10, 5, 2))

@@ -11,7 +11,8 @@ after a warm-up call, divided by the pass's unit count:
 - ``amplitude_panel``: per training (window, bin, channel);
 - ``transformed_input``: per training (window, step, channel);
 - ``score fit`` (``fit_score_table``): per training (window, bin, channel);
-- ``panels`` (``Pipeline.panels``, rectangular window): per training
+- ``panels`` (``Pipeline.panels``, rectangular window) and ``panels ...
+  hann`` (the Hann window, ``shift window=hann``'s route): per training
   (window, bin, channel);
 
 each of the last three for ``tifo`` and ``tifo+san``;
@@ -87,6 +88,7 @@ def rates(rows: int = 17420, channels: int = 7, lookback: int = 96, horizon: int
         out[f"transformed_input {method}"] = peak_bytes(lambda: pipe.transformed_input(x)) / steps
         out[f"score fit {method}"] = peak_bytes(lambda: fit_score_table(pipe, x, y)) / bins
         out[f"panels {method}"] = peak_bytes(lambda: pipe.panels(x, "rectangular")) / bins
+        out[f"panels {method} hann"] = peak_bytes(lambda: pipe.panels(x, "hann")) / bins
     fan, san = pipeline("fan").norm, pipeline("san").norm
     out["fan targets"] = peak_bytes(lambda: fan.targets(y)) / (y.shape[0] * horizon * channels)
     out["san stage one"] = peak_bytes(lambda: san.split_stats(x)) / steps
