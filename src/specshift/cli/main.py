@@ -219,11 +219,16 @@ def cmd_stats(cfg: RunConfig) -> None:
         print(f"channel {c} ({cfg.score_metric}): most stable {desc}")
 
 
-def _train_once(cfg: RunConfig, ds: datamod.Dataset):
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    """cfg's training keys, which no data can change: checked, with the
+    seed, before a command reads its data."""
     if cfg.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {cfg.seed}")
+    return TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
+
+
+def _train_once(cfg: RunConfig, ds: datamod.Dataset, tcfg: TrainConfig):
     pcfg = _pipeline_config(cfg, ds.channels)
-    tcfg = TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
     rng = np.random.default_rng(cfg.seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
     result = train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
@@ -232,9 +237,10 @@ def _train_once(cfg: RunConfig, ds: datamod.Dataset):
 
 def cmd_train(cfg: RunConfig) -> None:
     settings = _eval_settings(cfg, None, 0.0)
+    tcfg = _train_config(cfg)
     ds = _dataset(cfg)
     cfg.channels = ds.channels
-    pipeline, result = _train_once(cfg, ds)
+    pipeline, result = _train_once(cfg, ds, tcfg)
     if pipeline.tifo is not None:
         print(f"fitted {cfg.score_metric} stability scores on the train split")
     test = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
@@ -331,7 +337,11 @@ def _reduction(before: dict, after: dict) -> dict:
 
 
 def cmd_shift(cfg: RunConfig) -> None:
-    window = cfg.window  # the analysis window is the command's, not the model's
+    # the analysis window is the command's, not the model's; it and hist_bins,
+    # which no data can change, are checked before any data is read
+    window = TifoConfig(window=cfg.window).window
+    if cfg.hist_bins < 1:
+        raise ConfigError(f"hist_bins must be positive, got {cfg.hist_bins}")
     pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
     cfg.window = window
 
@@ -386,6 +396,7 @@ ABLATE_AXES = (
 def cmd_ablate(cfg: RunConfig) -> None:
     if cfg.repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {cfg.repeats}")
+    tcfg = _train_config(cfg)  # no axis changes a training key
     ds = _dataset(cfg)
     *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
@@ -404,7 +415,7 @@ def cmd_ablate(cfg: RunConfig) -> None:
     for cell, sub in zip(cells, subs):
         key = cell if COMPOSITION[cfg.method][1] else ()
         if key not in results:
-            models = (_train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds)[0]
+            models = (_train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds, tcfg)[0]
                       for rep in range(cfg.repeats))  # trained one at a time, as the list below draws them
             results[key] = [[evaluate(model, ds.x_test, ds.y_test, **s) for s in settings]
                             for model in models]

@@ -104,7 +104,9 @@ def mlp_vjp(params: dict[str, np.ndarray], prefix: str, cache,
 
 class Backbone:
     """Parameter container plus explicit forward/VJP: a sum of affine heads,
-    each on one part of the input.
+    each on one part of the input.  It keeps the block contract of
+    ``training.Pipeline``: a ``name``, trainable ``params`` and ``frozen``
+    (empty) dicts.
 
     ``heads`` are the parameter-name prefixes: ``("",)`` for linear, whose
     one part is x, and ``("trend.", "seasonal.")`` for dlinear, whose parts
@@ -112,8 +114,11 @@ class Backbone:
     backbone's own moving-average matrix, None for linear.
     """
 
+    name = "backbone"
+
     def __init__(self, cfg: BackboneConfig, rng: np.random.Generator):
         self.cfg = cfg
+        self.frozen: dict[str, np.ndarray] = {}
         self.heads = ("",) if cfg.kind == "linear" else ("trend.", "seasonal.")
         self.decomp = None if cfg.kind == "linear" else decompose_matrix(cfg.lookback, cfg.kernel)
         shape = (cfg.horizon, cfg.lookback) if cfg.shared else (cfg.channels, cfg.horizon, cfg.lookback)

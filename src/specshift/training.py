@@ -12,15 +12,20 @@ re-weighting layer's forward is ``tifo.transform`` with the table
 ``TifoLayer.weights`` forms; ``TifoLayer.vjp`` reads the spectrum it
 returns and that table.  The baseline blocks (RevIN, SAN, FAN) hold their
 normalize, denormalize and combine arithmetic here and call ``baselines``
-for the statistics and learned nets.  A pipeline owns two tensor groups:
+for the statistics and learned nets.
+
+Every block (the backbone, the normalization block, the re-weighting layer)
+has a ``name`` and two dicts of tensors under un-prefixed keys, ``params``
+and ``frozen``.  A pipeline merges them, block by block, into two groups
+whose tensors are named ``<block>.<key>``:
 
 * ``params``  - trainable, updated by Adam, checkpointed
 * ``frozen``  - fixed state (stability scores, pretrained patch predictor,
   FAN's combination weights), checkpointed but never updated by the main loop
 
 ``params`` is a ``TensorGroup``: every trainable tensor is a view of one
-contiguous float64 vector, and each block's own ``params`` dict holds the
-same views.  The patch predictor that stage one trains is a second group.
+contiguous float64 vector, and each block's ``params`` is its dict of those
+views.  The patch predictor that stage one trains is a second group.
 ``Adam`` updates its group with one vector operation, and ``train`` keeps and
 restores the best state with one copy.
 
@@ -130,10 +135,6 @@ class PipelineConfig:
                               f"got {topk}")
 
 
-def _namespace(prefix: str, tensors: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    return {f"{prefix}.{k}": v for k, v in tensors.items()}
-
-
 def _mse_upstream(pred, target):
     """(MSE of pred against target, its gradient with respect to pred)."""
     if pred.shape != target.shape:
@@ -166,8 +167,8 @@ class NormBlock:
     ``loss``; its ``leave`` gives no pullback.
 
     ``ctx`` belongs to the caller; no forward or loss call changes a block.
-    ``params`` (trainable) and ``frozen`` are un-prefixed dicts whose arrays
-    are the pipeline's own, registered there under ``<name>.``.
+    ``name``, ``params`` and ``frozen`` are the block contract ``Pipeline``
+    describes.
     """
 
     name = "identity"
@@ -369,10 +370,14 @@ COMPOSITION = {
 class Pipeline:
     """normalization ∘ [re-weighting] ∘ backbone, as ``COMPOSITION`` assigns.
 
-    ``params`` and ``frozen`` hold every block's tensors under
-    ``backbone.``/``<block>.`` names; they are what checkpoints store.  The
-    backbone draws from the rng first, then the re-weighting layer, then the
-    normalization block.
+    ``blocks`` is ``[backbone, norm, tifo]``, the layer only when the method
+    composes it.  Each block has a ``name`` and two dicts under un-prefixed
+    keys, ``params`` (trainable) and ``frozen``.  The pipeline's ``params``
+    (a ``TensorGroup``) and ``frozen`` merge them in ``blocks`` order under
+    ``<block>.<key>`` names, which checkpoints store, and ``loss_grads``
+    names its gradients the same way; each block's ``params`` is then its
+    dict of views into the group.  The backbone draws from the rng first,
+    then the re-weighting layer, then the normalization block.
     """
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
@@ -382,16 +387,16 @@ class Pipeline:
         self.backbone = Backbone(cfg.backbone, rng)
         self.tifo = TifoLayer(cfg, rng) if reweight else None
         self.norm = norm_cls(cfg, rng)
-        owners = {"backbone": self.backbone.params}
-        self.frozen: dict[str, np.ndarray] = {}
-        for block in (self.norm, self.tifo):
-            if block is not None:
-                owners[block.name] = block.params
-                self.frozen.update(_namespace(block.name, block.frozen))
-        self.params = TensorGroup({f"{prefix}.{k}": v for prefix, own in owners.items() for k, v in own.items()})
-        for prefix, own in owners.items():
-            for key in own:
-                own[key] = self.params[f"{prefix}.{key}"]
+        self.blocks = [block for block in (self.backbone, self.norm, self.tifo) if block is not None]
+        self.params = TensorGroup(self._named([block.params for block in self.blocks]))
+        self.frozen = self._named([block.frozen for block in self.blocks])
+        for block in self.blocks:
+            block.params = {key: self.params[f"{block.name}.{key}"] for key in block.params}
+
+    def _named(self, dicts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+        """One dict per block, in ``blocks`` order, merged under
+        ``<block>.<key>`` names."""
+        return {f"{block.name}.{key}": v for block, own in zip(self.blocks, dicts) for key, v in own.items()}
 
     @property
     def transforms_input(self) -> bool:
@@ -468,11 +473,8 @@ class Pipeline:
         y_n, bb_cache = self.backbone.forward(x_t)
         loss, upstream, norm_grads = self.norm.loss(y_n, ctx, targets)
         bb_grads, g_xt = self.backbone.vjp(x_t, bb_cache, upstream, input_grad=self.tifo is not None)
-        grads = _namespace("backbone", bb_grads)
-        grads.update(_namespace(self.norm.name, norm_grads))
-        if self.tifo is not None:
-            grads.update(_namespace("tifo", self.tifo.vjp(spectrum, weights, g_xt)))
-        return loss, grads
+        tifo_grads = [] if self.tifo is None else [self.tifo.vjp(spectrum, weights, g_xt)]
+        return loss, self._named([bb_grads, norm_grads, *tifo_grads])
 
 
 def fit_score_table(

@@ -565,6 +565,30 @@ def test_eval_settings_are_checked_before_any_training(tmp_path, monkeypatch, ca
     assert calls == []
 
 
+# keys no data can change, which a command checks before it reads a dataset or a
+# checkpoint; "{ck}" is a tifo checkpoint
+CHECKED_BEFORE_DATA = [
+    ["shift", "hist_bins=0"],
+    ["shift", "window=boxcar"],
+    ["shift", "hist_bins=0", "checkpoint={ck}"],
+    ["train", "lr=nan"],
+    ["train", "seed=-1"],
+    ["ablate", "method=tifo", "batch=0", "repeats=1"],
+]
+
+
+@pytest.mark.parametrize("argv", CHECKED_BEFORE_DATA, ids=[" ".join(argv) for argv in CHECKED_BEFORE_DATA])
+def test_keys_no_data_can_change_are_checked_before_any_data(tmp_path, trained_tifo, monkeypatch, capsys, argv):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("data read before the keys no data can change were checked")
+
+    monkeypatch.setattr(climain, "_dataset", unreachable)
+    monkeypatch.setattr(climain, "load_checkpoint", unreachable)
+    command, *overrides = [a.format(ck=trained_tifo[0] / "model.ckpt") for a in argv]
+    assert run(command, *TINY, f"out={tmp_path / 'out'}", *overrides) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # module entry point
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from specshift import shiftmetrics
-from specshift.errors import NumericError
+from specshift.errors import ConfigError, NumericError
 from specshift.shiftmetrics import jsd2, ks, paired_histograms, shift_report
 
 
@@ -252,6 +252,12 @@ def test_metrics_reject_mismatched_cells():
         ks(np.ones((3, 2)), np.ones(3))
     with pytest.raises(ValueError, match="support axis"):
         jsd2(np.array(1.0), np.array(1.0))
+
+
+def test_paired_histograms_rejects_fewer_than_one_bin():
+    # its own check, for library callers: the shift command checks hist_bins before it reads data
+    with pytest.raises(ConfigError, match="^hist_bins must be positive, got 0$"):
+        paired_histograms(np.ones(3), np.ones(2), bins=0)
 
 
 def test_shift_report_rejects_a_wrong_rank_and_an_empty_panel():
