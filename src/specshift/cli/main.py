@@ -51,6 +51,7 @@ from ..training import (
     TrainConfig,
     build_pipeline,
     check_eval_settings,
+    check_eval_values,
     evaluate,
     train,
 )
@@ -157,6 +158,19 @@ def _eval_settings(cfg: RunConfig, alpha: float | None, ema_decay: float) -> dic
     return settings
 
 
+def _tifo_config(cfg: RunConfig) -> TifoConfig:
+    """cfg's re-weighting keys, checked by ``TifoConfig``'s rules, which need
+    no data."""
+    return TifoConfig(
+        hidden=cfg.hidden,
+        alpha=cfg.alpha,
+        keep=None if cfg.keep == 0 else cfg.keep,
+        score_metric=cfg.score_metric,
+        score_eps=cfg.score_eps,
+        window=cfg.window,
+    )
+
+
 def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
     backbone = BackboneConfig(
         kind=cfg.backbone,
@@ -169,14 +183,7 @@ def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
     return PipelineConfig(
         method=cfg.method,
         backbone=backbone,
-        tifo=TifoConfig(
-            hidden=cfg.hidden,
-            alpha=cfg.alpha,
-            keep=None if cfg.keep == 0 else cfg.keep,
-            score_metric=cfg.score_metric,
-            score_eps=cfg.score_eps,
-            window=cfg.window,
-        ),
+        tifo=_tifo_config(cfg),
         san=SanConfig(patch=cfg.san_patch, hidden=cfg.san_hidden, epochs=cfg.san_epochs),
         fan=FanConfig(topk=cfg.fan_topk),
     )
@@ -310,8 +317,14 @@ def _rebuild(cfg: RunConfig):
 
 
 def cmd_eval(cfg: RunConfig) -> None:
+    # the sweep's values are checked before the checkpoint or the data is read;
+    # only the rule that ties alpha and ema_decay to the method waits for the
+    # checkpoint's method
+    alphas = parse_list(cfg, "alphas", "float")
+    for a in alphas or [None]:
+        check_eval_values(cfg.eval_batch, a, cfg.ema_decay or None)
     pipeline, _, ds = _rebuild(cfg)
-    alphas = parse_list(cfg, "alphas", "float") or [cfg.alpha if pipeline.tifo is not None else None]
+    alphas = alphas or [cfg.alpha if pipeline.tifo is not None else None]
     sweep = [_eval_settings(cfg, a, cfg.ema_decay) for a in alphas]  # every point passes before the first runs
     out = _out_dir(cfg)
     results = []
@@ -397,17 +410,21 @@ def cmd_ablate(cfg: RunConfig) -> None:
     if cfg.repeats < 1:
         raise ConfigError(f"repeats must be at least 1, got {cfg.repeats}")
     tcfg = _train_config(cfg)  # no axis changes a training key
-    ds = _dataset(cfg)
     *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
     cells = list(itertools.product(*train_axes))
     subs = [dataclasses.replace(cfg, **dict(zip(train_names, cell))) for cell in cells]
-    # every cell's keys, and the eval settings at every ema value, pass their rules
-    # before any cell trains.  The settings read only method and eval_batch, which no
-    # axis changes, so every cell shares them; alpha None evaluates at the cell's own alpha
+    # every cell's re-weighting keys, and the eval settings at every ema value, pass
+    # their rules before the data is read, and the rest of each cell's keys (which need
+    # the data's channel count) before any cell trains.  The settings read only method
+    # and eval_batch, which no axis changes, so every cell shares them; alpha None
+    # evaluates at the cell's own alpha
+    for sub in subs:
+        _tifo_config(sub)
+    settings = [_eval_settings(cfg, None, ema) for ema in emas]
+    ds = _dataset(cfg)
     for sub in subs:
         _pipeline_config(sub, ds.channels)
-    settings = [_eval_settings(cfg, None, ema) for ema in emas]
     # per training cell, or () for all of a method without a re-weighting layer (no axis
     # reaches its models): each repeat's metrics at every ema value
     results = {}

@@ -235,11 +235,8 @@ class SanNorm(NormBlock):
     def enter(self, x):
         """(x z-scored per patch, (the patch means, the patch variances))."""
         mu_x, var_x = baselines.san_patch_stats(x, self.patch)
-        # one expression, so its temporaries are freed at once (whole splits
-        # come through here)
-        p = self.patch
-        x_n = (x - np.repeat(mu_x, p, axis=1)) / np.repeat(np.sqrt(var_x + baselines.PATCH_EPS), p, axis=1)
-        return x_n, (mu_x, var_x)
+        shift, scale = self.steps(mu_x, var_x)
+        return (x - shift) / scale, (mu_x, var_x)
 
     def split_stats(self, x):
         """``san_patch_stats`` of a whole split of windows, one pass of
@@ -596,10 +593,16 @@ def check_eval_settings(method: str, batch: int, alpha: float | None = None,
                         ema_decay: float | None = None) -> None:
     """``evaluate``'s rules for its settings on a model of ``method``, which
     callers can apply before any training: alpha and ema_decay need the
-    re-weighting layer, batch is at least 1, alpha lies in [0, 1] and
-    ema_decay strictly inside (0, 1)."""
+    re-weighting layer, and the values pass ``check_eval_values``."""
     if (alpha is not None or ema_decay is not None) and not COMPOSITION[method][1]:
         raise ConfigError(f"method {method!r} accepts neither alpha nor ema_decay")
+    check_eval_values(batch, alpha, ema_decay)
+
+
+def check_eval_values(batch: int, alpha: float | None = None, ema_decay: float | None = None) -> None:
+    """``evaluate``'s rules that hold on a model of any method, which callers
+    can apply before they know the method: batch is at least 1, alpha lies in
+    [0, 1] and ema_decay strictly inside (0, 1)."""
     if batch < 1:
         raise ConfigError(f"eval_batch must be at least 1, got {batch}")
     if alpha is not None and not 0.0 <= alpha <= 1.0:

@@ -574,6 +574,12 @@ CHECKED_BEFORE_DATA = [
     ["train", "lr=nan"],
     ["train", "seed=-1"],
     ["ablate", "method=tifo", "batch=0", "repeats=1"],
+    ["eval", "eval_batch=0", "checkpoint={ck}"],
+    ["eval", "alphas=0.5,x", "checkpoint={ck}"],
+    ["eval", "ema_decay=1.5", "checkpoint={ck}"],
+    ["ablate", "method=tifo", "ablate_keeps=x", "repeats=1"],
+    ["ablate", "method=tifo", "ablate_emas=0.9,1.5", "repeats=1"],
+    ["ablate", "method=tifo", "ablate_metrics=mu_sigma,bogus", "repeats=1"],
 ]
 
 

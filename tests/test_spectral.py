@@ -33,6 +33,46 @@ def test_amplitude_known_values():
     )
 
 
+# finite parts from 0 through the subnormals up to 1e308, either sign
+_parts = st.one_of(
+    st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]),
+)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(_parts, _parts), min_size=1, max_size=40))
+def test_amplitude_is_within_2_ulp_of_hypot(pairs):
+    real, imag = np.array(pairs).T
+    got, want = amplitude(real, imag), np.hypot(real, imag)
+    assert np.all(np.abs(got - want) <= 2 * np.spacing(want))
+
+
+@pytest.mark.parametrize("a", [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, 5e-324])
+@pytest.mark.parametrize("b", [0.0, -0.0, np.inf, -np.inf, np.nan])
+def test_amplitude_is_hypot_at_zero_inf_and_nan(a, b):
+    real, imag = np.array([a, b]), np.array([b, a])
+    np.testing.assert_array_equal(amplitude(real, imag), np.hypot(real, imag))
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 7), st.integers(0, 2**31))
+def test_amplitude_bits_do_not_depend_on_layout(rows, cols, offset, seed):
+    rng = np.random.default_rng(seed)
+    real, imag = rng.standard_normal((2, rows, cols)) * 10.0 ** rng.integers(-300, 300, (2, rows, cols))
+    bits = amplitude(real, imag).view(np.uint64)
+    spec = real + 1j * imag  # the strided (real, imag) views dft_forward returns
+    padded = np.zeros((2, 2 * rows, cols))
+    padded[:, ::2] = real, imag
+    for got in (amplitude(spec.real, spec.imag), amplitude(*padded[:, ::2]), amplitude(real.T, imag.T).T,
+                amplitude(np.asfortranarray(real), np.asfortranarray(imag))):
+        assert np.array_equal(got.view(np.uint64), bits)
+    # a pass that starts at any element gives that element's bits of the whole pass
+    start = offset % real.size
+    tail = amplitude(real.ravel()[start:], imag.ravel()[start:])
+    assert np.array_equal(tail.view(np.uint64), bits.ravel()[start:])
+
+
 def test_round_trip_known_case():
     x = np.array([1.0, 2.0, 3.0, 4.0])
     real, imag = dft_forward(x)
