@@ -12,6 +12,16 @@ the command raised on its way; a successful command's warnings are passed on
 once it returns.  Any other exception is a fault in the program: it
 propagates with its traceback (status 1).
 
+Each command begins with one config pass: it forms every config it reads
+(the model's ``PipelineConfig``, ``TrainConfig`` with the seed, its eval
+settings, the lookback/horizon rule, its data source's synth_* spec, whose
+channel count a set ``channels`` must match), so every rule that needs no
+data exits 2 before any data or checkpoint is read.  Then it creates the
+output directory, and only then reads.  Three rules wait: a set ``channels``
+must match a CSV's count, ``eval``'s alpha and ema_decay need a ``tifo*``
+model, which only the checkpoint names, and ``stats``' entropy scores need
+two bins, which only the score function checks.
+
 Once a command returns, ``main`` writes ``config.txt`` (the resolved
 configuration, reparseable) into the output directory next to its artifacts.
 Floats are printed with six significant digits.  ``eval`` and ``shift`` take
@@ -139,12 +149,25 @@ def _check_channels(cfg: RunConfig, channels: int, data: str = "", error: type =
         raise error(f"channels={cfg.channels}, but {source} has {channels}")
 
 
-def _dataset(cfg: RunConfig, scaler: datamod.Scaler | None = None) -> datamod.Dataset:
-    """cfg's data (a CSV, or synthesized from the synth_* keys), windowed by
-    cfg's lookback and horizon and z-scored: with a scaler fitted on the train
-    split, or with a checkpoint's scaler, whose model has cfg.channels."""
-    series = (datamod.load_csv(cfg.data) if cfg.data and not cfg.synth_preset
-              else datamod.synthetic_series(_synthetic_spec(cfg)))
+def _source(cfg: RunConfig, check_dataset: bool = False) -> str | datamod.SyntheticSpec:
+    """What ``_dataset`` reads, formed and checked without reading it: cfg's
+    CSV path, or the spec of the series its synth_* keys generate.  With
+    check_dataset, also the rules ``_dataset`` applies without a checkpoint
+    that need no data: a set cfg.channels against a generated series' count,
+    then the window sizes."""
+    source = cfg.data if cfg.data and not cfg.synth_preset else _synthetic_spec(cfg)
+    if check_dataset:
+        if not isinstance(source, str):
+            _check_channels(cfg, source.channels)
+        datamod.check_window_sizes(cfg.lookback, cfg.horizon)
+    return source
+
+
+def _dataset(cfg: RunConfig, source, scaler: datamod.Scaler | None = None) -> datamod.Dataset:
+    """The series of a ``_source``, windowed by cfg's lookback and horizon and
+    z-scored: with a scaler fitted on the train split, or with a checkpoint's
+    scaler, whose model has cfg.channels."""
+    series = datamod.load_csv(source) if isinstance(source, str) else datamod.synthetic_series(source)
     _check_channels(cfg, series.shape[1], cfg.data, ConfigError if scaler is None else CheckpointError)
     return datamod.build_dataset(series, cfg.lookback, cfg.horizon, scaler)
 
@@ -158,32 +181,16 @@ def _eval_settings(cfg: RunConfig, alpha: float | None, ema_decay: float) -> dic
     return settings
 
 
-def _tifo_config(cfg: RunConfig) -> TifoConfig:
-    """cfg's re-weighting keys, checked by ``TifoConfig``'s rules, which need
-    no data."""
-    return TifoConfig(
-        hidden=cfg.hidden,
-        alpha=cfg.alpha,
-        keep=None if cfg.keep == 0 else cfg.keep,
-        score_metric=cfg.score_metric,
-        score_eps=cfg.score_eps,
-        window=cfg.window,
-    )
-
-
-def _pipeline_config(cfg: RunConfig, channels: int) -> PipelineConfig:
-    backbone = BackboneConfig(
-        kind=cfg.backbone,
-        lookback=cfg.lookback,
-        horizon=cfg.horizon,
-        channels=channels,
-        shared=cfg.shared_linear,
-        kernel=cfg.dlinear_kernel,
-    )
+def _pipeline_config(cfg: RunConfig) -> PipelineConfig:
+    """cfg's model keys, checked by every rule of ``PipelineConfig`` and of its
+    blocks' configs, none of which needs data; channels is cfg's, 0 (from
+    the data) unless set."""
     return PipelineConfig(
         method=cfg.method,
-        backbone=backbone,
-        tifo=_tifo_config(cfg),
+        backbone=BackboneConfig(kind=cfg.backbone, lookback=cfg.lookback, horizon=cfg.horizon, channels=cfg.channels,
+                                shared=cfg.shared_linear, kernel=cfg.dlinear_kernel),
+        tifo=TifoConfig(hidden=cfg.hidden, alpha=cfg.alpha, keep=None if cfg.keep == 0 else cfg.keep,
+                        score_metric=cfg.score_metric, score_eps=cfg.score_eps, window=cfg.window),
         san=SanConfig(patch=cfg.san_patch, hidden=cfg.san_hidden, epochs=cfg.san_epochs),
         fan=FanConfig(topk=cfg.fan_topk),
     )
@@ -212,12 +219,14 @@ def cmd_synth(cfg: RunConfig) -> None:
 
 def cmd_stats(cfg: RunConfig) -> None:
     scoring = TifoConfig(score_metric=cfg.score_metric, score_eps=cfg.score_eps, window=cfg.window)
-    ds = _dataset(cfg)
+    source = _source(cfg, check_dataset=True)
+    out = _out_dir(cfg)
+    ds = _dataset(cfg, source)
     panel = amplitude_panel(ds.x_train, scoring.window)
     table = stability_scores(panel, scoring.score_metric, targets=ds.y_train, eps=scoring.score_eps)
     mu = panel.mean(axis=0)
     sigma = panel.std(axis=0)
-    _write_csv(_out_dir(cfg) / "scores.csv", "channel,freq_index,mean,std,score",
+    _write_csv(out / "scores.csv", "channel,freq_index,mean,std,score",
                ((c, k, mu[k, c], sigma[k, c], table[k, c])
                 for c in range(table.shape[1]) for k in range(table.shape[0])))
     for c in range(table.shape[1]):
@@ -234,24 +243,27 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(lr=cfg.lr, batch=cfg.batch, max_epochs=cfg.max_epochs, patience=cfg.patience)
 
 
-def _train_once(cfg: RunConfig, ds: datamod.Dataset, tcfg: TrainConfig):
-    pcfg = _pipeline_config(cfg, ds.channels)
-    rng = np.random.default_rng(cfg.seed)
+def _train_once(pcfg: PipelineConfig, seed: int, ds: datamod.Dataset, tcfg: TrainConfig):
+    """A pipeline of pcfg's model at ds's channel count, drawn from seed and
+    trained on ds; returns (pipeline, ``TrainResult``)."""
+    pcfg = dataclasses.replace(pcfg, backbone=dataclasses.replace(pcfg.backbone, channels=ds.channels))
+    rng = np.random.default_rng(seed)
     pipeline = build_pipeline(pcfg, rng, ds.x_train, ds.y_train)
-    result = train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
-    return pipeline, result
+    return pipeline, train(pipeline, ds.x_train, ds.y_train, ds.x_val, ds.y_val, tcfg, rng)
 
 
 def cmd_train(cfg: RunConfig) -> None:
     settings = _eval_settings(cfg, None, 0.0)
     tcfg = _train_config(cfg)
-    ds = _dataset(cfg)
+    source = _source(cfg, check_dataset=True)
+    pcfg = _pipeline_config(cfg)
+    out = _out_dir(cfg)
+    ds = _dataset(cfg, source)
     cfg.channels = ds.channels
-    pipeline, result = _train_once(cfg, ds, tcfg)
+    pipeline, result = _train_once(pcfg, cfg.seed, ds, tcfg)
     if pipeline.tifo is not None:
         print(f"fitted {cfg.score_metric} stability scores on the train split")
     test = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
-    out = _out_dir(cfg)
     tensors = pipeline.tensors()
     tensors["scaler.mu"] = ds.scaler.mu
     tensors["scaler.sigma"] = ds.scaler.sigma
@@ -275,20 +287,18 @@ MODEL_KEYS = (
 )
 
 
-def _rebuild(cfg: RunConfig):
-    """(pipeline, training-time config, dataset) from cfg.checkpoint and cfg's
-    data.  cfg takes the checkpoint's ``MODEL_KEYS``.  The scaler and every
-    tensor the model takes must be present, of their shapes and finite, and
-    are copied in over a pipeline drawn from seed 0: the header's seed is not
-    read.  Tensors the model does not take are ignored."""
-    if not cfg.checkpoint:
-        raise ConfigError("this command needs checkpoint=<path>")
+def _load_model(cfg: RunConfig):
+    """(pipeline, training-time config, scaler) from cfg.checkpoint, which
+    reads no data; cfg takes the checkpoint's ``MODEL_KEYS``.  The scaler and
+    every tensor the model takes must be present, of their shapes and finite,
+    and are copied in over a pipeline drawn from seed 0: the header's seed is
+    not read.  Tensors the model does not take are ignored."""
     echo, tensors = load_checkpoint(cfg.checkpoint)
     try:  # a bad header value is the checkpoint's fault, not the command line's
         ck_cfg = config_from_echo(echo)
         if ck_cfg.channels < 1:
             raise CheckpointError(f"{cfg.checkpoint}: header lacks a channel count")
-        pipeline_cfg = _pipeline_config(ck_cfg, ck_cfg.channels)
+        pipeline_cfg = _pipeline_config(ck_cfg)
     except ConfigError as exc:
         raise CheckpointError(f"{cfg.checkpoint}: {exc}") from None
 
@@ -307,26 +317,34 @@ def _rebuild(cfg: RunConfig):
     mu, sigma = (checked(name, (ck_cfg.channels,)) for name in ("scaler.mu", "scaler.sigma"))
     if not (sigma > 0).all():
         raise CheckpointError(f"{cfg.checkpoint}: tensor scaler.sigma is not positive")
-    for key in MODEL_KEYS:
-        setattr(cfg, key, getattr(ck_cfg, key))
-    ds = _dataset(cfg, datamod.Scaler(mu=mu, sigma=sigma))
     pipeline = build_pipeline(pipeline_cfg, np.random.default_rng(0))  # every draw is overwritten below
     for name, own in pipeline.tensors().items():
         own[...] = checked(name, own.shape)
-    return pipeline, ck_cfg, ds
+    for key in MODEL_KEYS:
+        setattr(cfg, key, getattr(ck_cfg, key))
+    return pipeline, ck_cfg, datamod.Scaler(mu=mu, sigma=sigma)
+
+
+def _rebuild(cfg: RunConfig):
+    """(pipeline, training-time config, dataset): ``_load_model``, then cfg's
+    data under the checkpoint's scaler."""
+    pipeline, ck_cfg, scaler = _load_model(cfg)
+    return pipeline, ck_cfg, _dataset(cfg, _source(cfg), scaler)
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    # the sweep's values are checked before the checkpoint or the data is read;
     # only the rule that ties alpha and ema_decay to the method waits for the
     # checkpoint's method
     alphas = parse_list(cfg, "alphas", "float")
     for a in alphas or [None]:
         check_eval_values(cfg.eval_batch, a, cfg.ema_decay or None)
+    if not cfg.checkpoint:
+        raise ConfigError("this command needs checkpoint=<path>")
+    _source(cfg)  # checked now; _rebuild forms it again, as no model key reaches it
+    out = _out_dir(cfg)
     pipeline, _, ds = _rebuild(cfg)
     alphas = alphas or [cfg.alpha if pipeline.tifo is not None else None]
     sweep = [_eval_settings(cfg, a, cfg.ema_decay) for a in alphas]  # every point passes before the first runs
-    out = _out_dir(cfg)
     results = []
     for a, settings in zip(alphas, sweep):
         metrics = evaluate(pipeline, ds.x_test, ds.y_test, **settings)
@@ -350,12 +368,14 @@ def _reduction(before: dict, after: dict) -> dict:
 
 
 def cmd_shift(cfg: RunConfig) -> None:
-    # the analysis window is the command's, not the model's; it and hist_bins,
-    # which no data can change, are checked before any data is read
+    # the analysis window is the command's, not the model's; a checkpoint's
+    # model brings its own sizes
     window = TifoConfig(window=cfg.window).window
     if cfg.hist_bins < 1:
         raise ConfigError(f"hist_bins must be positive, got {cfg.hist_bins}")
-    pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg))
+    source = _source(cfg, check_dataset=not cfg.checkpoint)
+    out = _out_dir(cfg)
+    pipeline, _, ds = _rebuild(cfg) if cfg.checkpoint else (None, None, _dataset(cfg, source))
     cfg.window = window
 
     def report(stage: str, panel_train, panel_test) -> dict:
@@ -371,7 +391,6 @@ def cmd_shift(cfg: RunConfig) -> None:
         after = report("after", after_train, after_test)
     elif pipeline is not None:
         note = f"method {pipeline.method!r} does not transform its input; After omitted"
-    out = _out_dir(cfg)
     blank = np.full(before["jsd2"].shape, np.nan)
     columns = [r[metric] if r else blank for metric in ("jsd2", "ks") for r in (before, after)]
     k, c = before["jsd2"].shape
@@ -413,34 +432,29 @@ def cmd_ablate(cfg: RunConfig) -> None:
     *train_axes, emas = [parse_list(cfg, key, kind) or [getattr(cfg, name)] for name, key, kind in ABLATE_AXES]
     train_names = [name for name, _, _ in ABLATE_AXES[:-1]]
     cells = list(itertools.product(*train_axes))
-    subs = [dataclasses.replace(cfg, **dict(zip(train_names, cell))) for cell in cells]
-    # every cell's re-weighting keys, and the eval settings at every ema value, pass
-    # their rules before the data is read, and the rest of each cell's keys (which need
-    # the data's channel count) before any cell trains.  The settings read only method
-    # and eval_batch, which no axis changes, so every cell shares them; alpha None
-    # evaluates at the cell's own alpha
-    for sub in subs:
-        _tifo_config(sub)
+    source = _source(cfg, check_dataset=True)
+    # every cell's model, and the eval settings at every ema value, pass their rules
+    # before the data is read.  The settings read only method and eval_batch, which no
+    # axis changes, so every cell shares them; alpha None evaluates at the cell's own alpha
+    pcfgs = [_pipeline_config(dataclasses.replace(cfg, **dict(zip(train_names, cell)))) for cell in cells]
     settings = [_eval_settings(cfg, None, ema) for ema in emas]
-    ds = _dataset(cfg)
-    for sub in subs:
-        _pipeline_config(sub, ds.channels)
+    out = _out_dir(cfg)
+    ds = _dataset(cfg, source)
     # per training cell, or () for all of a method without a re-weighting layer (no axis
     # reaches its models): each repeat's metrics at every ema value
     results = {}
     rows = []
-    for cell, sub in zip(cells, subs):
+    for cell, pcfg in zip(cells, pcfgs):
         key = cell if COMPOSITION[cfg.method][1] else ()
         if key not in results:
-            models = (_train_once(dataclasses.replace(sub, seed=cfg.seed + rep), ds, tcfg)[0]
-                      for rep in range(cfg.repeats))  # trained one at a time, as the list below draws them
+            # trained one at a time, as the list below draws them
+            models = (_train_once(pcfg, cfg.seed + rep, ds, tcfg)[0] for rep in range(cfg.repeats))
             results[key] = [[evaluate(model, ds.x_test, ds.y_test, **s) for s in settings]
                             for model in models]
         for ema, metrics in zip(emas, zip(*results[key])):
             mses = [m["mse"] for m in metrics]
             maes = [m["mae"] for m in metrics]
             rows.append((*cell, ema, cfg.repeats, np.mean(mses), np.std(mses), np.mean(maes), np.std(maes)))
-    out = _out_dir(cfg)
     header = ",".join(name for name, _, _ in ABLATE_AXES) + ",repeats,mse_mean,mse_std,mae_mean,mae_std"
     _write_csv(out / "ablate.csv", header, rows)
     print(f"ablation wrote {len(rows)} cells x {cfg.repeats} repeats to {out / 'ablate.csv'}")

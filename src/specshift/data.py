@@ -89,6 +89,12 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def check_window_sizes(lookback: int, horizon: int) -> None:
+    """``make_windows``' rule on its sizes, which needs no series."""
+    if lookback < 1 or horizon < 1:
+        raise ConfigError(f"lookback and horizon must be positive, got {lookback} and {horizon}")
+
+
 def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.ndarray, np.ndarray]:
     """Stride-1 windowing into inputs (N, L, C) and targets (N, H, C).
 
@@ -97,8 +103,7 @@ def make_windows(series: np.ndarray, lookback: int, horizon: int) -> tuple[np.nd
     series = np.asarray(series, dtype=float)
     if series.ndim != 2:
         raise DataError("series must be (T, C)")
-    if lookback < 1 or horizon < 1:
-        raise ConfigError(f"lookback and horizon must be positive, got {lookback} and {horizon}")
+    check_window_sizes(lookback, horizon)
     t = series.shape[0]
     n = t - lookback - horizon + 1
     if n < 1:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import check_window_sizes
 from .errors import ConfigError
 
 @dataclass(frozen=True)
@@ -20,16 +21,16 @@ class BackboneConfig:
     kind: str  # "linear" or "dlinear"
     lookback: int
     horizon: int
-    channels: int
+    channels: int  # 0: from the data; a pipeline is built with at least 1
     shared: bool = False  # either kind: each head has one weight matrix for every channel
     kernel: int = 25  # dlinear only: moving-average width, odd (checked for either kind)
 
     def __post_init__(self):
         if self.kind not in ("linear", "dlinear"):
             raise ConfigError(f"backbone must be 'linear' or 'dlinear', got {self.kind!r}")
-        if min(self.lookback, self.horizon, self.channels) < 1:
-            raise ConfigError(f"lookback {self.lookback}, horizon {self.horizon} and channels {self.channels} "
-                              "must be positive")
+        check_window_sizes(self.lookback, self.horizon)
+        if self.channels < 0:
+            raise ConfigError(f"channels must be non-negative, got {self.channels}")
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ConfigError(f"dlinear_kernel must be a positive odd integer, got {self.kernel}")
 

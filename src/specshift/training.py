@@ -378,6 +378,9 @@ class Pipeline:
     """
 
     def __init__(self, cfg: PipelineConfig, rng: np.random.Generator):
+        # every block sizes a tensor by the channel count, which the config may leave to the data
+        if cfg.backbone.channels < 1:
+            raise ConfigError(f"a pipeline needs at least 1 channel, got channels={cfg.backbone.channels}")
         norm_cls, reweight = COMPOSITION[cfg.method]
         self.cfg = cfg
         self.method = cfg.method

@@ -49,6 +49,12 @@ def run(*args):
     return main(list(args))
 
 
+def unreachable(*args, **kwargs):
+    """Patched over ``_dataset`` and ``load_checkpoint``: a command may read
+    no data or checkpoint before its config pass is done."""
+    raise AssertionError("a dataset or checkpoint was read before the config pass ended")
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -305,6 +311,30 @@ def test_train_with_a_bad_eval_batch_writes_nothing(tmp_path, capsys):
     out = tmp_path / "run"
     assert run("train", *TINY, "eval_batch=0", f"out={out}") == 2
     assert "eval_batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "train", "eval", "shift", "ablate"])
+def test_an_output_directory_that_cannot_be_created_is_found_before_any_data(tmp_path, trained_tifo, monkeypatch,
+                                                                             capsys, command):
+    # eval and shift need the checkpoint, ablate takes one repeat; the others ignore both keys
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(climain, "_dataset", unreachable)
+    monkeypatch.setattr(climain, "load_checkpoint", unreachable)
+    assert run(command, *TINY, f"checkpoint={trained_tifo[0] / 'model.ckpt'}", "repeats=1", f"out={blocker}/sub") == 2
+    assert capsys.readouterr().err == (f"config error: out={blocker}/sub: cannot create the output directory: "
+                                       "Not a directory\n")
+
+
+@pytest.mark.parametrize("command", ["synth", "stats", "train", "shift", "ablate"])
+def test_a_set_channels_is_checked_against_a_synthetic_source_before_out_is_made(tmp_path, monkeypatch, capsys,
+                                                                              command):
+    # the synth_* keys fix the series' channel count, so the rule needs no data
+    out = tmp_path / "out"
+    monkeypatch.setattr(climain, "_dataset", unreachable)
+    assert run(command, *TINY, "synth_channels=2", "channels=1", "repeats=1", f"out={out}") == 2
+    assert capsys.readouterr().err == "config error: channels=1, but synth_channels has 2\n"
     assert not out.exists()
 
 
@@ -566,7 +596,7 @@ def test_eval_settings_are_checked_before_any_training(tmp_path, monkeypatch, ca
 
 
 # keys no data can change, which a command checks before it reads a dataset or a
-# checkpoint; "{ck}" is a tifo checkpoint
+# checkpoint, with the message a run on readable data gives; "{ck}" is a tifo checkpoint
 CHECKED_BEFORE_DATA = [
     ["shift", "hist_bins=0"],
     ["shift", "window=boxcar"],
@@ -580,19 +610,33 @@ CHECKED_BEFORE_DATA = [
     ["ablate", "method=tifo", "ablate_keeps=x", "repeats=1"],
     ["ablate", "method=tifo", "ablate_emas=0.9,1.5", "repeats=1"],
     ["ablate", "method=tifo", "ablate_metrics=mu_sigma,bogus", "repeats=1"],
+    *(["train", key] for key in ("hidden=0", "keep=-1", "keep=99", "score_metric=bogus", "window=boxcar",
+                                 "lookback=0", "horizon=0", "san_hidden=0", "fan_topk=0", "dlinear_kernel=0",
+                                 "backbone=foo", "method=foo", "san_epochs=-1")),
+    ["train", "method=san", "san_patch=5"],
+    ["train", "method=fan", "fan_topk=99"],
+    ["stats", "lookback=0"],
+    ["shift", "lookback=0"],
+    ["ablate", "method=foo"],
+    ["ablate", "method=san", "san_patch=5"],
+    ["ablate", "repeats=1", "ablate_keeps=99"],
+    # the synthetic series' keys too, and before the checkpoint
+    ["train", "synth_mix=2:1.0|"],
+    ["eval", "synth_mix=2:1.0|", "checkpoint={ck}"],
 ]
 
 
 @pytest.mark.parametrize("argv", CHECKED_BEFORE_DATA, ids=[" ".join(argv) for argv in CHECKED_BEFORE_DATA])
 def test_keys_no_data_can_change_are_checked_before_any_data(tmp_path, trained_tifo, monkeypatch, capsys, argv):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("data read before the keys no data can change were checked")
-
+    command, *overrides = [a.format(ck=trained_tifo[0] / "model.ckpt") for a in argv]
+    args = [command, *TINY, f"out={tmp_path / 'out'}", *overrides]
+    assert run(*args) == 2
+    with_data = capsys.readouterr().err
     monkeypatch.setattr(climain, "_dataset", unreachable)
     monkeypatch.setattr(climain, "load_checkpoint", unreachable)
-    command, *overrides = [a.format(ck=trained_tifo[0] / "model.ckpt") for a in argv]
-    assert run(command, *TINY, f"out={tmp_path / 'out'}", *overrides) == 2
-    assert "config error" in capsys.readouterr().err
+    assert run(*args) == 2
+    assert capsys.readouterr().err == with_data
+    assert with_data.startswith("config error")
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +704,8 @@ EXIT_TABLE = [
      "config error: channels=5, but synth_preset has 1"),
     (["synth", "synth_channels=2", "channels=3"], 2, "config error: channels=3, but synth_channels has 2"),
     (["train", "synth_channels=2", "channels=1"], 2, "config error: channels=1, but synth_channels has 2"),
+    (["train", "channels=-1"], 2, "config error: channels=-1, but synth_channels has 1"),
+    (["train", "data={series}", "channels=-1"], 2, "config error: channels must be non-negative, got -1"),
     (["eval", "{ck}", "synth_channels=2", "channels=2"], 5, "checkpoint error: channels=1, but synth_channels has 2"),
     (["stats", "data={dates}"], 3, "dates.csv"),
     (["train", "lookback=0"], 2, "lookback"),
@@ -754,6 +800,13 @@ EXIT_TABLE = [
     (["stats", "data={huge}"], 3, "data error: series is not finite once z-scored"),
     (["train", "method=san", "san_patch=5"], 2, "config error: san_patch must divide lookback 16 and horizon 4, got 5"),
     (["train", "batch=0"], 2, "config error: batch must be at least 1, got 0"),
+    # a rule that needs no data wins over a missing data path, a damaged checkpoint over it too
+    (["train", "data=/no/such.csv", "hidden=0"], 2, "hidden must be at least 1"),
+    (["stats", "data=/no/such.csv", "lookback=0"], 2, "lookback and horizon must be positive"),
+    (["eval", "data=/no/such.csv", "checkpoint={w1_missing}"], 5, "{w1_missing}: checkpoint lacks tensor tifo.r.w1"),
+    (["shift", "data=/no/such.csv", "checkpoint={w1_missing}"], 5, "{w1_missing}: checkpoint lacks tensor tifo.r.w1"),
+    # an unknown method is named, not looked up, by the ema values' rule
+    (["ablate", "method=foo", "ablate_emas=0.9"], 2, "config error: unknown method: 'foo'"),
     (["stats"], None, "program fault"),
 ]
 

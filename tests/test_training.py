@@ -952,6 +952,17 @@ def test_lookback_rules_hold_only_for_the_blocks_a_method_composes():
     PipelineConfig(method="none", backbone=bb, **blocks)
 
 
+@pytest.mark.parametrize("method", sorted(COMPOSITION))
+def test_a_pipeline_is_built_with_at_least_one_channel(method):
+    # channels 0, "from the data", passes every config rule; only building needs the count
+    cfg = PipelineConfig(method=method, backbone=BackboneConfig(kind="linear", lookback=8, horizon=8, channels=0),
+                         san=SanConfig(patch=4))
+    with pytest.raises(ConfigError, match="^a pipeline needs at least 1 channel, got channels=0$"):
+        build_pipeline(cfg, np.random.default_rng(0))
+    with pytest.raises(ConfigError, match="^channels must be non-negative, got -1$"):
+        BackboneConfig(kind="linear", lookback=8, horizon=8, channels=-1)
+
+
 # ---------------------------------------------------------------------------
 # gradient verification
 # ---------------------------------------------------------------------------
