@@ -17,10 +17,12 @@ Each command begins with one config pass: it forms every config it reads
 settings, the lookback/horizon rule, its data source's synth_* spec, whose
 channel count a set ``channels`` must match), so every rule that needs no
 data exits 2 before any data or checkpoint is read.  Then it creates the
-output directory, and only then reads.  Three rules wait: a set ``channels``
-must match a CSV's count, ``eval``'s alpha and ema_decay need a ``tifo*``
-model, which only the checkpoint names, and ``stats``' entropy scores need
-two bins, which only the score function checks.
+output directory, and only then reads.  Two rules wait: a set ``channels``
+must match a CSV's count, and ``eval``'s alpha and ema_decay need a
+``tifo*`` model, which only the checkpoint names.  A command that fails
+leaves no directory it created behind: ``main`` notes which directories on
+``out``'s path are missing before the command runs, and on a
+``SpecshiftError`` removes those that are still empty.
 
 Once a command returns, ``main`` writes ``config.txt`` (the resolved
 configuration, reparseable) into the output directory next to its artifacts.
@@ -39,6 +41,7 @@ model's initial draws are all overwritten, so it is built from seed 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -53,7 +56,8 @@ from ..baselines import FanConfig, SanConfig
 from ..errors import CheckpointError, ConfigError, SpecshiftError
 from ..models import BackboneConfig
 from ..shiftmetrics import shift_report
-from ..stationarity import amplitude_panel, scores as stability_scores
+from ..spectral import n_bins
+from ..stationarity import amplitude_panel, check_score_bins, scores as stability_scores
 from ..tifo import TifoConfig
 from ..training import (
     COMPOSITION,
@@ -220,6 +224,7 @@ def cmd_synth(cfg: RunConfig) -> None:
 def cmd_stats(cfg: RunConfig) -> None:
     scoring = TifoConfig(score_metric=cfg.score_metric, score_eps=cfg.score_eps, window=cfg.window)
     source = _source(cfg, check_dataset=True)
+    check_score_bins(scoring.score_metric, n_bins(cfg.lookback))
     out = _out_dir(cfg)
     ds = _dataset(cfg, source)
     panel = amplitude_panel(ds.x_train, scoring.window)
@@ -476,15 +481,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--config", default=None, help="key=value config file")
     parser.add_argument("overrides", nargs="*", default=[], help="key=value overrides")  # a default keeps it optional
     args = parser.parse_intermixed_args(argv)  # --config may sit before, between or after the rest
+    made = []
     try:
         # numpy's warnings are held back: a failed command reports its one
         # error line alone, a successful one passes them on afterwards
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             cfg = load_config(args.config, list(args.overrides))
+            out = Path(cfg.out)
+            made = [d for d in (out, *out.parents) if not d.exists()]  # deepest first
             COMMANDS[args.command](cfg)
             (_out_dir(cfg) / "config.txt").write_text(echo_config(cfg))
     except SpecshiftError as exc:
+        for d in made:  # what the command created on out's path, if it is still empty
+            with contextlib.suppress(OSError):
+                d.rmdir()
         print(f"{exc.label} error: {exc}", file=sys.stderr)
         return exc.exit_code
     registry: dict = {}  # one per call: a "default" filter shows each place once

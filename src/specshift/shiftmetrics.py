@@ -14,6 +14,19 @@ one-cell computation's: ``np.histogram`` over ``np.linspace`` edges, the
 ``np.searchsorted``.  ``shift_report`` calls each once per chunk of cells
 holding at most ``CHUNK_SAMPLES`` samples, which bounds its working memory.
 
+Both sample metrics read each cell's sorted samples.  ``shift_report`` sorts
+each chunk's cells once, as one (cells, samples) copy per panel, and hands
+the ascending rows to ``paired_histograms`` and ``ks``, which sort a copy
+only when a row is out of order.  A bin's count is a difference of binary
+searches of its edges in the row; the KS statistic is read at the smaller
+sample's values and just below them; a cell whose samples all hold one value
+reads 0 for both metrics, with no search.  The bits are numpy's for two
+reasons.  Between strictly increasing edges ``np.histogram``'s scaled index
+is off by at most one, so its corrected bin is the count of inner edges at
+or below the value.  Between two values of the smaller sample its ECDF is
+constant and the rounded gap ``|fl(ca/na) - fl(cb/nb)|`` is V-shaped in the
+other sample's count, so the largest gap lies at an end of the interval.
+
 ``chunks`` is the one chunk rule of the package: ``shift_report`` takes its
 chunks of cells from it.  ``chunked`` is the one pass mechanism over a whole
 split of windows: every such pass (the amplitude panels, the score fit, the
@@ -60,8 +73,10 @@ def chunked(fn, x: np.ndarray):
 
 
 def _cell_rows(a, b) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """a and b as contiguous (cells, samples) float arrays, one row per cell,
-    and the shape of their cell axes."""
+    """a and b as contiguous (cells, samples) float arrays, one ascending row
+    per cell, and the shape of their cell axes.  A sample is sorted, in a
+    copy, only when one of its rows is out of order; a NaN fails that check
+    and sorts to its row's end."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == 0 or b.ndim == 0 or a.shape[1:] != b.shape[1:]:
@@ -69,27 +84,16 @@ def _cell_rows(a, b) -> tuple[np.ndarray, np.ndarray, tuple]:
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValueError("both samples must be non-empty")
     cells = a.shape[1:]
-    rows = [np.ascontiguousarray(x.reshape(x.shape[0], math.prod(cells)).T) for x in (a, b)]
+    rows = []
+    for x in (a, b):
+        x = np.ascontiguousarray(x.reshape(x.shape[0], math.prod(cells)).T)
+        rows.append(x if (x[:, 1:] >= x[:, :-1]).all() else np.sort(x, axis=1))
     return rows[0], rows[1], cells
 
 
 def _per_cell(values: np.ndarray, cells: tuple):
     """One value per cell in the cells' shape; a float for a one-dimensional input."""
     return float(values[0]) if cells == () else values.reshape(cells)
-
-
-def _bin_counts(x: np.ndarray, lo: np.ndarray, hi: np.ndarray, bins: int) -> np.ndarray:
-    """(cells, bins) counts of the rows of x by ``np.histogram``'s rule for
-    equal-width bins over [lo, hi] (columns): the scaled index, then its +-1
-    corrections against the edges.  Edge j < bins is ``j * step + lo``, as
-    ``np.linspace`` forms it; the last edge, ``hi``, is never compared."""
-    step = (hi - lo) / bins
-    idx = (((x - lo) / (hi - lo)) * bins).astype(np.intp)
-    np.minimum(idx, bins - 1, out=idx)
-    idx -= x < idx * step + lo
-    idx += (x >= (idx + 1) * step + lo) & (idx != bins - 1)
-    idx += bins * np.arange(x.shape[0])[:, None]
-    return np.bincount(idx.ravel(), minlength=bins * x.shape[0]).reshape(x.shape[0], bins)
 
 
 def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tuple[np.ndarray, np.ndarray]:
@@ -103,8 +107,8 @@ def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tu
     a, b, cells = _cell_rows(a, b)
     if bins < 1:
         raise ConfigError(f"hist_bins must be positive, got {bins}")
-    lo = np.minimum(a.min(axis=1), b.min(axis=1))[:, None]
-    hi = np.maximum(a.max(axis=1), b.max(axis=1))[:, None]
+    lo = np.minimum(a[:, :1], b[:, :1])
+    hi = np.maximum(a[:, -1:], b[:, -1:])
     if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
         raise NumericError("histogram samples must be finite")
     # np.linspace's edges wherever its step is nonzero; where the step
@@ -112,15 +116,20 @@ def paired_histograms(a: np.ndarray, b: np.ndarray, bins: int = HIST_BINS) -> tu
     edges = np.arange(bins + 1.0) * ((hi - lo) / bins) + lo
     edges[:, -1:] = hi
     ok = (edges[:, :-1] < edges[:, 1:]).all(axis=1)
-    p = np.zeros((lo.size, bins))
-    q = np.zeros((lo.size, bins))
-    p[~ok, 0] = 1.0
-    q[~ok, 0] = 1.0
-    if not ok.all():
-        a, b, lo, hi = a[ok], b[ok], lo[ok], hi[ok]
-    p[ok] = _bin_counts(a, lo, hi, bins) / a.shape[1]
-    q[ok] = _bin_counts(b, lo, hi, bins) / b.shape[1]
-    return p.T.reshape(bins, *cells), q.T.reshape(bins, *cells)
+    # a bin's count is the difference of a sample's counts below its two
+    # edges, np.histogram's bin where the edges strictly increase (see the
+    # module docstring)
+    searched = np.flatnonzero(ok).tolist()
+    pmfs = []
+    for x in (a, b):
+        below = np.zeros((lo.size, bins + 1), dtype=np.intp)
+        below[:, -1] = x.shape[1]
+        for r in searched:
+            below[r, 1:-1] = x[r].searchsorted(edges[r, 1:-1])
+        pmf = np.diff(below, axis=1) / x.shape[1]
+        pmf[~ok] = np.eye(1, bins)  # all mass in bin 0
+        pmfs.append(pmf.T.reshape(bins, *cells))
+    return pmfs[0], pmfs[1]
 
 
 def _kl_rows(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -172,29 +181,30 @@ def ks(a: np.ndarray, b: np.ndarray):
     The samples must not be NaN.
     """
     a, b, cells = _cell_rows(a, b)
-    rows, n_a, n = a.shape[0], a.shape[1], a.shape[1] + b.shape[1]
-    # each cell's row holds its sorted a, then its sorted b; a stable sort
-    # merges the two runs
-    both = np.concatenate([a, b], axis=1)
-    del a, b  # each array goes once used, which bounds shift_report's peak
-    both[:, :n_a].sort(axis=1)
-    both[:, n_a:].sort(axis=1)
-    order = np.argsort(both, axis=1, kind="stable")
-    merged = both.ravel()[order + n * np.arange(rows)[:, None]]
-    del both
-    if np.isnan(merged[:, -1]).any():
+    if np.isnan(a[:, -1]).any() or np.isnan(b[:, -1]).any():
         raise NumericError("KS samples must not be NaN")
-    # the ECDFs at each value, read at the last of its equal values as
-    # searchsorted(..., side="right") reads them
-    last = np.ones(merged.shape, dtype=bool)
-    np.not_equal(merged[:, :-1], merged[:, 1:], out=last[:, :-1])
-    del merged
-    # every row holds n_a of a's values
-    count_a = np.cumsum(order < n_a).reshape(rows, n) - n_a * np.arange(rows)[:, None]
-    del order
-    gap = np.abs(count_a / n_a - (np.arange(1, n + 1) - count_a) / (n - n_a))
-    gap[~last] = 0.0
-    return _per_cell(gap.max(axis=1), cells)
+    # the sup, read at the smaller sample's values and just below them (see
+    # the module docstring); a cell of one value reads 0
+    small, large = (a, b) if a.shape[1] <= b.shape[1] else (b, a)
+    n, m = small.shape[1], large.shape[1]
+    spread = np.flatnonzero(np.minimum(a[:, 0], b[:, 0]) < np.maximum(a[:, -1], b[:, -1]))
+    small = small[spread] if spread.size < a.shape[0] else small
+    at = np.empty(small.shape, dtype=np.intp)
+    below = np.empty(small.shape, dtype=np.intp)
+    for i, r in enumerate(spread.tolist()):
+        at[i] = large[r].searchsorted(small[i], "right")
+        below[i] = large[r].searchsorted(small[i], "left")
+    ecdf = np.arange(n + 1) / n
+    gap_at = np.abs(ecdf[1:] - at / m)
+    gap_below = np.abs(ecdf[:-1] - below / m)
+    # the smaller sample's own counts hold at the last of each run of equal
+    # values, and just below it at the first
+    tie = small[:, 1:] == small[:, :-1]
+    gap_at[:, :-1][tie] = 0.0
+    gap_below[:, 1:][tie] = 0.0
+    out = np.zeros(a.shape[0])
+    out[spread] = np.maximum(gap_at.max(axis=1), gap_below.max(axis=1))
+    return _per_cell(out, cells)
 
 
 def shift_report(
@@ -228,9 +238,13 @@ def shift_report(
     jsd_table = np.empty(k * c)
     ks_table = np.empty(k * c)
     for cols in chunks(k * c, a.shape[0] + b.shape[0]):
-        p, q = paired_histograms(a[:, cols], b[:, cols], bins=bins)
+        # each chunk's cells as ascending rows, sorted once for both metrics
+        rows_a, rows_b = (np.array(x[:, cols].T, order="C") for x in (a, b))
+        rows_a.sort(axis=1)
+        rows_b.sort(axis=1)
+        p, q = paired_histograms(rows_a.T, rows_b.T, bins=bins)
         jsd_table[cols] = jsd2(p, q)
-        ks_table[cols] = ks(a[:, cols], b[:, cols])
+        ks_table[cols] = ks(rows_a.T, rows_b.T)
     jsd_table = jsd_table.reshape(k, c)
     ks_table = ks_table.reshape(k, c)
     aggregate = {}

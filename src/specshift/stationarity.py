@@ -49,6 +49,13 @@ def mu_sigma_scores(panel: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return panel.mean(axis=0) / (panel.std(axis=0) + eps)
 
 
+def check_score_bins(metric: str, bins: int) -> None:
+    """The rule a score metric puts on the bin count, ``n_bins(lookback)``:
+    entropy scores need at least two bins."""
+    if metric == "entropy" and bins < 2:
+        raise ConfigError("entropy scores need at least two bins (lookback >= 2)")
+
+
 def entropy_scores(panel: np.ndarray) -> np.ndarray:
     """Spectral-concentration score from per-window amplitude distributions.
 
@@ -63,8 +70,7 @@ def entropy_scores(panel: np.ndarray) -> np.ndarray:
     """
     panel = np.asarray(panel, dtype=float)
     n, k, c = panel.shape
-    if k < 2:
-        raise ConfigError("entropy scores need at least two bins (lookback >= 2)")
+    check_score_bins("entropy", k)
     total = panel.sum(axis=1, keepdims=True)
     with np.errstate(invalid="ignore", divide="ignore"):
         prob = np.where(total > 0.0, panel / total, 1.0 / k)

@@ -52,7 +52,7 @@ from .errors import ConfigError, DataError, NumericError
 from .models import Backbone, BackboneConfig, dense
 from .shiftmetrics import chunked
 from .spectral import amplitude, dft_forward, n_bins
-from .stationarity import amplitude_panel, ema_refresh, scores as stability_scores
+from .stationarity import amplitude_panel, check_score_bins, ema_refresh, scores as stability_scores
 
 
 class TensorGroup(dict):
@@ -125,8 +125,8 @@ class PipelineConfig:
         keep, patch, topk = self.tifo.keep, self.san.patch, self.fan.topk
         if reweight and keep is not None and keep > n_bins(lookback):
             raise ConfigError(f"keep must be at most {n_bins(lookback)} for lookback {lookback}, got {keep}")
-        if reweight and self.tifo.score_metric == "entropy" and n_bins(lookback) < 2:
-            raise ConfigError("entropy scores need at least two bins (lookback >= 2)")
+        if reweight:
+            check_score_bins(self.tifo.score_metric, n_bins(lookback))
         if norm_cls is SanNorm and (lookback % patch or horizon % patch):
             raise ConfigError(f"san_patch must divide lookback {lookback} and horizon {horizon}, got {patch}")
         bins = min(n_bins(lookback), n_bins(horizon))

@@ -130,10 +130,13 @@ def _peak_memory():
 # bytes per unit: per training (window, bin, channel) for amplitude_panel,
 # the score fit and the panels, per training (window, step, channel) for the
 # rest; each pass holds its outputs, 8 B per unit each (FAN's targets two,
-# SAN's statistics 2 / patch), and one chunk's temporaries
+# SAN's statistics 2 / patch), and one chunk's temporaries.  shift_report's
+# unit is a (cell, sample) of its two panels: it holds one chunk's sorted
+# copies, and its finiteness check a mask of the larger panel, 1 B per value
 BOUNDS = {"build_dataset": 9, "amplitude_panel": 9, "transformed_input tifo": 9, "transformed_input tifo+san": 9,
           "score fit tifo": 17, "score fit tifo+san": 17, "panels tifo": 17, "panels tifo+san": 17,
-          "panels tifo hann": 17, "panels tifo+san hann": 17, "fan targets": 17, "san stage one": 2}
+          "panels tifo hann": 17, "panels tifo+san hann": 17, "fan targets": 17, "san stage one": 2,
+          "shift_report": 1}
 
 
 def test_whole_split_passes_stay_within_their_peak_bounds():

@@ -338,6 +338,24 @@ def test_a_set_channels_is_checked_against_a_synthetic_source_before_out_is_made
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["train", "data={series}", "channels=1"], 2),
+    (["train", "data=/no/such.csv"], 3),
+    (["eval", "synth_channels=3", "checkpoint={w1_missing}"], 5),
+], ids=["channel mismatch", "missing csv", "bad checkpoint"])
+def test_a_failed_command_leaves_no_directory_it_created(tmp_path, checkpoint_faults, capsys, argv, code):
+    series = tmp_path / "series.csv"
+    series.write_text("a,b\n" + "".join(f"{np.sin(i)},{np.cos(i)}\n" for i in range(40)))
+    argv = [a.format(series=series, **checkpoint_faults) for a in argv]
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    for out in (tmp_path / "new" / "out", existing / "out", existing):
+        assert run(*argv, *TINY, f"out={out}") == code
+        assert capsys.readouterr().err.startswith(("config error", "data error", "checkpoint error"))
+    assert not (tmp_path / "new").exists() and not (existing / "out").exists()
+    assert existing.is_dir()
+
+
 def test_train_rerun_identical_bytes(tmp_path):
     # the config echo inside the checkpoint includes the output path, so
     # determinism is rerunning the same command, not two parallel dirs
@@ -616,6 +634,7 @@ CHECKED_BEFORE_DATA = [
     ["train", "method=san", "san_patch=5"],
     ["train", "method=fan", "fan_topk=99"],
     ["stats", "lookback=0"],
+    ["stats", "score_metric=entropy", "lookback=1"],
     ["shift", "lookback=0"],
     ["ablate", "method=foo"],
     ["ablate", "method=san", "san_patch=5"],

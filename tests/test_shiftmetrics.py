@@ -109,6 +109,8 @@ def test_ks_symmetry_and_bounds():
         v = ks(a, b)
         assert v == pytest.approx(ks(b, a), abs=1e-12)
         assert 0.0 <= v <= 1.0
+    for name, (a, b) in PANEL_CASES.items():
+        assert np.array_equal(ks(a, b), ks(b, a)), name
 
 
 def test_ks_monotone_transform_invariance():
@@ -160,7 +162,22 @@ def _panel_cases():
         "one-sample panels": (rng.standard_normal((1, 3, 2)), rng.standard_normal((1, 3, 2))),
         "subnormal ranges": (rng.integers(0, 4, size=(6, 2, 2)) * 5e-324, rng.integers(0, 4, size=(5, 2, 2)) * 5e-324),
         "wide magnitudes": (rng.standard_normal((12, 3, 1)) * 1e300, rng.standard_normal((10, 3, 1)) * 1e-300),
+        **_uneven_cases(rng),
     }
+
+
+def _uneven_cases(rng):
+    """Panels of very unequal sizes, either way round, whose two samples share
+    values, and one chunk that mixes a cell of one value, a cell 1 ulp wide
+    and ordinary cells."""
+    many = rng.integers(0, 5, size=(40, 3, 2)).astype(float)
+    few = rng.integers(0, 5, size=(3, 3, 2)).astype(float)
+    mixed = (rng.standard_normal((9, 4, 1)), rng.standard_normal((4, 4, 1)))
+    for panel in mixed:
+        panel[:, 0] = -1.5  # one value
+    mixed[0][:, 1] = 1.0
+    mixed[1][:, 1] = np.nextafter(1.0, 2.0)  # a range 1 ulp wide
+    return {"40 against 3": (many, few), "3 against 40": (few, many), "mixed cells": mixed}
 
 
 PANEL_CASES = _panel_cases()
@@ -195,8 +212,8 @@ cell_values = st.sampled_from([0.0, -0.0, 5e-324, 1.0, np.nextafter(1.0, 2.0), 3
 @given(st.data())
 def test_shift_report_matches_oracle_property(data):
     k, c = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 2))
-    a = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), k, c), elements=cell_values))
-    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 12)), k, c), elements=cell_values))
+    a = data.draw(arrays(np.float64, (data.draw(st.integers(1, 40)), k, c), elements=cell_values))
+    b = data.draw(arrays(np.float64, (data.draw(st.integers(1, 40)), k, c), elements=cell_values))
     _assert_matches_oracle(a, b, data.draw(st.sampled_from([1, 2, 7, 50])))
 
 

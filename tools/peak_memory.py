@@ -20,7 +20,10 @@ each of the last three for ``tifo`` and ``tifo+san``;
 - ``fan targets`` (``FanNorm.targets``): per training (window, step,
   channel) of the forecast windows;
 - ``san stage one`` (``SanNorm.split_stats`` of the input windows, at the
-  default patch): per training (window, step, channel).
+  default patch): per training (window, step, channel);
+- ``shift_report`` (of the train and test amplitude panels, as ``shift``
+  compares them): per (cell, sample), a cell being a (bin, channel) and its
+  samples the train and test windows.
 
 A pass's outputs count toward its peak; its inputs, made before the call,
 do not.  Uses the ``specshift`` package of the checkout this file sits in,
@@ -40,6 +43,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from specshift.data import build_dataset  # noqa: E402
 from specshift.models import BackboneConfig  # noqa: E402
+from specshift.shiftmetrics import shift_report  # noqa: E402
 from specshift.spectral import n_bins  # noqa: E402
 from specshift.stationarity import amplitude_panel  # noqa: E402
 from specshift.training import Pipeline, PipelineConfig, fit_score_table  # noqa: E402
@@ -92,6 +96,8 @@ def rates(rows: int = 17420, channels: int = 7, lookback: int = 96, horizon: int
     fan, san = pipeline("fan").norm, pipeline("san").norm
     out["fan targets"] = peak_bytes(lambda: fan.targets(y)) / (y.shape[0] * horizon * channels)
     out["san stage one"] = peak_bytes(lambda: san.split_stats(x)) / steps
+    train, test = amplitude_panel(x), amplitude_panel(ds.x_test)
+    out["shift_report"] = peak_bytes(lambda: shift_report(train, test)) / (train.size + test.size)
     return out
 
 
